@@ -3,632 +3,342 @@
 Every verb prints a JSON report {verb, pass, residuals, artifacts,
 elapsed_ms} on stdout and exits 0 on pass, 1 on mathematical failure,
 2 on usage or format errors.  All randomness is controlled by --seed.
+
+Each verb is declared once, in ``VERBS``; the parser, the dispatch and
+``list-ops`` are all derived from that table.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import abgroup, catverify, frames, fredholm, generators, grassmannian, homspace
-from .config import load_settings
-from .serialize import (
-    FormatError,
-    dump_json,
-    frame_from_json,
-    frame_to_json,
-    fredholm_from_json,
-    fredholm_to_json,
-    grouphom_from_json,
-    group_from_json,
-    group_to_json,
-    hom_from_json,
-    hom_to_json,
-    load_json,
-    matrix_from_json,
-    matrix_to_json,
-    subalgebra_from_json,
-    subalgebra_to_json,
-)
+from .config import UsageError, load_settings
+from .serialize import (FormatError, chain_from_json, chain_to_json, dump_json, frame_from_json,
+                        frame_to_json, fredholm_from_json, fredholm_to_json, group_from_json,
+                        group_to_json, grouphom_from_json, hom_from_json, hom_to_json,
+                        int_matrix_from_json, load_json, matrix_from_json, matrix_to_json,
+                        subalgebra_from_json, subalgebra_to_json)
 from .suite import run_suite
 
 
-def _write(obj, path, artifacts):
-    if path:
-        dump_json(obj, path)
-        artifacts.append(path)
+class Verb(NamedTuple):
+    """One CLI verb.  ``flags`` lists ``--flag kind`` pairs; a kind is
+    ``int``, ``float``, ``seed`` (an int that defaults to the config seed)
+    or a codec of ``_CODECS``, whose flag names a JSON file.  A kind ending
+    in ``?`` is optional (None when absent); ``kind=value`` has a default.
+    ``out`` names the codec of the ``--out`` payload.  ``body(tol,
+    *decoded flag values)`` returns (pass, residuals, result, payload)."""
 
+    name: str
+    target: str | None
+    flags: str
+    out: str | None
+    body: Callable
 
-def _load_frame(path):
-    return frame_from_json(load_json(path))
 
+_TYPES = {"int": int, "float": float, "seed": int}
 
-def _load_hom(path):
-    return hom_from_json(load_json(path))
 
+def _flags(spec):
+    """(flag, kind, required, default) for each pair of a flag spec."""
+    words = spec.split()
+    for flag, word in zip(words[::2], words[1::2]):
+        kind, has_default, default = word.partition("=")
+        base = kind.rstrip("?")
+        required = kind == base and not has_default and base != "seed"
+        yield flag, base, required, _TYPES[base](default) if has_default else None
 
-def _load_alg(path):
-    return subalgebra_from_json(load_json(path))
 
+def _bundle_from_json(obj):
+    f, g = (catverify.make_c_morphism(hom_from_json(obj[k]["hom"]),
+                                      frame_from_json(obj[k]["src_frame"]),
+                                      frame_from_json(obj[k]["dst_frame"])) for k in "fg")
+    return f, g, frame_from_json(obj["alpha_prime"]), frame_from_json(obj["phi_prime"])
 
-def _load_matrix(path):
-    return matrix_from_json(load_json(path))
 
-
-# Each handler returns (pass, residuals, result, out_payloads) where
-# out_payloads maps --flag-provided paths to JSON-serializable objects.
-
-
-def _cmd_frame_make_units(a, s):
-    fr = frames.matrix_unit_frame(a.d, a.cofactor)
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_frame_verify(a, s):
-    report = frames.verify_frame(_load_frame(a.infile), s.tol)
-    residuals = {"axiom_i": report.axiom_i_maxerr,
-                 "axiom_ii": report.axiom_ii_maxerr,
-                 "axiom_iii": report.axiom_iii_maxerr}
-    return report.pass_, residuals, None, []
-
-
-def _cmd_frame_pi1(a, s):
-    fr = frames.pi1(_load_frame(a.infile), a.split)
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_frame_pi2(a, s):
-    fr = frames.pi2(_load_frame(a.infile), a.split)
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_frame_dot(a, s):
-    left, right = _load_frame(a.left), _load_frame(a.right)
-    residual = frames.commutation_residual(left, right)
-    fr = frames.dot(left, right, s.tol)
-    return True, {"commutation": residual}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_frame_tensor(a, s):
-    fr = frames.tensor_frame(_load_frame(a.left), _load_frame(a.right))
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_frame_conj(a, s):
-    fr = frames.conjugate_frame(_load_matrix(a.unitary), _load_frame(a.infile), s.tol)
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_frame_random(a, s):
-    fr = frames.random_frame(a.d, a.ambient, a.seed if a.seed is not None else s.seed)
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_hom_ev(a, s):
-    result = homspace.ev(_load_hom(a.hom), _load_matrix(a.matrix))
-    return True, {}, None, [(a.out, matrix_to_json(result))]
-
-
-def _cmd_hom_iota(a, s):
-    h = homspace.iota(_load_hom(a.hom), a.l)
-    return True, {}, None, [(a.out, hom_to_json(h))]
-
-
-def _cmd_hom_compose(a, s):
-    h = homspace.compose_phi(_load_hom(a.outer), _load_hom(a.inner))
-    return True, {}, None, [(a.out, hom_to_json(h))]
-
-
-def _cmd_hom_tensor(a, s):
-    h = homspace.tensor_hom(_load_hom(a.left), _load_hom(a.right))
-    return True, {}, None, [(a.out, hom_to_json(h))]
-
-
-def _cmd_hom_intertwiner(a, s):
-    h = _load_hom(a.hom)
-    u = homspace.intertwiner(h, s.tol)
-    residual = homspace.intertwiner_residual(h, u)
-    return residual <= 1e-8, {"intertwiner": residual}, None, [(a.out, matrix_to_json(u))]
-
-
-def _cmd_hom_random(a, s):
-    h = homspace.random_hom(a.src, a.l, a.seed if a.seed is not None else s.seed)
-    return True, {}, None, [(a.out, hom_to_json(h))]
-
-
-def _cmd_alg_span(a, s):
-    gens = _load_alg(a.infile)
-    alg = grassmannian.span_subalgebra(list(gens.basis), gens.ambient, s.tol)
-    residual = grassmannian.closure_residual(alg, s.tol)
-    return residual <= 1e3 * s.tol.abs_eps, {"closure": residual}, \
-        {"dim": alg.dim}, [(a.out, subalgebra_to_json(alg))]
-
-
-def _cmd_alg_centralizer(a, s):
-    alg = _load_alg(a.infile)
-    z = grassmannian.centralizer(alg, s.tol)
-    defect = grassmannian.commutation_defect(alg, z)
-    return defect <= 1e-8, {"commutation": defect}, {"dim": z.dim}, \
-        [(a.out, subalgebra_to_json(z))]
-
-
-def _cmd_alg_isk(a, s):
-    ok = grassmannian.is_k_subalgebra(_load_alg(a.infile), a.d, s.tol)
-    return ok, {}, {"is_k_subalgebra": ok}, []
-
-
-def _cmd_alg_extract(a, s):
-    fr = grassmannian.extract_frame(_load_alg(a.infile), a.d, s.tol)
-    report = frames.verify_frame(fr, s.tol)
-    return True, {"frame_axioms": report.max_error}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_alg_grmap(a, s):
-    result = grassmannian.gr_map(_load_hom(a.hom), _load_alg(a.aprime),
-                                 _load_alg(a.a), _load_alg(a.b), s.tol)
-    return True, {}, {"dim": result.dim}, [(a.out, subalgebra_to_json(result))]
-
-
-def _cmd_alg_ztensor(a, s):
-    ok, dist = grassmannian.centralizer_tensor_check(
-        _load_hom(a.f), _load_hom(a.g), _load_alg(a.a), _load_alg(a.b),
-        _load_alg(a.phi), _load_alg(a.psi), s.tol)
-    return ok, {"subspace_distance": dist}, None, []
-
-
-def _morphism_from_bundle(obj):
-    return catverify.make_c_morphism(hom_from_json(obj["hom"]),
-                                     frame_from_json(obj["src_frame"]),
-                                     frame_from_json(obj["dst_frame"]))
-
-
-def _cmd_cat_check_morphism(a, s):
-    src = _load_frame(a.src_frame)
-    ok, residual = catverify.is_c_morphism(
-        _load_hom(a.hom), src, _load_frame(a.dst_frame),
-        a.split if a.split else src.d, s.tol)
-    return ok, {"frame_condition": residual}, None, []
-
-
-def _cmd_cat_frmap(a, s):
-    data = catverify.make_c_morphism(_load_hom(a.hom), _load_frame(a.src_frame),
-                                     _load_frame(a.dst_frame), s.tol)
-    fr = catverify.fr_map(data, _load_frame(a.arg), s.tol)
-    return True, {}, None, [(a.out, frame_to_json(fr))]
-
-
-def _cmd_cat_naturality(a, s):
-    if a.infile:
-        obj = load_json(a.infile)
-        fd = _morphism_from_bundle(obj["f"])
-        gd = _morphism_from_bundle(obj["g"])
-        ap = frame_from_json(obj["alpha_prime"])
-        pp = frame_from_json(obj["phi_prime"])
-    else:
-        seed = a.seed if a.seed is not None else s.seed
-        cfg = generators.MorphismConfig(2, 1, 2, 2)
-        fd = generators.random_c_morphism(cfg, seed)
-        gd = generators.random_c_morphism(cfg, seed + 1)
-        ap = generators.random_source_frame(cfg, seed + 2)
-        pp = generators.random_source_frame(cfg, seed + 3)
-    square, witness = catverify.check_naturality(fd, gd, ap, pp, s.tol)
-    ok = square <= 1e-8 and witness <= 1e-8
-    return ok, {"square": square, "witness": witness}, None, []
-
-
-def _frame_or_random(path, d, ambient, seed):
-    if path:
-        return _load_frame(path)
-    return frames.random_frame(d, ambient, seed)
-
-
-def _cmd_cat_assoc(a, s):
-    seed = a.seed if a.seed is not None else s.seed
-    fa = _frame_or_random(a.a, 2, 2, seed)
-    fb = _frame_or_random(a.b, 2, 4, seed + 1)
-    fc = _frame_or_random(a.c, 1, 2, seed + 2)
-    residual = catverify.check_associativity(fa, fb, fc)
-    return residual == 0.0, {"associativity": residual}, None, []
-
-
-def _cmd_cat_tau(a, s):
-    seed = a.seed if a.seed is not None else s.seed
-    fa = _frame_or_random(a.a, 2, 2, seed)
-    fb = _frame_or_random(a.b, 2, 6, seed + 1)
-    residual = catverify.check_tau(fa, fb)
-    return residual <= 1e-9, {"tau": residual}, None, []
-
-
-def _load_chain(path):
-    obj = load_json(path)
-    return catverify.NerveChain(tuple(hom_from_json(h) for h in obj["homs"]))
-
-
-def _chain_to_json(chain):
-    return {"homs": [hom_to_json(h) for h in chain.homs]}
-
-
-def _cmd_cat_nerve_face(a, s):
-    result = catverify.nerve_face(a.i, _load_chain(a.chain))
-    return True, {}, {"levels": list(result.levels)}, [(a.out, _chain_to_json(result))]
-
-
-def _cmd_cat_bundle_face(a, s):
-    chain, t = catverify.bundle_face(a.i, _load_chain(a.chain), _load_matrix(a.matrix))
-    payload = {"chain": _chain_to_json(chain), "fiber": matrix_to_json(t)}
-    return True, {}, {"levels": list(chain.levels)}, [(a.out, payload)]
-
-
-def _cmd_fred_index(a, s):
-    t = fredholm_from_json(load_json(a.infile))
-    idx = fredholm.index(t, s.tol)
-    return True, {}, {"index": idx}, []
-
-
-def _cmd_fred_conj(a, s):
-    t = fredholm_from_json(load_json(a.infile))
-    result = fredholm.conjugate(_load_matrix(a.unitary), t, s.tol)
-    same = fredholm.index(result, s.tol) == fredholm.index(t, s.tol)
-    return same, {}, {"index": fredholm.index(result, s.tol)}, \
-        [(a.out, fredholm_to_json(result))]
-
-
-def _cmd_fred_amplify(a, s):
-    t = fredholm_from_json(load_json(a.infile))
-    result = fredholm.amplify(_load_hom(a.hom), t, s.tol)
-    return True, {}, {"index": fredholm.index(result, s.tol)}, \
-        [(a.out, fredholm_to_json(result))]
-
-
-def _cmd_fred_localize(a, s):
-    stages = [fredholm_from_json(obj) for obj in load_json(a.stages)]
-    value = fredholm.localize_index(stages, a.l, a.start_stage, s.tol)
-    return True, {}, {"index": str(value)}, []
-
-
-def _int_matrix(obj):
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise FormatError("expected a JSON list of integer rows")
-    return [[int(x) for x in row] for row in obj]
-
-
-def _cmd_ab_snf(a, s):
-    m = _int_matrix(load_json(a.infile))
-    u, d, v = abgroup.smith_normal_form(m)
-    factors, _ = abgroup.invariant_factors(m)
-    return True, {}, {"diagonal": [d[i][i] for i in range(min(len(d), len(d[0])))],
-                      "invariant_factors": factors}, \
-        [(a.out, {"u": u, "d": d, "v": v})]
-
-
-def _cmd_ab_coker(a, s):
-    f = grouphom_from_json(load_json(a.infile))
-    g = abgroup.cokernel(f)
-    factors, rank = g.canonical()
-    return True, {}, {"invariant_factors": factors, "free_rank": rank}, \
-        [(a.out, group_to_json(g))]
-
-
-def _cmd_ab_ker(a, s):
-    f = grouphom_from_json(load_json(a.infile))
-    g = abgroup.kernel(f)
-    factors, rank = g.canonical()
-    return True, {}, {"invariant_factors": factors, "free_rank": rank}, \
-        [(a.out, group_to_json(g))]
-
-
-def _cmd_ab_localize(a, s):
-    g = abgroup.localize(group_from_json(load_json(a.infile)), a.l)
-    factors, rank = g.canonical()
-    return True, {}, {"invariant_factors": factors, "free_rank": rank}, \
-        [(a.out, group_to_json(g))]
-
-
-def _cmd_ab_colim(a, s):
-    obj = load_json(a.file)
+def _colimit_from_json(obj):
     groups = [group_from_json(g) for g in obj["groups"]]
-    maps = [abgroup.GroupHom.from_rows(groups[i], groups[i + 1], rows)
-            for i, rows in enumerate(obj["maps"])]
-    g, stage = abgroup.sequential_colimit(groups, maps, a.invert)
-    factors, rank = g.canonical()
-    return True, {}, {"invariant_factors": factors, "free_rank": rank,
-                      "stable_from": stage}, [(a.out, group_to_json(g))]
+    if len(obj["maps"]) != len(groups) - 1:
+        raise FormatError("a colimit chain needs one map between each pair of groups")
+    return groups, [abgroup.GroupHom.from_rows(groups[i], groups[i + 1], rows)
+                    for i, rows in enumerate(obj["maps"])]
 
 
-def _cmd_suite(a, s):
-    seed = a.seed if a.seed is not None else s.seed
-    report = run_suite(seed=seed, scale=a.scale)
-    residuals = {}
-    for battery in report["batteries"]:
-        for key, val in battery["residuals"].items():
-            residuals[f"{battery['name']}.{key}"] = val
-    return report["pass"], residuals, {"batteries": report["batteries"]}, []
-
-
-_OPERATIONS = {
-    "frame make-units": "frames.matrix_unit_frame",
-    "frame verify": "frames.verify_frame",
-    "frame pi1": "frames.pi1",
-    "frame pi2": "frames.pi2",
-    "frame dot": "frames.dot",
-    "frame tensor": "frames.tensor_frame",
-    "frame conj": "frames.conjugate_frame",
-    "frame random": "frames.random_frame",
-    "hom ev": "homspace.ev",
-    "hom iota": "homspace.iota",
-    "hom compose": "homspace.compose_phi",
-    "hom tensor": "homspace.tensor_hom",
-    "hom intertwiner": "homspace.intertwiner",
-    "hom random": "homspace.random_hom",
-    "alg span": "grassmannian.span_subalgebra",
-    "alg centralizer": "grassmannian.centralizer",
-    "alg isk": "grassmannian.is_k_subalgebra",
-    "alg extract": "grassmannian.extract_frame",
-    "alg grmap": "grassmannian.gr_map",
-    "alg ztensor": "grassmannian.centralizer_tensor_check",
-    "cat check-morphism": "catverify.is_c_morphism",
-    "cat frmap": "catverify.fr_map",
-    "cat naturality": "catverify.check_naturality",
-    "cat assoc": "catverify.check_associativity",
-    "cat tau": "catverify.check_tau",
-    "cat nerve-face": "catverify.nerve_face",
-    "cat bundle-face": "catverify.bundle_face",
-    "fred index": "fredholm.index",
-    "fred conj": "fredholm.conjugate",
-    "fred amplify": "fredholm.amplify",
-    "fred localize": "fredholm.localize_index",
-    "ab snf": "abgroup.smith_normal_form",
-    "ab coker": "abgroup.cokernel",
-    "ab ker": "abgroup.kernel",
-    "ab localize": "abgroup.localize",
-    "ab colim": "abgroup.sequential_colimit",
-    "suite": "suite.run_suite",
+# kind -> (decode a parsed JSON file, encode an --out payload)
+_CODECS = {
+    "frame": (frame_from_json, frame_to_json),
+    "hom": (hom_from_json, hom_to_json),
+    "alg": (subalgebra_from_json, subalgebra_to_json),
+    "matrix": (matrix_from_json, matrix_to_json),
+    "operator": (fredholm_from_json, fredholm_to_json),
+    "operators": (lambda obj: [fredholm_from_json(o) for o in obj], None),
+    "group": (group_from_json, group_to_json),
+    "grouphom": (grouphom_from_json, None),
+    "ints": (int_matrix_from_json, None),
+    "chain": (chain_from_json, chain_to_json),
+    "fiber": (None, lambda p: {"chain": chain_to_json(p[0]), "fiber": matrix_to_json(p[1])}),
+    "bundle": (_bundle_from_json, None),
+    "colimit": (_colimit_from_json, None),
+    "json": (None, lambda obj: obj),
 }
 
 
-def _cmd_list_ops(a, s):
-    return True, {}, {"operations": _OPERATIONS}, []
+def _made(obj):
+    return True, {}, None, obj
 
 
-def _add_out(p):
-    p.add_argument("--out", help="write the result object to this JSON file")
+def _check(name, ok_residual):
+    return ok_residual[0], {name: ok_residual[1]}, None, None
 
 
-def _add_seed(p):
-    p.add_argument("--seed", type=int, help="random seed (default from config)")
+def _within(bound, name, residual, payload=None):
+    return residual <= bound, {name: residual}, None, payload
+
+
+def _frame_axioms(tol, fr):
+    report = frames.verify_frame(fr, tol)
+    return report.pass_, {"axiom_i": report.axiom_i_maxerr, "axiom_ii": report.axiom_ii_maxerr,
+                          "axiom_iii": report.axiom_iii_maxerr}, None, None
+
+
+def _random_frame(tol, d, ambient, seed):
+    if d < 1 or ambient < 1 or ambient % d:
+        raise UsageError(f"--d {d} must divide --ambient {ambient}")
+    return _made(frames.random_frame(d, ambient, seed))
+
+
+def _intertwiner(tol, h):
+    u = homspace.intertwiner(h, tol)
+    return _within(1e-8, "intertwiner", homspace.intertwiner_residual(h, u), u)
+
+
+def _with_dim(ok, residuals, alg):
+    return ok, residuals, {"dim": alg.dim}, alg
+
+
+def _span(tol, gens):
+    alg = grassmannian.span_subalgebra(list(gens.basis), gens.ambient, tol)
+    residual = grassmannian.closure_residual(alg, tol)
+    return _with_dim(residual <= 1e3 * tol.abs_eps, {"closure": residual}, alg)
+
+
+def _is_k(tol, alg, d):
+    ok = grassmannian.is_k_subalgebra(alg, d, tol)
+    return ok, {}, {"is_k_subalgebra": ok}, None
+
+
+def _centralizer(tol, alg):
+    z = grassmannian.centralizer(alg, tol)
+    defect = grassmannian.commutation_defect(alg, z)
+    return _with_dim(defect <= 1e-8, {"commutation": defect}, z)
+
+
+def _extract(tol, alg, d):
+    fr = grassmannian.extract_frame(alg, d, tol)
+    return True, {"frame_axioms": frames.verify_frame(fr, tol).max_error}, None, fr
+
+
+def _naturality(tol, bundle, seed):
+    if bundle is None:
+        cfg = generators.MorphismConfig(2, 1, 2, 2)
+        bundle = (generators.random_c_morphism(cfg, seed),
+                  generators.random_c_morphism(cfg, seed + 1),
+                  generators.random_source_frame(cfg, seed + 2),
+                  generators.random_source_frame(cfg, seed + 3))
+    square, witness = catverify.check_naturality(*bundle, tol)
+    return square <= 1e-8 and witness <= 1e-8, {"square": square, "witness": witness}, None, None
+
+
+def _or_random(fr, d, ambient, seed):
+    return frames.random_frame(d, ambient, seed) if fr is None else fr
+
+
+def _face(chain, fiber=None):
+    return True, {}, {"levels": list(chain.levels)}, chain if fiber is None else (chain, fiber)
+
+
+def _index(tol, t, ok=True):
+    return ok, {}, {"index": fredholm.index(t, tol)}, t
+
+
+def _fred_conj(tol, t, g):
+    result = fredholm.conjugate(g, t, tol)
+    return _index(tol, result, fredholm.index(result, tol) == fredholm.index(t, tol))
+
+
+def _snf(tol, m):
+    u, d, v = abgroup.smith_normal_form(m)
+    factors, _ = abgroup.invariant_factors(m)
+    diagonal = [row[i] for i, row in enumerate(d) if i < len(row)]
+    return True, {}, {"diagonal": diagonal, "invariant_factors": factors}, {"u": u, "d": d, "v": v}
+
+
+def _group(g, **extra):
+    factors, rank = g.canonical()
+    return True, {}, {"invariant_factors": factors, "free_rank": rank, **extra}, g
+
+
+def _colim(tol, chain, invert):
+    g, stage = abgroup.sequential_colimit(*chain, invert)
+    return _group(g, stable_from=stage)
+
+
+def _suite(tol, seed, scale):
+    report = run_suite(seed=seed, scale=scale)
+    residuals = {f"{battery['name']}.{key}": val
+                 for battery in report["batteries"] for key, val in battery["residuals"].items()}
+    return report["pass"], residuals, {"batteries": report["batteries"]}, None
+
+
+_MORPHISM = "--hom hom --src-frame frame --dst-frame frame"
+
+VERBS = (
+    Verb("frame make-units", "frames.matrix_unit_frame", "--d int --cofactor int", "frame",
+         lambda tol, d, cofactor: _made(frames.matrix_unit_frame(d, cofactor))),
+    Verb("frame verify", "frames.verify_frame", "--in frame", None, _frame_axioms),
+    Verb("frame pi1", "frames.pi1", "--in frame --split int", "frame",
+         lambda tol, fr, split: _made(frames.pi1(fr, split))),
+    Verb("frame pi2", "frames.pi2", "--in frame --split int", "frame",
+         lambda tol, fr, split: _made(frames.pi2(fr, split))),
+    Verb("frame dot", "frames.dot", "--left frame --right frame", "frame",
+         lambda tol, left, right: (True, {"commutation": frames.commutation_residual(left, right)},
+                                   None, frames.dot(left, right, tol))),
+    Verb("frame tensor", "frames.tensor_frame", "--left frame --right frame", "frame",
+         lambda tol, left, right: _made(frames.tensor_frame(left, right))),
+    Verb("frame conj", "frames.conjugate_frame", "--in frame --unitary matrix", "frame",
+         lambda tol, fr, u: _made(frames.conjugate_frame(u, fr, tol))),
+    Verb("frame random", "frames.random_frame", "--d int --ambient int --seed seed", "frame",
+         _random_frame),
+    Verb("hom ev", "homspace.ev", "--hom hom --matrix matrix", "matrix",
+         lambda tol, h, x: _made(homspace.ev(h, x))),
+    Verb("hom iota", "homspace.iota", "--hom hom --l int", "hom",
+         lambda tol, h, l: _made(homspace.iota(h, l))),
+    Verb("hom compose", "homspace.compose_phi", "--outer hom --inner hom", "hom",
+         lambda tol, outer, inner: _made(homspace.compose_phi(outer, inner))),
+    Verb("hom tensor", "homspace.tensor_hom", "--left hom --right hom", "hom",
+         lambda tol, left, right: _made(homspace.tensor_hom(left, right))),
+    Verb("hom intertwiner", "homspace.intertwiner", "--hom hom", "matrix", _intertwiner),
+    Verb("hom random", "homspace.random_hom", "--src int --l int --seed seed", "hom",
+         lambda tol, src, l, seed: _made(homspace.random_hom(src, l, seed))),
+    Verb("alg span", "grassmannian.span_subalgebra", "--in alg", "alg", _span),
+    Verb("alg centralizer", "grassmannian.centralizer", "--in alg", "alg", _centralizer),
+    Verb("alg isk", "grassmannian.is_k_subalgebra", "--in alg --d int", None, _is_k),
+    Verb("alg extract", "grassmannian.extract_frame", "--in alg --d int", "frame", _extract),
+    Verb("alg grmap", "grassmannian.gr_map", "--hom hom --aprime alg --a alg --b alg", "alg",
+         lambda tol, h, a_prime, a, b: _with_dim(True, {}, grassmannian.gr_map(
+             h, a_prime, a, b, tol))),
+    Verb("alg ztensor", "grassmannian.centralizer_tensor_check",
+         "--f hom --g hom --a alg --b alg --phi alg --psi alg", None,
+         lambda tol, *data: _check("subspace_distance",
+                                   grassmannian.centralizer_tensor_check(*data, tol))),
+    Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split int?", None,
+         lambda tol, h, src, dst, split: _check("frame_condition", catverify.is_c_morphism(
+             h, src, dst, split or src.d, tol))),
+    Verb("cat frmap", "catverify.fr_map", _MORPHISM + " --arg frame", "frame",
+         lambda tol, h, src, dst, arg: _made(catverify.fr_map(
+             catverify.make_c_morphism(h, src, dst, tol), arg, tol))),
+    Verb("cat naturality", "catverify.check_naturality", "--in bundle? --seed seed", None,
+         _naturality),
+    Verb("cat assoc", "catverify.check_associativity",
+         "--a frame? --b frame? --c frame? --seed seed", None,
+         lambda tol, a, b, c, seed: _within(0.0, "associativity", catverify.check_associativity(
+             _or_random(a, 2, 2, seed), _or_random(b, 2, 4, seed + 1),
+             _or_random(c, 1, 2, seed + 2)))),
+    Verb("cat tau", "catverify.check_tau", "--a frame? --b frame? --seed seed", None,
+         lambda tol, a, b, seed: _within(1e-9, "tau", catverify.check_tau(
+             _or_random(a, 2, 2, seed), _or_random(b, 2, 6, seed + 1)))),
+    Verb("cat nerve-face", "catverify.nerve_face", "--chain chain --i int", "chain",
+         lambda tol, chain, i: _face(catverify.nerve_face(i, chain))),
+    Verb("cat bundle-face", "catverify.bundle_face", "--chain chain --i int --matrix matrix",
+         "fiber", lambda tol, chain, i, t: _face(*catverify.bundle_face(i, chain, t))),
+    Verb("fred index", "fredholm.index", "--in operator", None, _index),
+    Verb("fred conj", "fredholm.conjugate", "--in operator --unitary matrix", "operator",
+         _fred_conj),
+    Verb("fred amplify", "fredholm.amplify", "--in operator --hom hom", "operator",
+         lambda tol, t, h: _index(tol, fredholm.amplify(h, t, tol))),
+    Verb("fred localize", "fredholm.localize_index",
+         "--stages operators --l int --start-stage int=0", None,
+         lambda tol, stages, l, start: (True, {}, {"index": str(fredholm.localize_index(
+             stages, l, start, tol))}, None)),
+    Verb("ab snf", "abgroup.smith_normal_form", "--in ints", "json", _snf),
+    Verb("ab coker", "abgroup.cokernel", "--in grouphom", "group",
+         lambda tol, f: _group(abgroup.cokernel(f))),
+    Verb("ab ker", "abgroup.kernel", "--in grouphom", "group",
+         lambda tol, f: _group(abgroup.kernel(f))),
+    Verb("ab localize", "abgroup.localize", "--in group --l int", "group",
+         lambda tol, g, l: _group(abgroup.localize(g, l))),
+    Verb("ab colim", "abgroup.sequential_colimit", "--file colimit --invert int", "group", _colim),
+    Verb("suite", "suite.run_suite", "--seed seed --scale float=1.0", None, _suite),
+    Verb("list-ops", None, "", None,
+         lambda tol: (True, {}, {"operations": {v.name: v.target for v in VERBS if v.target}},
+                      None)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="frcalc")
     parser.add_argument("--config", help="path to a key-value config file")
-    sub = parser.add_subparsers(dest="module", required=True)
-
-    fr = sub.add_parser("frame").add_subparsers(dest="verb", required=True)
-    p = fr.add_parser("make-units")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--cofactor", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_frame_make_units)
-    p = fr.add_parser("verify")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_frame_verify)
-    for name, handler in (("pi1", _cmd_frame_pi1), ("pi2", _cmd_frame_pi2)):
-        p = fr.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--split", type=int, required=True)
-        _add_out(p)
-        p.set_defaults(handler=handler)
-    for name, handler in (("dot", _cmd_frame_dot), ("tensor", _cmd_frame_tensor)):
-        p = fr.add_parser(name)
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        _add_out(p)
-        p.set_defaults(handler=handler)
-    p = fr.add_parser("conj")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--unitary", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_frame_conj)
-    p = fr.add_parser("random")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    _add_seed(p)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_frame_random)
-
-    hm = sub.add_parser("hom").add_subparsers(dest="verb", required=True)
-    p = hm.add_parser("ev")
-    p.add_argument("--hom", required=True)
-    p.add_argument("--matrix", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_hom_ev)
-    p = hm.add_parser("iota")
-    p.add_argument("--hom", required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_hom_iota)
-    p = hm.add_parser("compose")
-    p.add_argument("--outer", required=True)
-    p.add_argument("--inner", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_hom_compose)
-    p = hm.add_parser("tensor")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_hom_tensor)
-    p = hm.add_parser("intertwiner")
-    p.add_argument("--hom", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_hom_intertwiner)
-    p = hm.add_parser("random")
-    p.add_argument("--src", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_seed(p)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_hom_random)
-
-    al = sub.add_parser("alg").add_subparsers(dest="verb", required=True)
-    p = al.add_parser("span")
-    p.add_argument("--in", dest="infile", required=True,
-                   help="subalgebra JSON whose basis entries are the generators")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_alg_span)
-    p = al.add_parser("centralizer")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_alg_centralizer)
-    p = al.add_parser("isk")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_alg_isk)
-    p = al.add_parser("extract")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_alg_extract)
-    p = al.add_parser("grmap")
-    p.add_argument("--hom", required=True)
-    p.add_argument("--aprime", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_alg_grmap)
-    p = al.add_parser("ztensor")
-    for flag in ("--f", "--g", "--a", "--b", "--phi", "--psi"):
-        p.add_argument(flag, required=True)
-    p.set_defaults(handler=_cmd_alg_ztensor)
-
-    ct = sub.add_parser("cat").add_subparsers(dest="verb", required=True)
-    p = ct.add_parser("check-morphism")
-    p.add_argument("--hom", required=True)
-    p.add_argument("--src-frame", dest="src_frame", required=True)
-    p.add_argument("--dst-frame", dest="dst_frame", required=True)
-    p.add_argument("--split", type=int)
-    p.set_defaults(handler=_cmd_cat_check_morphism)
-    p = ct.add_parser("frmap")
-    p.add_argument("--hom", required=True)
-    p.add_argument("--src-frame", dest="src_frame", required=True)
-    p.add_argument("--dst-frame", dest="dst_frame", required=True)
-    p.add_argument("--arg", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_cat_frmap)
-    p = ct.add_parser("naturality")
-    p.add_argument("--in", dest="infile",
-                   help="bundle JSON {f, g, alpha_prime, phi_prime}")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_cat_naturality)
-    p = ct.add_parser("assoc")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--c")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_cat_assoc)
-    p = ct.add_parser("tau")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_cat_tau)
-    p = ct.add_parser("nerve-face")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--i", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_cat_nerve_face)
-    p = ct.add_parser("bundle-face")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_cat_bundle_face)
-
-    fd = sub.add_parser("fred").add_subparsers(dest="verb", required=True)
-    p = fd.add_parser("index")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_fred_index)
-    p = fd.add_parser("conj")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--unitary", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_fred_conj)
-    p = fd.add_parser("amplify")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--hom", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_fred_amplify)
-    p = fd.add_parser("localize")
-    p.add_argument("--stages", required=True, help="JSON list of operator objects")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--start-stage", dest="start_stage", type=int, default=0)
-    p.set_defaults(handler=_cmd_fred_localize)
-
-    ab = sub.add_parser("ab").add_subparsers(dest="verb", required=True)
-    p = ab.add_parser("snf")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_ab_snf)
-    for name, handler in (("coker", _cmd_ab_coker), ("ker", _cmd_ab_ker)):
-        p = ab.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True,
-                       help="group homomorphism JSON")
-        _add_out(p)
-        p.set_defaults(handler=handler)
-    p = ab.add_parser("localize")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_ab_localize)
-    p = ab.add_parser("colim")
-    p.add_argument("--file", required=True, help="JSON {groups, maps}")
-    p.add_argument("--invert", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_ab_colim)
-
-    p = sub.add_parser("suite")
-    _add_seed(p)
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="shrink per-battery sample counts by this factor")
-    p.add_argument("--k", type=int, help="accepted for compatibility; batteries fix their own shapes")
-    p.add_argument("--l", type=int, help="accepted for compatibility; batteries fix their own shapes")
-    p.set_defaults(handler=_cmd_suite, verb=None)
-
-    p = sub.add_parser("list-ops")
-    p.set_defaults(handler=_cmd_list_ops, verb=None)
+    modules = parser.add_subparsers(dest="module", required=True)
+    verbs = {}
+    for verb in VERBS:
+        module, _, name = verb.name.partition(" ")
+        if name and module not in verbs:
+            verbs[module] = modules.add_parser(module).add_subparsers(dest="verb", required=True)
+        p = verbs[module].add_parser(name) if name else modules.add_parser(module)
+        for i, (flag, kind, required, default) in enumerate(_flags(verb.flags)):
+            p.add_argument(flag, dest=f"arg{i}", metavar=kind.upper(), type=_TYPES.get(kind),
+                           required=required, default=default)
+        if verb.out:
+            p.add_argument("--out", help=f"write the {verb.out} result to this JSON file")
+        p.set_defaults(spec=verb)
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
+def _decode(kind, value, settings):
+    if kind == "seed" and value is None:
+        return settings.seed
+    if kind in _CODECS and value is not None:
+        return _CODECS[kind][0](load_json(value))
+    return value
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    verb = args.module if args.verb is None else f"{args.module} {args.verb}"
+    verb = args.spec
     start = time.monotonic()
+    report = {"verb": verb.name, "pass": False, "residuals": {}, "artifacts": []}
     try:
         settings = load_settings(args.config)
-        passed, residuals, result, payloads = args.handler(args, settings)
-        artifacts = []
-        for path, payload in payloads:
-            _write(payload, path, artifacts)
-    except (FormatError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(json.dumps({"verb": verb, "pass": False, "error": str(exc),
-                          "residuals": {}, "artifacts": [],
-                          "elapsed_ms": 0}, sort_keys=True))
-        return 2
+        values = [_decode(kind, getattr(args, f"arg{i}"), settings)
+                  for i, (_, kind, _, _) in enumerate(_flags(verb.flags))]
+        passed, residuals, result, payload = verb.body(settings.tol, *values)
+        if verb.out and args.out:
+            dump_json(_CODECS[verb.out][1](payload), args.out)
+            report["artifacts"].append(args.out)
+    except (FormatError, UsageError, OSError, KeyError, TypeError) as exc:
+        code, report["error"] = 2, str(exc)
     except ValueError as exc:
-        print(json.dumps({"verb": verb, "pass": False, "error": str(exc),
-                          "residuals": {}, "artifacts": [],
-                          "elapsed_ms": 0}, sort_keys=True))
-        return 1
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    report = {"verb": verb, "pass": bool(passed), "residuals": residuals,
-              "artifacts": artifacts, "elapsed_ms": elapsed_ms}
-    if result is not None:
-        report["result"] = result
+        code, report["error"] = 1, str(exc)
+    else:
+        code = 0 if passed else 1
+        report.update({"pass": bool(passed), "residuals": residuals})
+        if result is not None:
+            report["result"] = result
+    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     print(json.dumps(report, sort_keys=True))
-    return 0 if passed else 1
+    return code
 
 
 def main() -> None:

@@ -8,12 +8,32 @@ is taken from the FRCALC_CONFIG environment variable when set, else
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 from .linalg import DEFAULT_TOL, Tolerance
 
-_KEYS = {"abs_eps": float, "rank_cutoff": float, "seed": int}
+
+class UsageError(ValueError):
+    """A config value or command-line argument that no input could make valid."""
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{text} is not a positive finite number")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed {value} is negative")
+    return value
+
+
+_KEYS = {"abs_eps": _positive, "rank_cutoff": _positive, "seed": _seed}
 
 
 @dataclass(frozen=True)
@@ -32,12 +52,15 @@ def parse_config(text: str) -> Settings:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
+            raise UsageError(f"config line {lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip().strip('"')
         if key not in _KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _KEYS[key](val)
+            raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _KEYS[key](val)
+        except ValueError as exc:
+            raise UsageError(f"config line {lineno}: {key}: {exc}") from None
     tol = Tolerance(values.get("abs_eps", DEFAULT_TOL.abs_eps),
                     values.get("rank_cutoff", DEFAULT_TOL.rank_cutoff))
     return Settings(tol, values.get("seed", DEFAULT_SETTINGS.seed))

@@ -15,6 +15,7 @@ from .homspace import StarHom
 from .grassmannian import Subalgebra
 from .fredholm import DeskFredholm
 from .abgroup import AbGroupPresentation, GroupHom
+from .catverify import NerveChain
 
 
 class FormatError(ValueError):
@@ -26,22 +27,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "entries": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
+        "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-        if len(entries) != rows * cols:
-            raise FormatError("entries length does not match rows*cols")
-        flat = np.array([complex(re, im) for re, im in entries])
+        pairs = np.asarray(obj["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix payload: {exc}") from exc
-    if not np.all(np.isfinite(flat.view(float))):
-        raise FormatError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if min(rows, cols) < 0 or pairs.shape != (rows * cols, 2):
+        raise FormatError("entries must be rows*cols [re, im] pairs")
+    if pairs.dtype.kind not in "biuf" or not np.all(np.isfinite(pairs)):
+        raise FormatError("matrix entries must be finite numbers")
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(rows, cols)
 
 
 def frame_to_json(fr: Frame) -> dict:
@@ -58,8 +60,10 @@ def frame_from_json(obj) -> Frame:
         mats = [matrix_from_json(m) for m in obj["mats"]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad frame payload: {exc}") from exc
-    if len(mats) != d * d:
+    if d < 1 or len(mats) != d * d:
         raise FormatError("frame must contain d^2 matrices")
+    if any(m.shape != (ambient, ambient) for m in mats):
+        raise FormatError(f"frame matrices must be {ambient}x{ambient}")
     arr = np.stack(mats).reshape(d, d, ambient, ambient)
     return Frame(d, ambient, arr)
 
@@ -81,10 +85,13 @@ def subalgebra_to_json(a: Subalgebra) -> dict:
 
 def subalgebra_from_json(obj) -> Subalgebra:
     try:
-        return Subalgebra(int(obj["ambient"]),
-                          tuple(matrix_from_json(m) for m in obj["basis"]))
+        ambient = int(obj["ambient"])
+        basis = tuple(matrix_from_json(m) for m in obj["basis"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad subalgebra payload: {exc}") from exc
+    if any(m.shape != (ambient, ambient) for m in basis):
+        raise FormatError(f"subalgebra basis matrices must be {ambient}x{ambient}")
+    return Subalgebra(ambient, basis)
 
 
 def fredholm_to_json(t: DeskFredholm) -> dict:
@@ -131,6 +138,27 @@ def grouphom_from_json(obj) -> GroupHom:
         raise FormatError(f"bad group hom payload: {exc}") from exc
 
 
+def int_matrix_from_json(obj) -> list:
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise FormatError("expected a JSON list of integer rows")
+    try:
+        return [[int(x) for x in row] for row in obj]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad integer matrix: {exc}") from exc
+
+
+def chain_to_json(chain: NerveChain) -> dict:
+    return {"homs": [hom_to_json(h) for h in chain.homs]}
+
+
+def chain_from_json(obj) -> NerveChain:
+    try:
+        homs = tuple(hom_from_json(h) for h in obj["homs"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad chain payload: {exc}") from exc
+    return NerveChain(homs)
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:
@@ -141,5 +169,4 @@ def load_json(path: str):
 
 def dump_json(obj, path: str):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -1,9 +1,16 @@
+import argparse
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import frcalc
+from frcalc import cli
 from frcalc.cli import run
-from frcalc.config import load_settings, parse_config
+from frcalc.config import UsageError, load_settings, parse_config
 from frcalc.frames import matrix_unit_frame
 from frcalc.serialize import dump_json, frame_to_json, load_json
 
@@ -40,6 +47,58 @@ def test_format_error_exit_code(tmp_path, capsys):
     path.write_text("{not json")
     code, report = _run(capsys, ["frame", "verify", "--in", str(path)])
     assert code == 2
+
+
+def _malformed(tmp_path, case):
+    """argv of one format or usage error, with its input files written."""
+    eye3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
+                                              for j in range(3)]}
+    frame = tmp_path / "frame.json"
+    if case == "frame of the wrong size":
+        frame.write_text(json.dumps({"d": 2, "ambient": 4, "mats": [eye3] * 4}))
+        return ["frame", "verify", "--in", str(frame)]
+    if case == "subalgebra of the wrong size":
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"ambient": 4, "basis": [eye3]}))
+        return ["alg", "centralizer", "--in", str(path)]
+    if case == "negative abs_eps":
+        dump_json(frame_to_json(matrix_unit_frame(2, 2)), str(frame))
+        config = tmp_path / "bad.toml"
+        config.write_text("abs_eps = -1\n")
+        return ["--config", str(config), "frame", "verify", "--in", str(frame)]
+    return ["frame", "random", "--d", "4", "--ambient", "6"]
+
+
+@pytest.mark.parametrize("case", ["frame of the wrong size", "subalgebra of the wrong size",
+                                  "negative abs_eps", "degree not dividing ambient"])
+def test_format_and_usage_errors_exit_2(tmp_path, capsys, monkeypatch, case):
+    argv = _malformed(tmp_path, case)
+    clock = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False and report["error"]
+    assert report["elapsed_ms"] == 250
+
+
+def test_run_builds_the_parser_once(capsys, monkeypatch):
+    assert run(["list-ops"]) == 0
+    monkeypatch.setattr(argparse, "ArgumentParser", None)
+    assert run(["list-ops"]) == 0
+    capsys.readouterr()
+
+
+def test_module_entry_point_under_python_O(tmp_path):
+    """`python -O -m frcalc.cli`: the exit codes do not rest on assert."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frcalc.__file__)))
+    for argv, want in (["list-ops"], 0), (_malformed(tmp_path, "frame of the wrong size"), 2):
+        proc = subprocess.run([sys.executable, "-O", "-m", "frcalc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == want
+        assert len(proc.stdout.splitlines()) == 1 and isinstance(json.loads(proc.stdout), dict)
+        assert "Traceback" not in proc.stderr
 
 
 def test_unknown_verb_exit_code(capsys):
@@ -101,6 +160,13 @@ def test_ab_colim_verb(tmp_path, capsys):
     assert report["result"]["free_rank"] == 0
 
 
+def test_ab_snf_of_empty_matrix(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    code, report = _run(capsys, ["ab", "snf", "--in", str(path)])
+    assert code == 0 and report["result"]["diagonal"] == []
+
+
 def test_alg_centralizer_verb(tmp_path, capsys):
     f = tmp_path / "f.json"
     a = tmp_path / "a.json"
@@ -143,6 +209,10 @@ def test_config_parsing():
     assert settings.seed == 11
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("bogus = 3\n")
+    for text in ("abs_eps = -1\n", "rank_cutoff = nan\n", "abs_eps = inf\n", "seed = -2\n",
+                 "seed = x\n", "abs_eps\n"):
+        with pytest.raises(UsageError):
+            parse_config(text)
 
 
 def test_config_env_override(tmp_path, monkeypatch):

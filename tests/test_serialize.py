@@ -30,15 +30,22 @@ def test_matrix_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     assert max_abs(matrix_from_json(matrix_to_json(m)) - m) == 0.0
+    assert matrix_to_json(m)["entries"] == [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
+    assert matrix_from_json(matrix_to_json(np.zeros((0, 3)))).shape == (0, 3)
 
 
 def test_matrix_rejects_bad_payloads():
-    with pytest.raises(FormatError):
-        matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
-    with pytest.raises(FormatError):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]})
-    with pytest.raises(FormatError):
-        matrix_from_json(["not", "a", "matrix"])
+    for payload in (
+        {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]},
+        {"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]},
+        ["not", "a", "matrix"],
+        {"rows": -1, "cols": -1, "entries": [[1.0, 0.0]]},
+        {"rows": 1, "cols": 2, "entries": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
+        {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
+        {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [1.0]]},
+    ):
+        with pytest.raises(FormatError):
+            matrix_from_json(payload)
 
 
 def test_frame_roundtrip():
