@@ -128,7 +128,8 @@ def smith_normal_form(m):
     for i in range(min(rows, cols)):
         if d[i][i] < 0:
             negate_row(i)
-    assert abs(_det_unimodular(u)) == 1 and abs(_det_unimodular(v)) == 1
+    if abs(_det_unimodular(u)) != 1 or abs(_det_unimodular(v)) != 1:
+        raise ArithmeticError("Smith normal form transforms are not unimodular")
     return u, d, v
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, conjugate
 from .frames import (
     Frame,
     dot,
@@ -198,9 +198,8 @@ def check_tau(alpha: Frame, phi: Frame) -> float:
     swapped = tensor_frame(phi, alpha)
     straight = tensor_frame(alpha, phi)
     s = shuffle_permutation(alpha.ambient, phi.ambient)
-    conj = np.einsum("ab,ijbc,dc->ijad", s, straight.mats, s.conj())
     transposed = reindex_frame(
-        Frame(straight.d, straight.ambient, conj), (alpha.d, phi.d), (1, 0))
+        Frame(straight.d, straight.ambient, conjugate(s, straight.mats)), (alpha.d, phi.d), (1, 0))
     return frames_close(transposed, swapped)
 
 

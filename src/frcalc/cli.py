@@ -29,11 +29,13 @@ from .suite import run_suite
 
 class Verb(NamedTuple):
     """One CLI verb.  ``flags`` lists ``--flag kind`` pairs; a kind is
-    ``int``, ``float``, ``seed`` (an int that defaults to the config seed)
-    or a codec of ``_CODECS``, whose flag names a JSON file.  A kind ending
-    in ``?`` is optional (None when absent); ``kind=value`` has a default.
-    ``out`` names the codec of the ``--out`` payload.  ``body(tol,
-    *decoded flag values)`` returns (pass, residuals, result, payload)."""
+    ``int``, ``size`` (a positive int: a size, degree or multiplicity),
+    ``float``, ``seed`` (a non-negative int that defaults to the config
+    seed) or a codec of ``_CODECS``, whose flag names a JSON file.  A
+    kind ending in ``?`` is optional (None when absent); ``kind=value``
+    has a default.  ``out`` names the codec of the ``--out`` payload.
+    ``body(tol, *decoded flag values)`` returns (pass, residuals, result,
+    payload)."""
 
     name: str
     target: str | None
@@ -42,7 +44,8 @@ class Verb(NamedTuple):
     body: Callable
 
 
-_TYPES = {"int": int, "float": float, "seed": int}
+_TYPES = {"int": int, "size": int, "float": float, "seed": int}
+_LEAST = {"size": 1, "seed": 0}  # smallest value a kind accepts
 
 
 def _flags(spec):
@@ -108,7 +111,7 @@ def _frame_axioms(tol, fr):
 
 
 def _random_frame(tol, d, ambient, seed):
-    if d < 1 or ambient < 1 or ambient % d:
+    if ambient % d:
         raise UsageError(f"--d {d} must divide --ambient {ambient}")
     return _made(frames.random_frame(d, ambient, seed))
 
@@ -199,12 +202,12 @@ def _suite(tol, seed, scale):
 _MORPHISM = "--hom hom --src-frame frame --dst-frame frame"
 
 VERBS = (
-    Verb("frame make-units", "frames.matrix_unit_frame", "--d int --cofactor int", "frame",
+    Verb("frame make-units", "frames.matrix_unit_frame", "--d size --cofactor size", "frame",
          lambda tol, d, cofactor: _made(frames.matrix_unit_frame(d, cofactor))),
     Verb("frame verify", "frames.verify_frame", "--in frame", None, _frame_axioms),
-    Verb("frame pi1", "frames.pi1", "--in frame --split int", "frame",
+    Verb("frame pi1", "frames.pi1", "--in frame --split size", "frame",
          lambda tol, fr, split: _made(frames.pi1(fr, split))),
-    Verb("frame pi2", "frames.pi2", "--in frame --split int", "frame",
+    Verb("frame pi2", "frames.pi2", "--in frame --split size", "frame",
          lambda tol, fr, split: _made(frames.pi2(fr, split))),
     Verb("frame dot", "frames.dot", "--left frame --right frame", "frame",
          lambda tol, left, right: (True, {"commutation": frames.commutation_residual(left, right)},
@@ -213,23 +216,23 @@ VERBS = (
          lambda tol, left, right: _made(frames.tensor_frame(left, right))),
     Verb("frame conj", "frames.conjugate_frame", "--in frame --unitary matrix", "frame",
          lambda tol, fr, u: _made(frames.conjugate_frame(u, fr, tol))),
-    Verb("frame random", "frames.random_frame", "--d int --ambient int --seed seed", "frame",
+    Verb("frame random", "frames.random_frame", "--d size --ambient size --seed seed", "frame",
          _random_frame),
     Verb("hom ev", "homspace.ev", "--hom hom --matrix matrix", "matrix",
          lambda tol, h, x: _made(homspace.ev(h, x))),
-    Verb("hom iota", "homspace.iota", "--hom hom --l int", "hom",
+    Verb("hom iota", "homspace.iota", "--hom hom --l size", "hom",
          lambda tol, h, l: _made(homspace.iota(h, l))),
     Verb("hom compose", "homspace.compose_phi", "--outer hom --inner hom", "hom",
          lambda tol, outer, inner: _made(homspace.compose_phi(outer, inner))),
     Verb("hom tensor", "homspace.tensor_hom", "--left hom --right hom", "hom",
          lambda tol, left, right: _made(homspace.tensor_hom(left, right))),
     Verb("hom intertwiner", "homspace.intertwiner", "--hom hom", "matrix", _intertwiner),
-    Verb("hom random", "homspace.random_hom", "--src int --l int --seed seed", "hom",
+    Verb("hom random", "homspace.random_hom", "--src size --l size --seed seed", "hom",
          lambda tol, src, l, seed: _made(homspace.random_hom(src, l, seed))),
     Verb("alg span", "grassmannian.span_subalgebra", "--in alg", "alg", _span),
     Verb("alg centralizer", "grassmannian.centralizer", "--in alg", "alg", _centralizer),
-    Verb("alg isk", "grassmannian.is_k_subalgebra", "--in alg --d int", None, _is_k),
-    Verb("alg extract", "grassmannian.extract_frame", "--in alg --d int", "frame", _extract),
+    Verb("alg isk", "grassmannian.is_k_subalgebra", "--in alg --d size", None, _is_k),
+    Verb("alg extract", "grassmannian.extract_frame", "--in alg --d size", "frame", _extract),
     Verb("alg grmap", "grassmannian.gr_map", "--hom hom --aprime alg --a alg --b alg", "alg",
          lambda tol, h, a_prime, a, b: _with_dim(True, {}, grassmannian.gr_map(
              h, a_prime, a, b, tol))),
@@ -237,7 +240,7 @@ VERBS = (
          "--f hom --g hom --a alg --b alg --phi alg --psi alg", None,
          lambda tol, *data: _check("subspace_distance",
                                    grassmannian.centralizer_tensor_check(*data, tol))),
-    Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split int?", None,
+    Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split size?", None,
          lambda tol, h, src, dst, split: _check("frame_condition", catverify.is_c_morphism(
              h, src, dst, split or src.d, tol))),
     Verb("cat frmap", "catverify.fr_map", _MORPHISM + " --arg frame", "frame",
@@ -263,7 +266,7 @@ VERBS = (
     Verb("fred amplify", "fredholm.amplify", "--in operator --hom hom", "operator",
          lambda tol, t, h: _index(tol, fredholm.amplify(h, t, tol))),
     Verb("fred localize", "fredholm.localize_index",
-         "--stages operators --l int --start-stage int=0", None,
+         "--stages operators --l size --start-stage int=0", None,
          lambda tol, stages, l, start: (True, {}, {"index": str(fredholm.localize_index(
              stages, l, start, tol))}, None)),
     Verb("ab snf", "abgroup.smith_normal_form", "--in ints", "json", _snf),
@@ -271,9 +274,10 @@ VERBS = (
          lambda tol, f: _group(abgroup.cokernel(f))),
     Verb("ab ker", "abgroup.kernel", "--in grouphom", "group",
          lambda tol, f: _group(abgroup.kernel(f))),
-    Verb("ab localize", "abgroup.localize", "--in group --l int", "group",
+    Verb("ab localize", "abgroup.localize", "--in group --l size", "group",
          lambda tol, g, l: _group(abgroup.localize(g, l))),
-    Verb("ab colim", "abgroup.sequential_colimit", "--file colimit --invert int", "group", _colim),
+    Verb("ab colim", "abgroup.sequential_colimit", "--file colimit --invert size", "group",
+         _colim),
     Verb("suite", "suite.run_suite", "--seed seed --scale float=1.0", None, _suite),
     Verb("list-ops", None, "", None,
          lambda tol: (True, {}, {"operations": {v.name: v.target for v in VERBS if v.target}},
@@ -303,9 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _decode(kind, value, settings):
+def _decode(flag, kind, value, settings):
     if kind == "seed" and value is None:
         return settings.seed
+    if kind in _LEAST and value is not None and value < _LEAST[kind]:
+        raise UsageError(f"{flag} {value} is less than {_LEAST[kind]}")
     if kind in _CODECS and value is not None:
         return _CODECS[kind][0](load_json(value))
     return value
@@ -321,8 +327,8 @@ def run(argv) -> int:
     report = {"verb": verb.name, "pass": False, "residuals": {}, "artifacts": []}
     try:
         settings = load_settings(args.config)
-        values = [_decode(kind, getattr(args, f"arg{i}"), settings)
-                  for i, (_, kind, _, _) in enumerate(_flags(verb.flags))]
+        values = [_decode(flag, kind, getattr(args, f"arg{i}"), settings)
+                  for i, (flag, kind, _, _) in enumerate(_flags(verb.flags))]
         passed, residuals, result, payload = verb.body(settings.tol, *values)
         if verb.out and args.out:
             dump_json(_CODECS[verb.out][1](payload), args.out)

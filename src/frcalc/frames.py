@@ -22,10 +22,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    conjugate,
     eye,
     is_unitary,
-    kron,
+    kron_stack,
     max_abs,
+    pair_products,
     random_unitary,
 )
 
@@ -68,13 +70,8 @@ def matrix_unit_frame(d: int, cofactor: int) -> Frame:
     """The basepoint frame {e_{i,j} (x) E_cofactor} in M_{d*cofactor}."""
     if d < 1 or cofactor < 1:
         raise ValueError("d and cofactor must be positive")
-    n = d * cofactor
-    mats = np.zeros((d, d, n, n), dtype=complex)
-    ec = eye(cofactor)
-    for i in range(d):
-        for j in range(d):
-            mats[i, j, i * cofactor:(i + 1) * cofactor, j * cofactor:(j + 1) * cofactor] = ec
-    return Frame(d, n, mats)
+    units = eye(d * d).reshape(d, d, d, d)
+    return Frame(d, d * cofactor, kron_stack(units, eye(cofactor)))
 
 
 def trivial_frame(ambient: int) -> Frame:
@@ -108,8 +105,7 @@ def verify_frame(candidate, tol: Tolerance = DEFAULT_TOL) -> FrameReport:
     matrices whose count must be a perfect square.
     """
     if isinstance(candidate, Frame):
-        mats = candidate.as_list()
-        d, n = candidate.d, candidate.ambient
+        stack, d, n = candidate.mats, candidate.d, candidate.ambient
     else:
         mats = [np.asarray(m, dtype=complex) for m in candidate]
         d = round(np.sqrt(len(mats)))
@@ -119,14 +115,17 @@ def verify_frame(candidate, tol: Tolerance = DEFAULT_TOL) -> FrameReport:
         for m in mats:
             if m.shape != (n, n):
                 raise ValueError("frame matrices must be square of equal size")
-    stack = np.stack(mats).reshape(d, d, n, n)
+        stack = np.stack(mats).reshape(d, d, n, n)
 
-    # (i): alpha[i,j] alpha[r,s] = delta_{j,r} alpha[i,s], all d^4 pairs.
-    prod = np.einsum("ijab,rsbc->ijrsac", stack, stack)
-    expected = np.einsum("jr,isac->ijrsac", np.eye(d), stack)
-    err_i = max_abs(prod - expected)
+    # (i): alpha[i,j] alpha[r,s] = delta_{j,r} alpha[i,s], all d^4 pairs;
+    # the j = r products have alpha[i,s] subtracted in place.
+    seq = stack.reshape(d * d, n, n)
+    prod = pair_products(seq, seq).reshape(d, d, d, d, n, n)
+    diag = np.arange(d)
+    prod[:, diag, diag] -= stack[:, None]
+    err_i = max_abs(prod)
 
-    err_ii = max_abs(np.einsum("iiab->ab", stack) - eye(n))
+    err_ii = max_abs(np.trace(stack) - eye(n))
 
     # (iii): gram matrix should be (n/d) * identity on index pairs.
     flat = stack.reshape(d * d, n * n)
@@ -145,8 +144,7 @@ def pi1(beta: Frame, d1: int) -> Frame:
         raise ValueError(f"{d1} does not split frame degree {beta.d}")
     d2 = beta.d // d1
     m = beta.mats.reshape(d1, d2, d1, d2, beta.ambient, beta.ambient)
-    mats = np.einsum("itjtab->ijab", m)
-    return Frame(d1, beta.ambient, mats)
+    return Frame(d1, beta.ambient, np.trace(m, axis1=1, axis2=3))
 
 
 def pi2(beta: Frame, d1: int) -> Frame:
@@ -155,16 +153,13 @@ def pi2(beta: Frame, d1: int) -> Frame:
         raise ValueError(f"{d1} does not split frame degree {beta.d}")
     d2 = beta.d // d1
     m = beta.mats.reshape(d1, d2, d1, d2, beta.ambient, beta.ambient)
-    mats = np.einsum("tutvab->uvab", m)
-    return Frame(d2, beta.ambient, mats)
+    return Frame(d2, beta.ambient, np.trace(m, axis1=0, axis2=2))
 
 
 def commutation_residual(alpha: Frame, gamma: Frame) -> float:
     a = alpha.mats.reshape(-1, alpha.ambient, alpha.ambient)
     g = gamma.mats.reshape(-1, gamma.ambient, gamma.ambient)
-    left = np.einsum("pab,qbc->pqac", a, g)
-    right = np.einsum("qab,pbc->pqac", g, a)
-    return max_abs(left - right)
+    return max_abs(pair_products(a, g) - pair_products(g, a).swapaxes(0, 1))
 
 
 def dot(alpha: Frame, gamma: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
@@ -174,9 +169,10 @@ def dot(alpha: Frame, gamma: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
         raise ValueError("frames live in different ambient algebras")
     if commutation_residual(alpha, gamma) > 1e3 * tol.abs_eps:
         raise ValueError("frames do not commute")
-    n = alpha.ambient
-    mats = np.einsum("ijab,uvbc->iujvac", alpha.mats, gamma.mats)
-    return Frame(alpha.d * gamma.d, n, mats.reshape(alpha.d * gamma.d, alpha.d * gamma.d, n, n))
+    d1, d2, n = alpha.d, gamma.d, alpha.ambient
+    prod = pair_products(alpha.mats.reshape(-1, n, n), gamma.mats.reshape(-1, n, n))
+    mats = prod.reshape(d1, d1, d2, d2, n, n).transpose(0, 2, 1, 3, 4, 5)
+    return Frame(d1 * d2, n, mats.reshape(d1 * d2, d1 * d2, n, n))
 
 
 def tensor_frame(alpha: Frame, phi: Frame) -> Frame:
@@ -184,20 +180,14 @@ def tensor_frame(alpha: Frame, phi: Frame) -> Frame:
     the ambient index."""
     d = alpha.d * phi.d
     n = alpha.ambient * phi.ambient
-    mats = np.zeros((alpha.d, phi.d, alpha.d, phi.d, n, n), dtype=complex)
-    for i in range(alpha.d):
-        for j in range(alpha.d):
-            for p in range(phi.d):
-                for q in range(phi.d):
-                    mats[i, p, j, q] = kron(alpha.mats[i, j], phi.mats[p, q])
+    mats = kron_stack(alpha.mats[:, None, :, None], phi.mats[None, :, None, :])
     return Frame(d, n, mats.reshape(d, d, n, n))
 
 
 def conjugate_frame(u: np.ndarray, alpha: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
     if u.shape != (alpha.ambient, alpha.ambient) or not is_unitary(u, tol):
         raise ValueError("conjugator must be a unitary of the ambient size")
-    mats = np.einsum("ab,ijbc,dc->ijad", u, alpha.mats, u.conj())
-    return Frame(alpha.d, alpha.ambient, mats)
+    return Frame(alpha.d, alpha.ambient, conjugate(u, alpha.mats))
 
 
 def random_frame(d: int, ambient: int, seed: int) -> Frame:

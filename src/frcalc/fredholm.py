@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, eye, is_unitary, kron
+from .linalg import DEFAULT_TOL, Tolerance, eye, is_unitary, kron_stack
 from .homspace import StarHom, intertwiner
 
 
@@ -62,7 +62,7 @@ def conjugate(g: np.ndarray, t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> D
     """Conjugation action by a unitary scalar part g, acting as g (x) Id."""
     if g.shape != (t.n, t.n) or not is_unitary(g, tol):
         raise ValueError("conjugator must be an n x n unitary")
-    fp = kron(g, eye(t.win_cod)) @ t.finite_part @ kron(g.conj().T, eye(t.win_dom))
+    fp = kron_stack(g, eye(t.win_cod)) @ t.finite_part @ kron_stack(g.conj().T, eye(t.win_dom))
     return DeskFredholm(t.n, t.win_dom, t.win_cod, fp)
 
 
@@ -77,16 +77,11 @@ def amplify(h: StarHom, t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> DeskFr
         raise ValueError("hom source must match the operator's algebra size")
     l = h.mult
     n2 = t.n * l
-    amp = np.zeros((n2 * t.win_cod, n2 * t.win_dom), dtype=complex)
-    fp = t.finite_part.reshape(t.n, t.win_cod, t.n, t.win_dom)
-    for i in range(t.n):
-        for j in range(t.n):
-            for a in range(l):
-                ia, ja = i * l + a, j * l + a
-                amp[ia * t.win_cod:(ia + 1) * t.win_cod,
-                    ja * t.win_dom:(ja + 1) * t.win_dom] = fp[i, :, j, :]
+    # Block (i, j) of T, a win_cod x win_dom matrix, becomes E_l (x) T_ij.
+    blocks = t.finite_part.reshape(t.n, t.win_cod, t.n, t.win_dom).transpose(0, 2, 1, 3)
+    amp = kron_stack(eye(l), blocks).transpose(0, 2, 1, 3).reshape(n2 * t.win_cod, n2 * t.win_dom)
     u = intertwiner(h, tol)
-    fp_new = kron(u, eye(t.win_cod)) @ amp @ kron(u.conj().T, eye(t.win_dom))
+    fp_new = kron_stack(u, eye(t.win_cod)) @ amp @ kron_stack(u.conj().T, eye(t.win_dom))
     return DeskFredholm(n2, t.win_dom, t.win_cod, fp_new)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eye, kron, random_unitary
+from .linalg import eye, kron_stack, random_unitary
 from .frames import (
     Frame,
     conjugate_frame,
@@ -58,7 +58,7 @@ def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
     f = StarHom(src_amb, dst_amb, conjugate_frame(w, matrix_unit_frame(src_amb, cfg.t)))
     # Commuting completion: a degree-d2 frame inside the centralizer of
     # the pushed source frame, built in the same conjugated coordinates.
-    v = w @ kron(u, eye(cfg.t))
+    v = w @ kron_stack(u, eye(cfg.t))
     mu = random_frame(cfg.d2, cfg.cof * cfg.t, seed + 2)
     rho = conjugate_frame(v, tensor_frame(trivial_frame(cfg.d1), mu))
     beta = dot(push_frame(f, alpha), rho)

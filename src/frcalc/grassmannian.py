@@ -17,7 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     eye,
-    kron,
+    kron_stack,
     max_abs,
     orthonormal_span,
     subspace_distance,
@@ -248,8 +248,15 @@ def gr_map(f: StarHom, a_prime: Subalgebra, a: Subalgebra, b: Subalgebra,
     return span_subalgebra(images_prime + list(c.basis), b.ambient, tol)
 
 
+def _kron_pairs(xs, ys, nx: int, ny: int) -> np.ndarray:
+    """kron(x, y) for every x in xs and y in ys, x-major, as a stack."""
+    x = np.asarray(xs, dtype=complex).reshape(-1, 1, nx, nx)
+    y = np.asarray(ys, dtype=complex).reshape(1, -1, ny, ny)
+    return kron_stack(x, y).reshape(-1, nx * ny, nx * ny)
+
+
 def tensor_subalgebra(a: Subalgebra, b: Subalgebra) -> Subalgebra:
-    mats = [kron(x, y) for x in a.basis for y in b.basis]
+    mats = _kron_pairs(a.basis, b.basis, a.ambient, b.ambient)
     return Subalgebra(a.ambient * b.ambient, tuple(mats))
 
 
@@ -263,7 +270,7 @@ def centralizer_tensor_check(f: StarHom, g: StarHom, a: Subalgebra, b: Subalgebr
     images_a = _check_d_morphism(f, a, b, tol)
     images_phi = _check_d_morphism(g, phi, psi, tol)
     big = tensor_subalgebra(b, psi)
-    tensored_images = [kron(x, y) for x in images_a for y in images_phi]
+    tensored_images = list(_kron_pairs(images_a, images_phi, f.dst, g.dst))
     left = relative_centralizer(tensored_images, big, tol)
     right = tensor_subalgebra(
         relative_centralizer(images_a, b, tol),

@@ -1,9 +1,14 @@
 """Dense complex-matrix substrate shared by every other module.
 
 Matrices are plain numpy arrays of dtype complex128.  All index
-conventions are row-major / first-factor-major: ``kron(a, b)`` puts the
-``a`` index in the high digits, and every composite index elsewhere in
-the package inherits this choice.
+conventions are row-major / first-factor-major: ``kron_stack(a, b)``
+puts the ``a`` index in the high digits, and every composite index
+elsewhere in the package inherits this choice.
+
+Every contraction over stacks of matrices and every Kronecker product
+in the package goes through the four kernels below (``pair_products``,
+``apply_frame``, ``conjugate``, ``kron_stack``); each is a reshape or
+broadcast plus ``@`` or an elementwise product.
 """
 
 from __future__ import annotations
@@ -32,16 +37,43 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    """e_{i,j} in M_n, 0-based indices."""
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
+def pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All products of two stacks of n x n matrices: entry (p, q) of the
+    (P, Q, n, n) result is a[p] @ b[q]."""
+    return a[:, None] @ b[None]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor major."""
-    return np.kron(a, b)
+def apply_frame(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Linear extension of e_{u,v} -> mats[u, v], applied to every m x m
+    matrix of ``coeffs``: sum_{u,v} coeffs[..., u, v] mats[u, v].
+
+    ``mats`` has shape (m, m, t, t); the result has shape
+    (*coeffs.shape[:-2], t, t).  A stack of coefficient matrices takes
+    one (count, m*m) @ (m*m, t*t) product.  A single matrix, as in
+    h(T), is summed term by term in row-major order, so the result is
+    bitwise the defining sum."""
+    m, t = mats.shape[0], mats.shape[-1]
+    if coeffs.shape[-2:] != (m, m) or mats.shape != (m, m, t, t):
+        raise ValueError("coefficient matrices do not match the frame degree")
+    if coeffs.ndim == 2:
+        return sum(c * x for c, x in zip(coeffs.reshape(-1), mats.reshape(m * m, t, t)))
+    out = coeffs.reshape(-1, m * m) @ mats.reshape(m * m, t * t)
+    return out.reshape(coeffs.shape[:-2] + (t, t))
+
+
+def conjugate(u: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """u x u* for every matrix x of a stack (..., n, n)."""
+    return u @ mats @ u.conj().T
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products kron(a[...], b[...]), first factor major, of two
+    stacks (..., p, q) and (..., r, s).  The leading axes broadcast as in
+    numpy, so inserting axes (``a[:, None]``, ``b[None]``) chooses the
+    index layout of the (..., p*r, q*s) result."""
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
 def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:

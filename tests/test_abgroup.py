@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from frcalc import abgroup
 from frcalc.abgroup import (
     AbGroupPresentation,
     GroupHom,
@@ -60,6 +61,14 @@ def test_snf_unimodular_transform_and_divisibility():
             else:
                 assert b == 0
         assert all(x >= 0 for x in diag)
+
+
+def test_snf_unimodularity_check_raises(monkeypatch):
+    """The unimodularity check is an explicit raise, so it also runs
+    under ``python -O``; a transform of determinant 2 trips it."""
+    monkeypatch.setattr(abgroup, "_det_unimodular", lambda m: 2)
+    with pytest.raises(ArithmeticError, match="unimodular"):
+        smith_normal_form([[2, 4], [6, 8]])
 
 
 def test_snf_against_gcd_minors_oracle():

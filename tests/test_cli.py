@@ -49,6 +49,15 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+# Usage errors that need no input file: flag values out of range.
+_BAD_FLAGS = {
+    "degree not dividing ambient": "frame random --d 4 --ambient 6",
+    "zero frame degree": "frame make-units --d 0 --cofactor 2",
+    "zero multiplicity": "hom random --src 2 --l 0",
+    "negative seed": "frame random --d 2 --ambient 4 --seed -1",
+}
+
+
 def _malformed(tmp_path, case):
     """argv of one format or usage error, with its input files written."""
     eye3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
@@ -66,11 +75,11 @@ def _malformed(tmp_path, case):
         config = tmp_path / "bad.toml"
         config.write_text("abs_eps = -1\n")
         return ["--config", str(config), "frame", "verify", "--in", str(frame)]
-    return ["frame", "random", "--d", "4", "--ambient", "6"]
+    return _BAD_FLAGS[case].split()
 
 
 @pytest.mark.parametrize("case", ["frame of the wrong size", "subalgebra of the wrong size",
-                                  "negative abs_eps", "degree not dividing ambient"])
+                                  "negative abs_eps", *_BAD_FLAGS])
 def test_format_and_usage_errors_exit_2(tmp_path, capsys, monkeypatch, case):
     argv = _malformed(tmp_path, case)
     clock = itertools.count(0.0, 0.25)

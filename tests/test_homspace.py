@@ -19,7 +19,7 @@ from frcalc.homspace import (
     same_stabilization,
     tensor_hom,
 )
-from frcalc.linalg import max_abs, random_unitary
+from frcalc.linalg import Tolerance, max_abs, random_unitary
 
 
 def test_ev_matches_manual_sum():
@@ -135,3 +135,13 @@ def test_same_stabilization():
     h = random_hom(2, 2, 14)
     assert same_stabilization(h, iota(h, 3), 3)
     assert not same_stabilization(h, iota(h, 2), 3)
+
+
+def test_same_stabilization_takes_a_tolerance():
+    h = random_hom(2, 2, 14)
+    lifted = iota(h, 3)
+    mats = lifted.image_frame.mats.copy()
+    mats[0, 0, 0, 0] += 1e-7
+    nudged = StarHom(lifted.src, lifted.dst, Frame(lifted.src, lifted.dst, mats))
+    assert same_stabilization(h, nudged, 3, Tolerance(1e-6))
+    assert not same_stabilization(h, nudged, 3)
