@@ -2,91 +2,4 @@
 centralizers, finite Fredholm index models, and exact abelian-group
 arithmetic, with seeded property batteries and a JSON CLI."""
 
-from .linalg import DEFAULT_TOL, Tolerance, random_unitary
-from .frames import (
-    Frame,
-    FrameReport,
-    conjugate_frame,
-    dot,
-    frame_from_list,
-    frames_close,
-    matrix_unit_frame,
-    pi1,
-    pi2,
-    random_frame,
-    reindex_frame,
-    shuffle_permutation,
-    tensor_frame,
-    trivial_frame,
-    verify_frame,
-)
-from .homspace import (
-    StarHom,
-    basepoint_hom,
-    block_scalar_deviation,
-    compose_phi,
-    compose_plain,
-    ev,
-    frame_of_hom,
-    hom_from_frame,
-    identity_hom,
-    intertwiner,
-    intertwiner_residual,
-    iota,
-    push_frame,
-    random_hom,
-    same_stabilization,
-    tensor_hom,
-)
-from .grassmannian import (
-    Subalgebra,
-    centralizer,
-    centralizer_tensor_check,
-    closure_residual,
-    commutation_defect,
-    extract_frame,
-    gr_map,
-    is_k_subalgebra,
-    lambda_map,
-    relative_centralizer,
-    span_subalgebra,
-    tensor_subalgebra,
-)
-from .catverify import (
-    CMorphism,
-    NerveChain,
-    bundle_face,
-    check_associativity,
-    check_identity_embedding,
-    check_naturality,
-    check_tau,
-    fr_map,
-    is_c_morphism,
-    make_c_morphism,
-    nerve_degeneracy,
-    nerve_face,
-    tensor_c_morphism,
-)
-from .fredholm import DeskFredholm, amplify, conjugate, index, localize_index
-from .abgroup import (
-    AbGroupPresentation,
-    GroupHom,
-    cokernel,
-    integer_kernel,
-    invariant_factors,
-    kernel,
-    localize,
-    sequential_colimit,
-    smith_normal_form,
-)
-from .generators import (
-    DMorphismData,
-    MorphismConfig,
-    random_c_morphism,
-    random_d_morphism,
-    random_fredholm,
-    random_source_frame,
-)
-from .suite import run_suite
-
 __version__ = "0.1.0"

@@ -16,14 +16,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    cols = len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
-
-
 def _det_unimodular(m):
     """Determinant by fraction-free Gaussian elimination (Bareiss)."""
     n = len(m)
@@ -48,7 +40,15 @@ def _det_unimodular(m):
 
 def smith_normal_form(m):
     """U, D, V with U m V = D, U and V unimodular, and the diagonal of D
-    nonnegative with d_i | d_{i+1}."""
+    nonnegative with d_i | d_{i+1}.
+
+    The elimination is Cohen's (A Course in Computational Algebraic
+    Number Theory, Alg. 2.4.14): the pivot is an entry of least absolute
+    value in the remaining block, its row and column are reduced by floor
+    division, and the smallest remainder left becomes the next pivot.
+    Once both are clear, a row holding an entry the pivot does not divide
+    is added to the pivot row, which leaves a smaller remainder there.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [row[:] for row in m]
@@ -75,103 +75,41 @@ def smith_normal_form(m):
         for row in v:
             row[dst] += c * row[src]
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # Least-absolute-value pivot in the remaining block.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    for t in range(min(rows, cols)):
+        nonzero = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(d[i][t:], t) if x]
+        if not nonzero:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            progressed = False
+        _, pi, pj = min(nonzero)
+        while pi is not None:
+            swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            p = d[t][t]
+            # Floor division leaves remainders smaller than |p|; the
+            # least of them is the next pivot.
+            least, pi, pj = abs(p), None, None
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        progressed = True
+                if d[i][t]:
+                    add_row(i, t, -(d[i][t] // p))
+                    if 0 < abs(d[i][t]) < least:
+                        least, pi, pj = abs(d[i][t]), i, t
             for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        progressed = True
-            if not progressed:
-                break
+                if d[t][j]:
+                    add_col(j, t, -(d[t][j] // p))
+                    if 0 < abs(d[t][j]) < least:
+                        least, pi, pj = abs(d[t][j]), t, j
+            if pi is None and least != 1:
+                offending = next((i for i in range(t + 1, rows)
+                                  if any(x % p for x in d[i][t + 1:])), None)
+                if offending is not None:
+                    add_row(t, offending, 1)
+                    pi, pj = t, t
         if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(rows, cols) - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # Fold the next diagonal entry into position i and redo
-                # the local elimination on the 2x2 block.
-                add_col(i, i + 1, 1)
-                _clean_pair(d, u, v, i)
-                changed = True
-    for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            negate_row(i)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
     if abs(_det_unimodular(u)) != 1 or abs(_det_unimodular(v)) != 1:
         raise ArithmeticError("Smith normal form transforms are not unimodular")
     return u, d, v
-
-
-def _clean_pair(d, u, v, i):
-    """Re-eliminate rows/cols i, i+1 after a column fold; operates in
-    place on the snf working matrices."""
-    rows, cols = len(d), len(d[0])
-
-    def add_row(dst, src, c):
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def swap_rows(a, b):
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a, b):
-        for row in d:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
-
-    while True:
-        if d[i][i] == 0 and d[i + 1][i] == 0:
-            break
-        if d[i][i] == 0 or (d[i + 1][i] != 0 and abs(d[i + 1][i]) < abs(d[i][i])):
-            swap_rows(i, i + 1)
-        if d[i + 1][i] != 0:
-            add_row(i + 1, i, -(d[i + 1][i] // d[i][i]))
-            continue
-        break
-    if d[i][i + 1] != 0:
-        add_col(i + 1, i, -(d[i][i + 1] // d[i][i]))
-    if d[i + 1][i + 1] < 0:
-        d[i + 1] = [-x for x in d[i + 1]]
-        u[i + 1] = [-x for x in u[i + 1]]
 
 
 def invariant_factors(m):
@@ -219,32 +157,19 @@ class AbGroupPresentation:
             return [], self.gens
         return invariant_factors([list(r) for r in self.rels])
 
-    def canonical_presentation(self):
-        factors, free_rank = self.canonical()
+    @staticmethod
+    def diagonal(factors, free_rank):
+        """Z/f_1 + ... + Z/f_k + Z^free_rank: one relation per factor."""
         gens = len(factors) + free_rank
-        rels = []
-        for i, f in enumerate(factors):
-            row = [0] * gens
-            row[i] = f
-            rels.append(row)
-        return AbGroupPresentation.from_rows(gens, rels)
+        return AbGroupPresentation.from_rows(
+            gens, [[f if j == i else 0 for j in range(gens)] for i, f in enumerate(factors)])
 
-    def order(self):
-        """Group order, or None when infinite."""
-        factors, free_rank = self.canonical()
-        if free_rank:
-            return None
-        result = 1
-        for f in factors:
-            result *= f
-        return result
+    def canonical_presentation(self):
+        return AbGroupPresentation.diagonal(*self.canonical())
 
     def is_trivial(self):
         factors, free_rank = self.canonical()
         return not factors and free_rank == 0
-
-    def same_type(self, other):
-        return self.canonical() == other.canonical()
 
 
 def _relation_lattice_contains(rels, vec):
@@ -364,13 +289,7 @@ def localize(g: AbGroupPresentation, l: int) -> AbGroupPresentation:
         raise ValueError("l must be positive")
     factors, free_rank = g.canonical()
     stripped = [x for x in (_strip_prime_part(f, l) for f in factors) if x != 1]
-    gens = len(stripped) + free_rank
-    rels = []
-    for i, f in enumerate(stripped):
-        row = [0] * gens
-        row[i] = f
-        rels.append(row)
-    return AbGroupPresentation.from_rows(gens, rels)
+    return AbGroupPresentation.diagonal(stripped, free_rank)
 
 
 def _is_iso_after_localization(f: GroupHom, l: int) -> bool:

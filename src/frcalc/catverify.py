@@ -122,66 +122,47 @@ def check_naturality(fd: CMorphism, gd: CMorphism, alpha_prime: Frame,
     return square_residual, witness_residual
 
 
-def _exact_complex(z: complex):
-    """(R, I, D) integers with z = (R + I j) / D, D a power of two.
-    Floats are dyadic rationals, so this is lossless."""
-    nr, dr = float(z.real).as_integer_ratio()
-    ni, di = float(z.imag).as_integer_ratio()
-    d = max(dr, di)
-    return (nr * (d // dr), ni * (d // di), d)
+def _gaussian_frame(frame: Frame):
+    """(re, im, s): frames of Python ints with frame.mats = (re + i im) / 2**s.
+
+    Every finite float is a dyadic rational, so the 53-bit mantissas of
+    np.frexp, shifted to a common exponent, give the entries exactly."""
+    parts = np.stack([frame.mats.real, frame.mats.imag])
+    if not np.isfinite(parts).all():
+        raise ValueError("frame entries must be finite")
+    mantissa, exponent = np.frexp(parts)
+    digits = (mantissa * 2.0**53).astype(np.int64)
+    exponent = exponent - 53
+    s = -int(exponent[digits != 0].min(initial=0))
+    ints = digits.astype(object) << np.where(digits != 0, exponent + s, 0).astype(object)
+    return Frame(frame.d, frame.ambient, ints[0]), Frame(frame.d, frame.ambient, ints[1]), s
 
 
-def _exact_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] * y[2])
-
-
-def _exact_eq(x, y):
-    return x[0] * y[2] == y[0] * x[2] and x[1] * y[2] == y[1] * x[2]
-
-
-def _exact_kron(x, y):
-    rx, cx = len(x), len(x[0])
-    ry, cy = len(y), len(y[0])
-    out = [[None] * (cx * cy) for _ in range(rx * ry)]
-    for i in range(rx):
-        for j in range(cx):
-            for p in range(ry):
-                for q in range(cy):
-                    out[i * ry + p][j * cy + q] = _exact_mul(x[i][j], y[p][q])
-    return out
-
-
-def _exact_mat(m: np.ndarray):
-    return [[_exact_complex(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
+def _tensor_gaussian(x, y):
+    """tensor_frame of two Gaussian-integer frames, by four real tensors."""
+    (xr, xi, xs), (yr, yi, ys) = x, y
+    re = tensor_frame(xr, yr).mats - tensor_frame(xi, yi).mats
+    im = tensor_frame(xr, yi).mats + tensor_frame(xi, yr).mats
+    d, n = xr.d * yr.d, xr.ambient * yr.ambient
+    return Frame(d, n, re), Frame(d, n, im), xs + ys
 
 
 def check_associativity(a: Frame, b: Frame, c: Frame) -> float:
-    """Tensor reassociation residual, evaluated in exact arithmetic.
+    """Tensor reassociation residual of tensor_frame, evaluated exactly.
 
-    Both association orders of each composite entry are triple products
-    of the same dyadic rationals, so the result is exactly 0 whenever
-    the mixed-radix index bookkeeping of tensor_frame is correct."""
-    worst = 0.0
-    for i1 in range(a.d):
-        for j1 in range(a.d):
-            ea = _exact_mat(a.mats[i1, j1])
-            for i2 in range(b.d):
-                for j2 in range(b.d):
-                    eb = _exact_mat(b.mats[i2, j2])
-                    ab = _exact_kron(ea, eb)
-                    for i3 in range(c.d):
-                        for j3 in range(c.d):
-                            ec = _exact_mat(c.mats[i3, j3])
-                            left = _exact_kron(ab, ec)
-                            right = _exact_kron(ea, _exact_kron(eb, ec))
-                            for row_l, row_r in zip(left, right):
-                                for zl, zr in zip(row_l, row_r):
-                                    if not _exact_eq(zl, zr):
-                                        dl = (zl[0] + 1j * zl[1]) / zl[2]
-                                        dr_ = (zr[0] + 1j * zr[1]) / zr[2]
-                                        worst = max(worst, abs(dl - dr_))
-    return worst
+    Both association orders are formed by tensor_frame on the frames'
+    exact Gaussian-integer forms, so the result is exactly 0 whenever
+    the mixed-radix index bookkeeping of tensor_frame is correct, and
+    otherwise the worst entry of |left - right|."""
+    ga, gb, gc = (_gaussian_frame(f) for f in (a, b, c))
+    left_re, left_im, s = _tensor_gaussian(_tensor_gaussian(ga, gb), gc)
+    right_re, right_im, _ = _tensor_gaussian(ga, _tensor_gaussian(gb, gc))
+    diff_re, diff_im = left_re.mats - right_re.mats, left_im.mats - right_im.mats
+    if not (diff_re.any() or diff_im.any()):
+        return 0.0
+    scale = 1 << s
+    worst = np.hypot((diff_re / scale).astype(float), (diff_im / scale).astype(float))
+    return float(worst.max())
 
 
 def check_identity_embedding(phi_prime: Frame) -> float:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, eye, is_unitary, kron_stack
+from .linalg import DEFAULT_TOL, Tolerance, eye, is_unitary, kron_stack, svd_rank
 from .homspace import StarHom, intertwiner
 
 
@@ -39,18 +39,11 @@ def index(t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> int:
     is reported instead of silently resolved.
     """
     fp = t.finite_part
-    if fp.size == 0:
-        rank = 0
-    else:
-        s = np.linalg.svd(fp, compute_uv=False)
-        smax = float(s[0]) if len(s) else 0.0
-        if smax == 0.0:
-            rank = 0
-        else:
-            cutoff = tol.rank_cutoff * smax
-            if np.any((s > cutoff / 10) & (s < cutoff * 10)):
-                raise ValueError("ill-conditioned index")
-            rank = int(np.sum(s > cutoff))
+    s = np.linalg.svd(fp, compute_uv=False) if fp.size else np.zeros(0)
+    cutoff = tol.rank_cutoff * float(s[0]) if len(s) else 0.0
+    if cutoff and np.any((s > cutoff / 10) & (s < cutoff * 10)):
+        raise ValueError("ill-conditioned index")
+    rank = svd_rank(s, tol)
     dim_ker = t.n * t.win_dom - rank
     dim_coker = t.n * t.win_cod - rank
     idx = dim_ker - dim_coker

@@ -19,9 +19,9 @@ from .linalg import (
     eye,
     kron_stack,
     max_abs,
+    orthonormal_cols,
     orthonormal_span,
     subspace_distance,
-    _orthonormal_cols,
 )
 from .frames import Frame, verify_frame
 from .homspace import StarHom, ev
@@ -40,10 +40,6 @@ class Subalgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-
-def _make(ambient: int, mats) -> Subalgebra:
-    return Subalgebra(ambient, tuple(orthonormal_span(list(mats))))
 
 
 def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
@@ -65,7 +61,7 @@ def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalge
 
 def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
     """Worst distance of a basis product or adjoint from the span."""
-    q = _orthonormal_cols(list(a.basis), tol)
+    q = orthonormal_cols(list(a.basis), tol)
     proj = q @ q.conj().T
     worst = 0.0
     cands = [x @ y for x in a.basis for y in a.basis] + [x.conj().T for x in a.basis]
@@ -136,7 +132,7 @@ def centralizer(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
 
 def relative_centralizer(a_mats, b: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
     """Z_B(A): elements of B commuting with every matrix in a_mats."""
-    q = _orthonormal_cols(list(b.basis), tol)
+    q = orthonormal_cols(list(b.basis), tol)
     kernel = _joint_commutant(q, list(a_mats), b.ambient, tol)
     return Subalgebra(b.ambient, tuple(kernel))
 
@@ -227,7 +223,7 @@ def _check_d_morphism(f: StarHom, a: Subalgebra, b: Subalgebra, tol: Tolerance):
     if f.src != a.ambient or f.dst != b.ambient:
         raise ValueError("not a D-morphism")
     images = [ev(f, x) for x in a.basis]
-    q = _orthonormal_cols(list(b.basis), tol)
+    q = orthonormal_cols(list(b.basis), tol)
     proj = q @ q.conj().T
     for img in images:
         v = img.reshape(-1)

@@ -51,10 +51,6 @@ def hom_from_frame(alpha: Frame, tol: Tolerance = DEFAULT_TOL) -> StarHom:
     return StarHom(alpha.d, alpha.ambient, alpha)
 
 
-def frame_of_hom(h: StarHom) -> Frame:
-    return h.image_frame
-
-
 def identity_hom(n: int) -> StarHom:
     return StarHom(n, n, matrix_unit_frame(n, 1))
 

@@ -76,43 +76,24 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (p * r, q * s))
 
 
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(x y*)."""
-    if x.shape != y.shape or x.shape[0] != x.shape[1]:
-        raise ValueError("hs_inner requires square matrices of equal size")
-    return complex(np.trace(x @ y.conj().T))
-
-
 def max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def nullspace(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, returned as columns.
-
-    A singular vector belongs to the kernel when its singular value is
-    below ``rank_cutoff`` times the largest singular value.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if len(s) else 0.0
-    ncols = a.shape[1]
-    if smax == 0.0:
-        return eye(ncols)
-    rank = int(np.sum(s > tol.rank_cutoff * smax))
-    return vh[rank:].conj().T
+def svd_rank(s: np.ndarray, tol: Tolerance) -> int:
+    """Number of singular values (sorted descending, as numpy returns
+    them) above ``rank_cutoff`` times the largest; 0 when there are none
+    or all vanish."""
+    if len(s) == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol.rank_cutoff * s[0]))
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_cutoff * s[0]))
+    return svd_rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
@@ -140,28 +121,20 @@ def vectorize(mats) -> np.ndarray:
     return np.stack([np.asarray(m, dtype=complex).reshape(-1) for m in mats], axis=1)
 
 
-def unvectorize(cols: np.ndarray, n: int):
-    return [cols[:, j].reshape(n, n) for j in range(cols.shape[1])]
-
-
 def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL):
-    """Orthonormal (hs_inner) basis of the span of the given matrices."""
+    """Orthonormal (Hilbert-Schmidt) basis of the span of the given matrices."""
     if not mats:
         return []
     n = mats[0].shape[0]
-    v = vectorize(mats)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return []
-    rank = int(np.sum(s > tol.rank_cutoff * s[0]))
-    return unvectorize(u[:, :rank], n)
+    q = orthonormal_cols(mats, tol)
+    return [q[:, j].reshape(n, n) for j in range(q.shape[1])]
 
 
 def subspace_distance(basis_a, basis_b, tol: Tolerance = DEFAULT_TOL) -> float:
     """Operator-norm distance between the orthogonal projections onto
     the spans of two matrix families (basis-independent)."""
-    qa = _orthonormal_cols(basis_a, tol)
-    qb = _orthonormal_cols(basis_b, tol)
+    qa = orthonormal_cols(basis_a, tol)
+    qb = orthonormal_cols(basis_b, tol)
     if qa.shape[1] == 0 and qb.shape[1] == 0:
         return 0.0
     if qa.shape[1] == 0 or qb.shape[1] == 0:
@@ -173,12 +146,9 @@ def subspace_distance(basis_a, basis_b, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(max(sa[0] if len(sa) else 0.0, sb[0] if len(sb) else 0.0))
 
 
-def _orthonormal_cols(mats, tol: Tolerance) -> np.ndarray:
+def orthonormal_cols(mats, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis, as columns, of the span of the vectorized matrices."""
     if not mats:
         return np.zeros((0, 0), dtype=complex)
-    v = vectorize(mats)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return u[:, :0]
-    rank = int(np.sum(s > tol.rank_cutoff * s[0]))
-    return u[:, :rank]
+    u, s, _ = np.linalg.svd(vectorize(mats), full_matrices=False)
+    return u[:, :svd_rank(s, tol)]

@@ -8,26 +8,36 @@ source of truth for its check.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 
 from .linalg import max_abs, random_unitary, subspace_distance
 from .frames import (
+    conjugate_frame,
     dot,
     frames_close,
+    matrix_unit_frame,
     pi1,
     pi2,
     random_frame,
+    tensor_frame,
+    trivial_frame,
     verify_frame,
 )
 from .homspace import (
+    StarHom,
     block_scalar_deviation,
     compose_phi,
+    compose_plain,
     ev,
     intertwiner,
     intertwiner_residual,
     iota,
+    push_frame,
     random_hom,
 )
 from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
@@ -39,6 +49,7 @@ from .catverify import (
     check_naturality,
     check_tau,
     fr_map,
+    make_c_morphism,
     nerve_degeneracy,
     nerve_face,
 )
@@ -94,8 +105,6 @@ def intertwiner_battery(seed=7, count=100, pairs=((2, 3), (3, 2), (2, 5))):
         for i in range(count):
             s = seed * 7_368_787 + 101 * i + 17 * k + l
             v = random_unitary(k * l, s)
-            from .frames import conjugate_frame, matrix_unit_frame
-            from .homspace import StarHom
             h = StarHom(k, k * l, conjugate_frame(v, matrix_unit_frame(k, l)))
             u = intertwiner(h)
             worst_res = max(worst_res, intertwiner_residual(h, u))
@@ -283,20 +292,15 @@ def nerve_battery(seed=7, count=50):
 
 def functoriality_battery(seed=7, count=50):
     """fr_map respects composition of frame-condition morphisms."""
-    from .catverify import make_c_morphism
-    from .homspace import compose_plain, push_frame
     worst = 0.0
     for i in range(count):
         s = seed * 54_018_521 + 809 * i
         fd = random_c_morphism(MorphismConfig(2, 1, 2, 2), s)
         # Second leg consumes fd's target object (ambient 4, degree-4 frame).
         u = random_unitary(8, s + 3)
-        from .frames import conjugate_frame, matrix_unit_frame, trivial_frame, tensor_frame
-        from .homspace import StarHom
         g = StarHom(4, 8, conjugate_frame(u, matrix_unit_frame(4, 2)))
-        from .frames import dot as frame_dot, random_frame as rf
-        rho = conjugate_frame(u, tensor_frame(trivial_frame(4), rf(2, 2, s + 4)))
-        delta = frame_dot(push_frame(g, fd.dst_frame), rho)
+        rho = conjugate_frame(u, tensor_frame(trivial_frame(4), random_frame(2, 2, s + 4)))
+        delta = dot(push_frame(g, fd.dst_frame), rho)
         gd = make_c_morphism(g, fd.dst_frame, delta)
         composed = make_c_morphism(compose_plain(g, fd.f), fd.src_frame, delta)
         ap = random_source_frame(MorphismConfig(2, 1, 2, 2), s + 5)
@@ -308,9 +312,6 @@ def functoriality_battery(seed=7, count=50):
 
 def _gcd_minors_factors(m):
     """Invariant factors via gcds of i x i minors (independent oracle)."""
-    from itertools import combinations
-    from math import gcd
-
     rows, cols = len(m), len(m[0])
     prev = 1
     factors = []
@@ -407,16 +408,17 @@ ALL_BATTERIES = [
 
 def run_suite(seed=7, scale=1.0):
     """Run every battery; scale < 1 shrinks the per-battery sample
-    counts proportionally (minimum 1)."""
+    counts proportionally (minimum 1).  A battery whose computation
+    raises reports ``pass: False`` with the error instead of ending the
+    run."""
     results = []
     for battery in ALL_BATTERIES:
-        import inspect
-
-        sig = inspect.signature(battery)
-        kwargs = {"seed": seed}
-        if "count" in sig.parameters and scale != 1.0:
-            default = sig.parameters["count"].default
-            kwargs["count"] = max(1, int(default * scale))
-        results.append(battery(**kwargs))
+        default = inspect.signature(battery).parameters["count"].default
+        try:
+            results.append(battery(seed=seed, count=max(1, int(default * scale))))
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            results.append({"name": battery.__name__, "pass": False,
+                            "residuals": {}, "thresholds": {},
+                            "error": f"{type(exc).__name__}: {exc}"})
     return {"seed": seed, "pass": all(r["pass"] for r in results),
             "batteries": results}

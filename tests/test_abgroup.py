@@ -1,8 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from frcalc import abgroup
 from frcalc.abgroup import (
@@ -69,6 +77,51 @@ def test_snf_unimodularity_check_raises(monkeypatch):
     monkeypatch.setattr(abgroup, "_det_unimodular", lambda m: 2)
     with pytest.raises(ArithmeticError, match="unimodular"):
         smith_normal_form([[2, 4], [6, 8]])
+
+
+def _check_snf_against_sympy(m, u, d, v):
+    """U M V = D with unimodular U, V, D a nonnegative diagonal
+    divisibility chain, and its nonzero entries sympy's invariant factors."""
+    rows, cols = len(m), len(m[0])
+    assert Matrix(u) * Matrix(m) * Matrix(v) == Matrix(d)
+    assert abs(Matrix(u).det()) == 1 and abs(Matrix(v).det()) == 1
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    assert all(x >= 0 for x in diag)
+    nonzero = [x for x in diag if x]
+    assert diag[:len(nonzero)] == nonzero
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    want = [abs(int(x)) for x in sympy_invariant_factors(Matrix(m), domain=ZZ) if x]
+    assert nonzero == want
+
+
+SNF_HARD_INPUTS = {
+    # Elimination by row swaps alone never finished on these two.
+    "5x5": [[-9, -8, -7, 8, -4], [7, -9, 8, 7, 3], [5, 2, 2, 4, -7],
+            [9, -6, 0, 0, -2], [-8, 9, 0, -7, 2]],
+    "8x8 default_rng(1)": np.random.default_rng(1).integers(-9, 10, (8, 8)).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", SNF_HARD_INPUTS)
+def test_snf_terminates_on_hard_inputs(name):
+    """Run in a subprocess so that a loop that never returns fails the
+    test after 30 s instead of hanging the suite."""
+    m = SNF_HARD_INPUTS[name]
+    code = ("import json, sys; from frcalc.abgroup import smith_normal_form; "
+            "print(json.dumps(smith_normal_form(json.loads(sys.argv[1]))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(abgroup.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(m)], env=env,
+                          capture_output=True, text=True, timeout=30, check=True)
+    _check_snf_against_sympy(m, *json.loads(proc.stdout))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.integers(1, 6).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))))
+def test_snf_property_against_sympy(m):
+    _check_snf_against_sympy(m, *smith_normal_form(m))
 
 
 def test_snf_against_gcd_minors_oracle():

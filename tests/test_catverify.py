@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frcalc import catverify
 from frcalc.catverify import (
     NerveChain,
     bundle_face,
@@ -89,6 +90,31 @@ def test_associativity_exact_zero():
                                    random_frame(2, 4, 14),
                                    random_frame(1, 2, 15))
     assert residual == 0.0
+    # Basepoint frames hold exact zeros beside their ones.
+    units = (matrix_unit_frame(2, 1), matrix_unit_frame(2, 2), matrix_unit_frame(2, 1))
+    assert check_associativity(*units) == 0.0
+
+
+def test_associativity_runs_tensor_frame(monkeypatch):
+    """A tensor_frame that transposes its second factor's frame index
+    breaks associativity, and the exact check sees it."""
+    original = catverify.tensor_frame
+
+    def transposed(alpha, phi):
+        return original(alpha, Frame(phi.d, phi.ambient, np.swapaxes(phi.mats, 0, 1)))
+
+    frames = (random_frame(2, 2, 13), random_frame(2, 4, 14), random_frame(2, 2, 15))
+    assert check_associativity(*frames) == 0.0
+    monkeypatch.setattr(catverify, "tensor_frame", transposed)
+    assert check_associativity(*frames) > 0.0
+
+
+def test_associativity_rejects_non_finite_entries():
+    a = random_frame(2, 2, 13)
+    mats = a.mats.copy()
+    mats[0, 1, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        check_associativity(Frame(2, 2, mats), a, a)
 
 
 def test_identity_embedding_zero():

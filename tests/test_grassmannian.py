@@ -111,8 +111,8 @@ def test_gr_map_with_basepoint_hom():
     images = [ev(f, x) for x in a.basis]
     q = subspace_distance(images, list(result.basis))
     # images are contained in the result span (one-sided containment)
-    from frcalc.linalg import _orthonormal_cols, DEFAULT_TOL
-    cols = _orthonormal_cols(list(result.basis), DEFAULT_TOL)
+    from frcalc.linalg import orthonormal_cols, DEFAULT_TOL
+    cols = orthonormal_cols(list(result.basis), DEFAULT_TOL)
     proj = cols @ cols.conj().T
     for img in images:
         v = img.reshape(-1)

@@ -39,3 +39,13 @@ def test_battery_fails_on_a_broken_kernel(monkeypatch, case):
     assert battery(seed=7, count=3)["pass"]
     _bind_everywhere(monkeypatch, name, fake)
     assert battery(seed=7, count=3)["pass"] is False
+
+
+def test_suite_reports_a_broken_kernel_instead_of_raising(monkeypatch):
+    """With kron_stack's factors swapped some batteries raise from their
+    generators; run_suite turns each such error into a failing report."""
+    _bind_everywhere(monkeypatch, "kron_stack", MUTANTS["kron_stack with the factors swapped"][1])
+    report = suite.run_suite(seed=7, scale=0.02)
+    assert report["pass"] is False
+    errors = [b for b in report["batteries"] if "error" in b]
+    assert errors and all(b["pass"] is False and b["error"] for b in errors)

@@ -15,7 +15,6 @@ from frcalc.linalg import (
     is_unitary,
     kron_stack,
     max_abs,
-    nullspace,
     numerical_rank,
     orthonormal_span,
     pair_products,
@@ -42,9 +41,6 @@ def test_nullspace_and_rank():
                   [2.0, 4.0, 6.0, 8.0],
                   [0.0, 1.0, 1.0, 1.0]])
     assert numerical_rank(a) == 2
-    ns = nullspace(a)
-    assert ns.shape == (4, 2)
-    assert max_abs(a @ ns) < 1e-12
 
 
 def test_orthonormal_span_dimension():
