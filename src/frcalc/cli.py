@@ -137,6 +137,8 @@ def _is_k(tol, alg, d):
 
 
 def _centralizer(tol, alg):
+    if not grassmannian.star_closed(list(alg.basis), tol):
+        raise ValueError("the basis does not span a *-closed set")
     z = grassmannian.centralizer(alg, tol)
     defect = grassmannian.commutation_defect(alg, z)
     return _with_dim(defect <= 1e-8, {"commutation": defect}, z)
@@ -335,7 +337,7 @@ def run(argv) -> int:
             report["artifacts"].append(args.out)
     except (FormatError, UsageError, OSError, KeyError, TypeError) as exc:
         code, report["error"] = 2, str(exc)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         code, report["error"] = 1, str(exc)
     else:
         code = 0 if passed else 1

@@ -47,7 +47,8 @@ def index(t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> int:
     dim_ker = t.n * t.win_dom - rank
     dim_coker = t.n * t.win_cod - rank
     idx = dim_ker - dim_coker
-    assert idx == t.n * (t.win_dom - t.win_cod)
+    if idx != t.n * (t.win_dom - t.win_cod):
+        raise ArithmeticError("index differs from n*(win_dom - win_cod)")
     return idx
 
 

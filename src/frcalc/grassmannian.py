@@ -1,10 +1,27 @@
 """Unital *-subalgebras of M_N: spans, centralizers, frame extraction.
 
 A Subalgebra is stored as an orthonormal (Hilbert-Schmidt) spanning set
-in ambient coordinates.  Centralizers are computed as joint commutant
-kernels restricted to a candidate subspace; the ambient case first cuts
-the search space down to the commutant of one generic hermitian element
-of the algebra, which is cheap to obtain spectrally.
+in ambient coordinates.  Centralizers are joint commutant kernels: the
+kernel of the Gram matrix G of X -> ([X, b])_b on a candidate subspace.
+
+Inside all of M_n one spectral path serves ``centralizer`` and
+``relative_centralizer``.  An X commuting with a *-closed span also
+commutes with a generic hermitian element h = V diag(w) V* of it, so X
+lies in the span of the block matrix units V E_ij V* with i, j in one
+eigenvalue cluster of h.  On these candidates G has a closed form in the
+rotated constraints B_b = V* b V: for p = (i, j) and q = (k, l),
+
+    G[p, q] = d_ik S1[l, j] + d_jl S2[i, k] - T[p, q] - conj(T[q, p]),
+
+with S1 = sum_b B_b B_b*, S2 = sum_b B_b* B_b and
+T[p, q] = sum_b B_b[i, k] conj(B_b[j, l]).  T is built one cluster pair
+at a time, so no intermediate is larger than G or the stack of B_b.
+The cut is valid only for a *-closed span: the commutant of {E_12} in
+M_2 is span{I, E_12}, but a generic hermitian element of its *-closure
+has only the scalars as commutant.  ``relative_centralizer`` therefore
+takes this path only when the adjoints of its matrices lie in their
+span and B's basis is an orthonormal basis of M_n, and solves on an
+orthonormal basis of B otherwise.
 """
 
 from __future__ import annotations
@@ -16,12 +33,14 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    conjugate,
     eye,
     kron_stack,
     max_abs,
     orthonormal_cols,
     orthonormal_span,
     subspace_distance,
+    vectorize,
 )
 from .frames import Frame, verify_frame
 from .homspace import StarHom, ev
@@ -71,22 +90,25 @@ def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
     return worst
 
 
-def _generic_hermitian(basis, seed: int) -> np.ndarray:
+def _generic_hermitian(basis, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    m = sum(ci * bi for ci, bi in zip(c, basis))
+    m = sum((ci * bi for ci, bi in zip(c, basis)), np.zeros((n, n), dtype=complex))
     return m + m.conj().T
 
 
 def _eig_clusters(w: np.ndarray):
-    """Indices of eigenvalues grouped by gap threshold (w sorted)."""
+    """Index ranges of eigenvalues grouped by gap threshold (w sorted)."""
     scale = max(1.0, float(np.max(np.abs(w))))
-    clusters = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > _EIG_GAP * scale:
-            clusters.append([])
-        clusters[-1].append(i)
-    return clusters
+    cuts = [i for i in range(1, len(w)) if w[i] - w[i - 1] > _EIG_GAP * scale]
+    return [range(a, b) for a, b in zip([0] + cuts, cuts + [len(w)])]
+
+
+def _gram_kernel(gram: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of a Gram matrix."""
+    w, v = np.linalg.eigh(gram)
+    scale = max(1.0, float(w[-1]))
+    return v[:, w <= 1e4 * tol.rank_cutoff**2 * scale]
 
 
 def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
@@ -101,39 +123,82 @@ def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
         comm = qmats @ b - b @ qmats
         g = comm.reshape(qdim, -1)
         gram += g.conj() @ g.T
-    w, v = np.linalg.eigh(gram)
-    scale = max(1.0, float(w[-1]) if len(w) else 1.0)
-    keep = w <= 1e4 * tol.rank_cutoff**2 * scale
-    cols = q_cols @ v[:, keep]
+    cols = q_cols @ _gram_kernel(gram, tol)
     return [cols[:, j].reshape(n, n) for j in range(cols.shape[1])]
 
 
+def _full_commutant(mats, n: int, tol: Tolerance):
+    """Commutant inside all of M_n of a *-closed span of n x n matrices,
+    through the closed-form Gram of the module docstring.  Returns
+    orthonormal matrices."""
+    mats = np.asarray(mats, dtype=complex).reshape(-1, n, n)
+    w, vecs = np.linalg.eigh(_generic_hermitian(mats, n, _GENERIC_SEED))
+    rot = conjugate(vecs.conj().T, mats)
+    m = len(rot)
+    flat = rot.transpose(1, 0, 2).reshape(n, m * n)
+    s1 = flat @ flat.conj().T
+    flat = rot.reshape(m * n, n)
+    s2 = flat.conj().T @ flat
+    clusters = _eig_clusters(w)
+    rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
+    cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+    offsets = np.cumsum([0] + [len(c) ** 2 for c in clusters])
+    t = np.empty((len(rows), len(rows)), dtype=complex)
+    for c, oc in zip(clusters, offsets):
+        for d, od in zip(clusters, offsets):
+            blk = rot[:, c.start:c.stop, d.start:d.stop].reshape(m, len(c) * len(d))
+            prod = (blk.T @ blk.conj()).reshape(len(c), len(d), len(c), len(d))
+            t[oc:oc + len(c) ** 2, od:od + len(d) ** 2] = (
+                prod.transpose(0, 2, 1, 3).reshape(len(c) ** 2, len(d) ** 2))
+    gram = ((rows[:, None] == rows) * s1.T[np.ix_(cols, cols)]
+            + (cols[:, None] == cols) * s2[np.ix_(rows, rows)])
+    gram -= t + t.conj().T
+    y = _gram_kernel(gram, tol)
+    coeffs = np.zeros((y.shape[1], n, n), dtype=complex)
+    coeffs[:, rows, cols] = y.T
+    return list(conjugate(vecs, coeffs))
+
+
+def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True when the adjoint of every matrix lies in the span of all of them."""
+    if not mats:
+        return True
+    q = orthonormal_cols(mats, tol)
+    adj = vectorize([x.conj().T for x in mats])
+    return max_abs(adj - q @ (q.conj().T @ adj)) <= 1e3 * tol.abs_eps * max(1.0, max_abs(adj))
+
+
+def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
+    """True when b's basis is an orthonormal basis of all of M_n, tested
+    as x = Q Q* x for one generic x; n^2 matrices that are dependent or
+    not orthonormal fail this."""
+    n = b.ambient
+    if b.dim != n * n:
+        return False
+    q = vectorize(list(b.basis))
+    x = np.random.default_rng(_GENERIC_SEED).standard_normal(n * n)
+    return max_abs(x - q @ (q.conj().T @ x)) <= 1e3 * tol.abs_eps * max_abs(x)
+
+
 def centralizer(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
-    """Commutant of the subalgebra inside the full ambient algebra."""
-    n = a.ambient
-    if a.dim <= 1:
-        units = [np.zeros((n, n), dtype=complex) for _ in range(n * n)]
-        for i in range(n):
-            for j in range(n):
-                units[i * n + j][i, j] = 1.0
-        return Subalgebra(n, tuple(units))
-    b0 = _generic_hermitian(a.basis, _GENERIC_SEED)
-    w, vecs = np.linalg.eigh(b0)
-    cols = []
-    for cluster in _eig_clusters(w):
-        block = vecs[:, cluster]
-        for i in range(len(cluster)):
-            for j in range(len(cluster)):
-                cols.append(np.outer(block[:, i], block[:, j].conj()).reshape(-1))
-    q = np.stack(cols, axis=1)
-    kernel = _joint_commutant(q, a.basis, n, tol)
-    return Subalgebra(n, tuple(kernel))
+    """Commutant of the subalgebra inside the full ambient algebra.  The
+    span of ``a.basis`` must be *-closed, as a subalgebra's is; a basis
+    from outside the package is checked with ``star_closed`` first."""
+    return Subalgebra(a.ambient, tuple(_full_commutant(a.basis, a.ambient, tol)))
 
 
 def relative_centralizer(a_mats, b: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
-    """Z_B(A): elements of B commuting with every matrix in a_mats."""
-    q = orthonormal_cols(list(b.basis), tol)
-    kernel = _joint_commutant(q, list(a_mats), b.ambient, tol)
+    """Z_B(A): elements of B commuting with every matrix in a_mats.
+
+    When B's basis is an orthonormal basis of all of M_n and span(a_mats)
+    is *-closed, this is the spectral commutant of ``centralizer``;
+    otherwise the kernel is solved on an orthonormal basis of B."""
+    a_mats = list(a_mats)
+    if _is_full_algebra(b, tol) and star_closed(a_mats, tol):
+        kernel = _full_commutant(a_mats, b.ambient, tol)
+    else:
+        q = orthonormal_cols(list(b.basis), tol)
+        kernel = _joint_commutant(q, a_mats, b.ambient, tol)
     return Subalgebra(b.ambient, tuple(kernel))
 
 
@@ -171,7 +236,7 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
 
 def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
     n = a.ambient
-    x = _generic_hermitian(a.basis, seed)
+    x = _generic_hermitian(a.basis, n, seed)
     w, vecs = np.linalg.eigh(x)
     clusters = _eig_clusters(w)
     if len(clusters) != d or any(len(c) != mult for c in clusters):

@@ -1,7 +1,8 @@
 """JSON wire formats for every domain type.
 
 Matrices: {"rows": N, "cols": M, "entries": [[re, im], ...]} row-major.
-Composite types carry their fields verbatim; see each codec.
+Composite types carry their fields verbatim; see each codec, except
+that a subalgebra is written in a canonical basis of its span.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .grassmannian import Subalgebra
 from .fredholm import DeskFredholm
 from .abgroup import AbGroupPresentation, GroupHom
 from .catverify import NerveChain
+from .linalg import DEFAULT_TOL, orthonormal_cols
+
+# Seed of the fixed reference matrix that picks the canonical basis.
+_CANONICAL_SEED = 0xBA515
 
 
 class FormatError(ValueError):
@@ -80,7 +85,17 @@ def hom_from_json(obj) -> StarHom:
 
 
 def subalgebra_to_json(a: Subalgebra) -> dict:
-    return {"ambient": a.ambient, "basis": [matrix_to_json(m) for m in a.basis]}
+    """Writes the Q factor, with R's diagonal made positive, of P R_ref:
+    P projects onto the span and R_ref is a fixed seeded n^2 x dim
+    matrix, so the basis is a function of the span alone (an SVD or
+    eigh basis of a degenerate subspace moves by O(1) under rounding)."""
+    n = a.ambient
+    q0 = orthonormal_cols(list(a.basis), DEFAULT_TOL) if a.basis else np.zeros((n * n, 0))
+    ref = np.random.default_rng(_CANONICAL_SEED).standard_normal((n * n, q0.shape[1]))
+    q, r = np.linalg.qr(q0 @ (q0.conj().T @ ref))
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return {"ambient": n, "basis": [matrix_to_json(m.reshape(n, n)) for m in q.T]}
 
 
 def subalgebra_from_json(obj) -> Subalgebra:

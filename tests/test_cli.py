@@ -188,6 +188,14 @@ def test_alg_centralizer_verb(tmp_path, capsys):
     code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
     assert code == 0
     assert report["result"]["dim"] == 9
+    # span{I, E_12} is not *-closed: its commutant is itself, not the
+    # scalars that the spectral cut would give.
+    e12 = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]}
+    eye = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    for basis in ([e12], [eye, e12]):
+        dump_json({"ambient": 2, "basis": basis}, str(a))
+        code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
+        assert code == 1 and "*-closed" in report["error"]
 
 
 def test_cat_seeded_verbs(capsys):
@@ -209,6 +217,22 @@ def test_fred_verbs(tmp_path, capsys):
     code, report = _run(capsys, ["fred", "index", "--in", str(path)])
     assert code == 0
     assert report["result"]["index"] == 2
+
+
+def test_failed_arithmetic_check_exits_1(tmp_path, capsys, monkeypatch):
+    """An ArithmeticError raised by a library check (as by the Smith
+    normal form's unimodularity check) is a mathematical failure."""
+    from frcalc import abgroup
+
+    def broken(m):
+        raise ArithmeticError("Smith normal form transforms are not unimodular")
+
+    monkeypatch.setattr(abgroup, "smith_normal_form", broken)
+    path = tmp_path / "m.json"
+    path.write_text("[[2, 4], [6, 8]]")
+    code, report = _run(capsys, ["ab", "snf", "--in", str(path)])
+    assert code == 1
+    assert report["pass"] is False and "unimodular" in report["error"]
 
 
 def test_config_parsing():

@@ -5,7 +5,9 @@ recorded in ``cli_golden.json``.
 Every call runs in one directory holding the inputs that
 ``write_inputs`` makes with the library, so the calls do not depend on
 each other.  Reports are compared without ``elapsed_ms``; ints, strings
-and keys must match exactly and floats within 1e-12.
+and keys must match exactly and floats within 1e-12.  A subalgebra is
+written in a canonical basis of its span, so the output of every verb
+that writes one moves by less than 1e-12 when its inputs move by 1e-16.
 """
 
 import contextlib
@@ -215,3 +217,36 @@ def test_golden_covers_every_case(golden):
 def test_cli_matches_golden(case, inputs_dir, golden, monkeypatch):
     monkeypatch.chdir(inputs_dir)
     _assert_same(call(case), golden[case])
+
+
+ALG_OUT_CASES = [case for case in CASES
+                 if any(case.startswith(v.name + " ") for v in cli.VERBS if v.out == "alg")]
+
+
+def _perturb(obj, rng):
+    """The payload with about 1e-16 added to every float."""
+    if isinstance(obj, float):
+        return obj + 1e-16 * rng.standard_normal()
+    if isinstance(obj, list):
+        return [_perturb(x, rng) for x in obj]
+    if isinstance(obj, dict):
+        return {key: _perturb(x, rng) for key, x in obj.items()}
+    return obj
+
+
+def _basis_entries(result):
+    (payload,) = result["files"].values()
+    return np.array([m["entries"] for m in payload["basis"]])
+
+
+@pytest.mark.parametrize("case", ALG_OUT_CASES)
+def test_alg_output_is_stable_under_rounding(case, inputs_dir, tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    for path in inputs_dir.glob("*.json"):
+        (tmp_path / path.name).write_text(json.dumps(_perturb(json.loads(path.read_text()), rng)))
+    monkeypatch.chdir(inputs_dir)
+    want = _basis_entries(call(case))
+    monkeypatch.chdir(tmp_path)
+    got = _basis_entries(call(case))
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) < 1e-12

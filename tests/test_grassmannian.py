@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frcalc.frames import frames_close, matrix_unit_frame, random_frame
+from frcalc.frames import conjugate_frame, frames_close, matrix_unit_frame, random_frame
 from frcalc.grassmannian import (
     Subalgebra,
     centralizer,
@@ -18,7 +20,7 @@ from frcalc.grassmannian import (
 )
 from frcalc.generators import MorphismConfig, random_d_morphism
 from frcalc.homspace import basepoint_hom
-from frcalc.linalg import max_abs, random_unitary, subspace_distance
+from frcalc.linalg import max_abs, random_unitary, subspace_distance, vectorize
 
 
 def test_span_of_single_generator_closes():
@@ -71,6 +73,83 @@ def test_relative_centralizer_of_factor():
     assert z.dim == 9
     expected = [np.kron(np.eye(2), e) for e in matrix_unit_frame(3, 1).as_list()]
     assert subspace_distance(list(z.basis), expected) < 1e-10
+
+
+def test_relative_centralizer_of_a_span_that_is_not_star_closed():
+    # The commutant of {E_12} in M_2 is span{I, E_12}; a generic hermitian
+    # element c E_12 + conj(c) E_21 of the *-closure commutes with the
+    # scalars only, so the spectral cut must not be taken here.
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    full = Subalgebra(2, tuple(np.eye(4, dtype=complex).reshape(4, 2, 2)))
+    z = relative_centralizer([e12], full)
+    assert z.dim == 2
+    assert subspace_distance(list(z.basis), [np.eye(2), e12]) < 1e-12
+    assert relative_centralizer([e12, e12.T], full).dim == 1
+
+
+def test_relative_centralizer_in_a_dependent_basis_of_n_squared_matrices():
+    # Four matrices that span only the diagonal of M_2: Z_B(I) is B.
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    diagonal = Subalgebra(2, (units[0], units[3], units[0], units[3]))
+    z = relative_centralizer([np.eye(2)], diagonal)
+    assert subspace_distance(list(z.basis), [units[0], units[3]]) < 1e-12
+    # A spanning basis that is not orthonormal is solved on its span.
+    scaled = Subalgebra(2, tuple(3 * units))
+    assert relative_centralizer([np.eye(2)], scaled).dim == 4
+
+
+def _reference_commutant(constraints, n):
+    """Kernel of the commutator Gram over every n x n matrix: vec is
+    row-major, so vec(X b - b X) = (I (x) b^T - b (x) I) vec(X)."""
+    gram = np.zeros((n * n, n * n), dtype=complex)
+    for b in constraints:
+        op = np.kron(np.eye(n), b.T) - np.kron(b, np.eye(n))
+        gram += op.conj().T @ op
+    w, v = np.linalg.eigh(gram)
+    return list(v[:, w <= 1e-12 * max(1.0, w[-1])].T.reshape(-1, n, n))
+
+
+def _matrix_algebra(kl, seed):
+    k, l = kl
+    fr = conjugate_frame(random_unitary(k * l, seed), matrix_unit_frame(k, l))
+    gens = [fr.mats[0, j] for j in range(k)] + [fr.mats[j, 0] for j in range(1, k)]
+    return lambda_map(fr), gens
+
+
+def _diagonal_span(labels, seed):
+    n = len(labels)
+    u = random_unitary(n, seed)
+    blocks = [u @ np.diag(np.equal(labels, c).astype(complex)) @ u.conj().T
+              for c in sorted(set(labels))]
+    return Subalgebra(n, tuple(b / np.sqrt(np.trace(b).real) for b in blocks)), blocks
+
+
+_SEED = st.integers(0, 2**32 - 1)
+# (span, generators of the same *-algebra) for each kind of subalgebra.
+STAR_SUBALGEBRAS = {
+    "V (M_k (x) 1_l) V*, k l <= 16": st.builds(
+        _matrix_algebra,
+        st.sampled_from([(k, l) for k in range(1, 17) for l in range(1, 16 // k + 1)]), _SEED),
+    "commutative span of diagonal blocks": st.builds(
+        _diagonal_span, st.lists(st.integers(0, 4), min_size=1, max_size=12), _SEED),
+    "scalars": st.builds(lambda n, c: (Subalgebra(n, (c * np.eye(n),)), [np.eye(n)]),
+                         st.integers(1, 16), st.sampled_from([1.0, -0.25, 1j / 3])),
+    "empty basis": st.integers(1, 16).map(lambda n: (Subalgebra(n, ()), [])),
+}
+
+
+@pytest.mark.parametrize("kind", STAR_SUBALGEBRAS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_centralizer_matches_direct_gram_reference(kind, data):
+    a, gens = data.draw(STAR_SUBALGEBRAS[kind])
+    z = centralizer(a)
+    ref = _reference_commutant(gens, a.ambient)
+    assert z.dim == len(ref)
+    assert subspace_distance(list(z.basis), ref) <= 1e-12
+    q = vectorize(list(z.basis))
+    assert max_abs(q.conj().T @ q - np.eye(z.dim)) <= 1e-12
+    assert commutation_defect(a, z) <= 1e-13
 
 
 def test_extract_frame_roundtrip():

@@ -1,8 +1,10 @@
 """Layering guards.  No module but ``linalg.py``, which holds the
 package's contraction kernels, may use numpy's ``einsum`` or ``kron``:
-every other module contracts through those kernels.  And every public
+every other module contracts through those kernels.  Every public
 function or method of the package is named somewhere in the source, the
-tests or the benchmark, so no public API is dead."""
+tests or the benchmark, so no public API is dead.  And the package holds
+no ``assert`` statement: ``python -O`` strips them, so runtime checks are
+written as ``if ...: raise``."""
 
 import ast
 import pathlib
@@ -108,3 +110,19 @@ def test_every_public_function_is_named_somewhere():
             for line, name in public_definitions(path.read_text(encoding="utf-8"))
             if name not in used]
     assert dead == []
+
+
+def assert_lines(source: str):
+    """Line of every ``assert`` statement in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_guard_sees_asserts():
+    assert assert_lines("def f(x):\n    if x:\n        assert x > 0, 'positive'\n") == [3]
+    assert assert_lines("def f(x):\n    if not x:\n        raise ValueError('x')\n") == []
+
+
+def test_no_assert_in_the_package():
+    found = {p.name: assert_lines(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

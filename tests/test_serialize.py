@@ -4,9 +4,9 @@ import pytest
 from frcalc.abgroup import AbGroupPresentation, GroupHom
 from frcalc.frames import frames_close, random_frame
 from frcalc.generators import random_fredholm
-from frcalc.grassmannian import lambda_map
+from frcalc.grassmannian import Subalgebra, lambda_map
 from frcalc.homspace import random_hom
-from frcalc.linalg import max_abs
+from frcalc.linalg import max_abs, random_unitary
 from frcalc.serialize import (
     FormatError,
     frame_from_json,
@@ -71,6 +71,13 @@ def test_subalgebra_roundtrip():
     a = lambda_map(random_frame(2, 4, 4))
     back = subalgebra_from_json(subalgebra_to_json(a))
     assert back.ambient == 4 and back.dim == a.dim
+    # The written basis is a function of the span: another orthonormal
+    # basis of it, or the decoded one, is written the same way.
+    w = random_unitary(a.dim, 5)
+    rotated = Subalgebra(4, tuple(np.tensordot(w, np.array(a.basis), axes=1)))
+    for other in (rotated, back):
+        assert max_abs(np.array(subalgebra_from_json(subalgebra_to_json(other)).basis)
+                       - np.array(back.basis)) < 1e-12
 
 
 def test_fredholm_roundtrip():
