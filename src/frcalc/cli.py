@@ -174,7 +174,8 @@ def _index(tol, t, ok=True):
 
 def _fred_conj(tol, t, g):
     result = fredholm.conjugate(g, t, tol)
-    return _index(tol, result, fredholm.index(result, tol) == fredholm.index(t, tol))
+    return _index(tol, result, fredholm.kernel_cokernel_dims(result, tol)
+                  == fredholm.kernel_cokernel_dims(t, tol))
 
 
 def _snf(tol, m):

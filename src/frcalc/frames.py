@@ -46,9 +46,6 @@ class Frame:
         if self.mats.shape != (self.d, self.d, self.ambient, self.ambient):
             raise ValueError("frame matrix array has wrong shape")
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.mats[i, j]
-
     def as_list(self):
         """Row-major (i, j) list of the d^2 matrices."""
         return [self.mats[i, j] for i in range(self.d) for j in range(self.d)]
@@ -77,25 +74,6 @@ def matrix_unit_frame(d: int, cofactor: int) -> Frame:
 def trivial_frame(ambient: int) -> Frame:
     """Degree-1 frame {E_ambient}."""
     return matrix_unit_frame(1, ambient)
-
-
-def frame_from_list(mats, tol: Tolerance = DEFAULT_TOL) -> Frame:
-    """Build and validate a Frame from a row-major list of matrices."""
-    count = len(mats)
-    d = round(np.sqrt(count))
-    if d * d != count or count == 0:
-        raise ValueError("not a d²-list")
-    ambient = mats[0].shape[0]
-    arr = np.asarray(mats, dtype=complex).reshape(d, d, ambient, ambient)
-    fr = Frame(d, ambient, arr)
-    report = verify_frame(mats, tol)
-    if not report.pass_:
-        raise ValueError(
-            "candidate violates frame axioms "
-            f"(errors {report.axiom_i_maxerr:.2e}, {report.axiom_ii_maxerr:.2e}, "
-            f"{report.axiom_iii_maxerr:.2e})"
-        )
-    return fr
 
 
 def verify_frame(candidate, tol: Tolerance = DEFAULT_TOL) -> FrameReport:

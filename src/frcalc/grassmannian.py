@@ -1,7 +1,22 @@
 """Unital *-subalgebras of M_N: spans, centralizers, frame extraction.
 
 A Subalgebra is stored as an orthonormal (Hilbert-Schmidt) spanning set
-in ambient coordinates.  Centralizers are joint commutant kernels: the
+in ambient coordinates.
+
+``span_subalgebra`` grows the unital *-algebra of its generators by
+spinning, as in Parker's MeatAxe: the multipliers are an orthonormal
+basis M of span(gens, gens*, 1), which is also the starting basis Q.
+Each round multiplies only the directions added in the previous round
+by M; older directions were multiplied before, so their products lie in
+span(Q) already.  The new dimension r is the ``svd_rank`` of the stacked
+[Q | products], the only rank rule, and the r - dim(Q) added directions
+are the top left singular vectors of that grown basis with span(Q)
+projected out.  The loop stops in the first round that adds none; then
+span(Q) is closed under right multiplication by M and contains 1, so it
+is the algebra.  Every product column has Hilbert-Schmidt norm at most
+1, so the rank rule sees all of Q whatever the generators' scale.
+
+Centralizers are joint commutant kernels: the
 kernel of the Gram matrix G of X -> ([X, b])_b on a candidate subspace.
 
 Inside all of M_n one spectral path serves ``centralizer`` and
@@ -39,7 +54,9 @@ from .linalg import (
     max_abs,
     orthonormal_cols,
     orthonormal_span,
+    pair_products,
     subspace_distance,
+    svd_rank,
     vectorize,
 )
 from .frames import Frame, verify_frame
@@ -62,32 +79,47 @@ class Subalgebra:
 
 
 def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
-    """Unital *-closure of the generators: iterate products with the
-    generating set until the span dimension stabilizes."""
+    """Unital *-closure of the generators by the spinning loop of the
+    module docstring: each round multiplies only the directions the
+    previous round added by an orthonormal basis of
+    span(gens, gens*, 1), and the loop stops in the first round that
+    adds none."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
         if g.shape != (ambient, ambient):
             raise ValueError("generators must be square of the ambient size")
-    gens = gens + [g.conj().T for g in gens]
-    basis = orthonormal_span(gens + [eye(ambient)], tol)
-    while True:
-        products = [x @ g for x in basis for g in gens]
-        new_basis = orthonormal_span(basis + products, tol)
-        if len(new_basis) == len(basis):
-            return Subalgebra(ambient, tuple(new_basis))
-        basis = new_basis
+    n = ambient
+    q = orthonormal_cols(gens + [g.conj().T for g in gens] + [eye(n)], tol)
+    mults = new = q.T.reshape(-1, n, n)
+    while len(new):
+        products = pair_products(new, mults).reshape(-1, n * n).T
+        u, s, _ = np.linalg.svd(np.concatenate([q, products], axis=1), full_matrices=False)
+        grown = u[:, :svd_rank(s, tol)]
+        # Outside span(q) the grown span leaves singular values near 1,
+        # inside it near 0: the top ones are the added directions.
+        v, _, _ = np.linalg.svd(grown - q @ (q.conj().T @ grown), full_matrices=False)
+        added = v[:, :max(grown.shape[1] - q.shape[1], 0)]
+        q = np.concatenate([q, added], axis=1)
+        new = added.T.reshape(-1, n, n)
+    return Subalgebra(ambient, tuple(q.T.reshape(-1, n, n)))
+
+
+def _off_span(mats, basis, n: int, tol: Tolerance) -> float:
+    """Largest entry of the part of the vectorized ``mats`` that lies
+    outside span(basis): one residual C - Q(Q* C) over all of them."""
+    if not len(mats):
+        return 0.0
+    c = np.asarray(mats, dtype=complex).reshape(-1, n * n).T
+    q = orthonormal_cols(list(basis), tol) if len(basis) else np.zeros((n * n, 0))
+    return max_abs(c - q @ (q.conj().T @ c))
 
 
 def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
     """Worst distance of a basis product or adjoint from the span."""
-    q = orthonormal_cols(list(a.basis), tol)
-    proj = q @ q.conj().T
-    worst = 0.0
-    cands = [x @ y for x in a.basis for y in a.basis] + [x.conj().T for x in a.basis]
-    for c in cands:
-        v = c.reshape(-1)
-        worst = max(worst, float(np.max(np.abs(v - proj @ v))))
-    return worst
+    x = np.asarray(a.basis, dtype=complex).reshape(-1, a.ambient, a.ambient)
+    cands = np.concatenate([pair_products(x, x).reshape(-1, a.ambient, a.ambient),
+                            x.conj().transpose(0, 2, 1)])
+    return _off_span(cands, a.basis, a.ambient, tol)
 
 
 def _generic_hermitian(basis, n: int, seed: int) -> np.ndarray:
@@ -163,9 +195,9 @@ def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the adjoint of every matrix lies in the span of all of them."""
     if not mats:
         return True
-    q = orthonormal_cols(mats, tol)
-    adj = vectorize([x.conj().T for x in mats])
-    return max_abs(adj - q @ (q.conj().T @ adj)) <= 1e3 * tol.abs_eps * max(1.0, max_abs(adj))
+    adj = np.asarray(mats, dtype=complex).conj().transpose(0, 2, 1)
+    return (_off_span(adj, mats, adj.shape[-1], tol)
+            <= 1e3 * tol.abs_eps * max(1.0, max_abs(adj)))
 
 
 def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
@@ -288,12 +320,8 @@ def _check_d_morphism(f: StarHom, a: Subalgebra, b: Subalgebra, tol: Tolerance):
     if f.src != a.ambient or f.dst != b.ambient:
         raise ValueError("not a D-morphism")
     images = [ev(f, x) for x in a.basis]
-    q = orthonormal_cols(list(b.basis), tol)
-    proj = q @ q.conj().T
-    for img in images:
-        v = img.reshape(-1)
-        if float(np.max(np.abs(v - proj @ v))) > 1e3 * tol.abs_eps:
-            raise ValueError("not a D-morphism")
+    if _off_span(images, b.basis, b.ambient, tol) > 1e3 * tol.abs_eps:
+        raise ValueError("not a D-morphism")
     return images
 
 

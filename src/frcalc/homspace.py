@@ -21,7 +21,7 @@ from .linalg import (
     max_abs,
     random_unitary,
 )
-from .frames import Frame, conjugate_frame, matrix_unit_frame, tensor_frame, verify_frame
+from .frames import Frame, conjugate_frame, matrix_unit_frame, tensor_frame
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,14 @@ class StarHom:
         return self.dst // self.src
 
 
-def hom_from_frame(alpha: Frame, tol: Tolerance = DEFAULT_TOL) -> StarHom:
-    report = verify_frame(alpha, tol)
-    if not report.pass_:
-        raise ValueError("frame fails its axioms; cannot define a *-homomorphism")
-    return StarHom(alpha.d, alpha.ambient, alpha)
-
-
-def identity_hom(n: int) -> StarHom:
-    return StarHom(n, n, matrix_unit_frame(n, 1))
-
-
 def basepoint_hom(src: int, l: int) -> StarHom:
     """The hom X -> X (x) E_l."""
     return StarHom(src, src * l, matrix_unit_frame(src, l))
+
+
+def identity_hom(n: int) -> StarHom:
+    """The basepoint hom with l = 1."""
+    return basepoint_hom(n, 1)
 
 
 def random_hom(src: int, l: int, seed: int) -> StarHom:
@@ -157,12 +151,3 @@ def block_scalar_deviation(w: np.ndarray, k: int, l: int) -> float:
     ref = w.reshape(k, l, k, l)[0, :, 0, :]
     return max_abs(w - kron_stack(eye(k), ref))
 
-
-def same_stabilization(h1: StarHom, h2: StarHom, l: int,
-                       tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether h2 is the one-step filtration stabilization M_l(h1),
-    compared entrywise within ``tol.abs_eps``."""
-    if h2.src != h1.src * l or h2.dst != h1.dst * l:
-        return False
-    lifted = iota(h1, l)
-    return max_abs(lifted.image_frame.mats - h2.image_frame.mats) <= tol.abs_eps

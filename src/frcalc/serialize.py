@@ -137,14 +137,6 @@ def group_from_json(obj) -> AbGroupPresentation:
         raise FormatError(f"bad group payload: {exc}") from exc
 
 
-def grouphom_to_json(f: GroupHom) -> dict:
-    return {
-        "src": group_to_json(f.src),
-        "dst": group_to_json(f.dst),
-        "matrix": [list(r) for r in f.matrix],
-    }
-
-
 def grouphom_from_json(obj) -> GroupHom:
     try:
         return GroupHom.from_rows(group_from_json(obj["src"]),

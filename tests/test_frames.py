@@ -6,7 +6,6 @@ from frcalc.frames import (
     conjugate_frame,
     commutation_residual,
     dot,
-    frame_from_list,
     frames_close,
     matrix_unit_frame,
     pi1,
@@ -32,7 +31,7 @@ def test_basepoint_entries_are_shifted_identities():
     fr = matrix_unit_frame(2, 3)
     e12 = np.zeros((6, 6))
     e12[0:3, 3:6] = np.eye(3)
-    assert np.array_equal(fr.entry(0, 1), e12)
+    assert np.array_equal(fr.mats[0, 1], e12)
 
 
 def test_random_frame_passes_axioms():
@@ -45,18 +44,6 @@ def test_verify_rejects_scaled_frame():
     fr = matrix_unit_frame(2, 2)
     report = verify_frame(Frame(2, 4, 0.5 * fr.mats))
     assert not report.pass_
-
-
-def test_frame_from_list_rejects_wrong_count():
-    fr = matrix_unit_frame(2, 2)
-    with pytest.raises(ValueError, match="d²-list"):
-        frame_from_list(fr.as_list()[:3])
-
-
-def test_frame_from_list_roundtrip():
-    fr = random_frame(2, 4, 3)
-    rebuilt = frame_from_list(fr.as_list())
-    assert frames_close(rebuilt, fr) == 0.0
 
 
 def _pi1_oracle(beta, d1):

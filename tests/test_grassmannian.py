@@ -19,8 +19,10 @@ from frcalc.grassmannian import (
     tensor_subalgebra,
 )
 from frcalc.generators import MorphismConfig, random_d_morphism
-from frcalc.homspace import basepoint_hom
-from frcalc.linalg import max_abs, random_unitary, subspace_distance, vectorize
+from frcalc.homspace import basepoint_hom, ev
+from frcalc.linalg import max_abs, orthonormal_span, random_unitary, subspace_distance, vectorize
+
+_SEED = st.integers(0, 2**32 - 1)
 
 
 def test_span_of_single_generator_closes():
@@ -36,6 +38,77 @@ def test_span_of_diagonal_matrix():
     g = np.diag([1.0, 2.0, 3.0])
     alg = span_subalgebra([g], 3)
     assert alg.dim == 3
+
+
+def _all_products_span(gens, n):
+    """The closure loop that multiplies the whole basis by every
+    generator and adjoint in each round and takes the SVD of the whole
+    stack again, until the dimension stops growing."""
+    gens = list(gens) + [g.conj().T for g in gens]
+    basis = orthonormal_span(gens + [np.eye(n, dtype=complex)])
+    while True:
+        grown = orthonormal_span(basis + [x @ g for x in basis for g in gens])
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
+
+
+def _frame_generators(kl, seed):
+    k, l = kl
+    fr = random_frame(k, k * l, seed)
+    return [fr.mats[i, i + 1] for i in range(k - 1)], k * l
+
+
+def _generic_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))], n
+
+
+def _gr_map_generators(cfg, seed):
+    """f(A) together with Z_B(f(A)): the union of two subalgebras that
+    gr_map(f, A, A, B) spans."""
+    d = random_d_morphism(cfg, seed)
+    images = [ev(d.f, x) for x in d.a.basis]
+    return images + list(relative_centralizer(images, d.b).basis), cfg.dst_ambient
+
+
+# (generators, ambient size) for each kind of input of span_subalgebra.
+SPAN_INPUTS = {
+    "generators alpha_{i,i+1} of a frame, k in {2, 3, 4}": st.builds(
+        _frame_generators, st.sampled_from([(k, l) for k in (2, 3, 4) for l in (1, 2, 3)]),
+        _SEED),
+    "one generic matrix": st.builds(_generic_matrix, st.integers(1, 6), _SEED),
+    "a diagonal matrix": st.lists(st.integers(-3, 3), min_size=1, max_size=8).map(
+        lambda w: ([np.diag(w).astype(complex)], len(w))),
+    "the union of two subalgebras, as gr_map takes": st.builds(
+        _gr_map_generators,
+        st.sampled_from([MorphismConfig(2, 1, 2, 2), MorphismConfig(1, 2, 2, 2),
+                         MorphismConfig(2, 1, 3, 3), MorphismConfig(2, 3, 2, 3)]),
+        st.integers(0, 2**20)),
+}
+
+
+@pytest.mark.parametrize("kind", SPAN_INPUTS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_span_matches_the_all_products_loop(kind, data):
+    gens, n = data.draw(SPAN_INPUTS[kind])
+    alg = span_subalgebra(gens, n)
+    ref = _all_products_span(gens, n)
+    assert alg.dim == len(ref)
+    assert subspace_distance(list(alg.basis), ref) <= 1e-12
+    q = vectorize(list(alg.basis))
+    assert max_abs(q.conj().T @ q - np.eye(alg.dim)) <= 1e-12
+    assert closure_residual(alg) <= 1e-10
+
+
+def test_span_of_the_nilpotent_shift_and_its_adjoint():
+    # {1, N, N*} grows by one word length per round, so M_6 is reached
+    # only after several rounds.
+    shift = np.diag(np.ones(5), 1).astype(complex)
+    alg = span_subalgebra([shift], 6)
+    assert alg.dim == 36
+    assert closure_residual(alg) <= 1e-10
 
 
 def test_lambda_map_dimension():
@@ -124,7 +197,6 @@ def _diagonal_span(labels, seed):
     return Subalgebra(n, tuple(b / np.sqrt(np.trace(b).real) for b in blocks)), blocks
 
 
-_SEED = st.integers(0, 2**32 - 1)
 # (span, generators of the same *-algebra) for each kind of subalgebra.
 STAR_SUBALGEBRAS = {
     "V (M_k (x) 1_l) V*, k l <= 16": st.builds(

@@ -9,17 +9,15 @@ from frcalc.homspace import (
     compose_phi,
     compose_plain,
     ev,
-    hom_from_frame,
     identity_hom,
     intertwiner,
     intertwiner_residual,
     iota,
     push_frame,
     random_hom,
-    same_stabilization,
     tensor_hom,
 )
-from frcalc.linalg import Tolerance, max_abs, random_unitary
+from frcalc.linalg import max_abs, random_unitary
 
 
 def test_ev_matches_manual_sum():
@@ -125,23 +123,3 @@ def test_block_scalar_deviation_detects_off_diagonal():
     w2 = random_unitary(6, 13)
     assert block_scalar_deviation(w2, 2, 3) > 1e-2
 
-
-def test_hom_from_frame_validates():
-    with pytest.raises(ValueError, match="axioms"):
-        hom_from_frame(Frame(2, 4, 0.5 * matrix_unit_frame(2, 2).mats))
-
-
-def test_same_stabilization():
-    h = random_hom(2, 2, 14)
-    assert same_stabilization(h, iota(h, 3), 3)
-    assert not same_stabilization(h, iota(h, 2), 3)
-
-
-def test_same_stabilization_takes_a_tolerance():
-    h = random_hom(2, 2, 14)
-    lifted = iota(h, 3)
-    mats = lifted.image_frame.mats.copy()
-    mats[0, 0, 0, 0] += 1e-7
-    nudged = StarHom(lifted.src, lifted.dst, Frame(lifted.src, lifted.dst, mats))
-    assert same_stabilization(h, nudged, 3, Tolerance(1e-6))
-    assert not same_stabilization(h, nudged, 3)

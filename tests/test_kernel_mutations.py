@@ -1,20 +1,23 @@
-"""Every contraction kernel of ``frcalc.linalg`` and every commutant
-kernel of ``frcalc.grassmannian`` is guarded by a battery: with a
-deliberately wrong kernel bound in every frcalc module, that battery
-reports ``pass: False``."""
+"""Every contraction kernel of ``frcalc.linalg``, every commutant
+kernel of ``frcalc.grassmannian`` and the kernels behind criteria 2, 3,
+9 and 11 are guarded by a battery: with a deliberately wrong kernel
+bound in every frcalc module, that battery reports ``pass: False``."""
 
 import inspect
 import sys
 import types
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import frcalc
-from frcalc import grassmannian, linalg, suite
+from frcalc import abgroup, fredholm, frames, grassmannian, homspace, linalg, suite
+from frcalc.suite import run_battery
 
 apply_frame, kron_stack = linalg.apply_frame, linalg.kron_stack
 centralizer = grassmannian.centralizer
+pi2, smith_normal_form = frames.pi2, abgroup.smith_normal_form
 
 GRAM_CONJ_TERM = "gram -= t + t.conj().T"
 
@@ -31,26 +34,71 @@ def _full_commutant_without_conj_t():
     return module._full_commutant
 
 
+def _snf_with_a_wrong_diagonal(m):
+    u, d, v = smith_normal_form(m)
+    d = [list(row) for row in d]
+    d[0][0] += 1
+    return u, d, v
+
+
+def _zero_block(n, win_dom, win_cod):
+    return fredholm.DeskFredholm(n, win_dom, win_cod,
+                                 np.zeros((n * win_cod, n * win_dom), dtype=complex))
+
+
+class Mutant(NamedTuple):
+    """Wrong kernels, as (owner module, name, replacement), and the
+    batteries that must fail on ``count`` samples once they are bound:
+    by reporting ``pass: False``, or, when ``raises``, by raising, which
+    ``run_battery`` reports as a failure with the error."""
+
+    kernels: list
+    batteries: list
+    count: int = 3
+    raises: bool = False
+
+
 MUTANTS = {
     "pair_products with the factors swapped":
-        (linalg, "pair_products", lambda a, b: b[None] @ a[:, None],
-         [suite.frame_axioms_battery]),
+        Mutant([(linalg, "pair_products", lambda a, b: b[None] @ a[:, None])],
+               [suite.frame_axioms_battery]),
     "conjugate without the conjugation":
-        (linalg, "conjugate", lambda u, mats: u @ mats @ u.T, [suite.frame_axioms_battery]),
+        Mutant([(linalg, "conjugate", lambda u, mats: u @ mats @ u.T)],
+               [suite.frame_axioms_battery]),
     "apply_frame with the contracted index pair transposed":
-        (linalg, "apply_frame",
-         lambda coeffs, mats: apply_frame(np.swapaxes(coeffs, -1, -2), mats),
-         [suite.nerve_battery]),
+        Mutant([(linalg, "apply_frame",
+                 lambda coeffs, mats: apply_frame(np.swapaxes(coeffs, -1, -2), mats))],
+               [suite.nerve_battery]),
     "kron_stack with the factors swapped":
-        (linalg, "kron_stack", lambda a, b: kron_stack(b, a), [suite.diagrams_battery]),
+        Mutant([(linalg, "kron_stack", lambda a, b: kron_stack(b, a))],
+               [suite.diagrams_battery]),
     "commutant Gram without the conj(T[q, p]) term":
-        (grassmannian, "_full_commutant", _full_commutant_without_conj_t(),
-         [suite.centralizer_battery, suite.centralizer_tensor_battery]),
+        Mutant([(grassmannian, "_full_commutant", _full_commutant_without_conj_t())],
+               [suite.centralizer_battery, suite.centralizer_tensor_battery]),
     "centralizer that drops its last basis element":
-        (grassmannian, "centralizer",
-         lambda a, tol=linalg.DEFAULT_TOL: grassmannian.Subalgebra(
-             a.ambient, centralizer(a, tol).basis[:-1]),
-         [suite.centralizer_battery]),
+        Mutant([(grassmannian, "centralizer",
+                 lambda a, tol=linalg.DEFAULT_TOL: grassmannian.Subalgebra(
+                     a.ambient, centralizer(a, tol).basis[:-1]))],
+               [suite.centralizer_battery]),
+    "pi1 that reads the first factor from the trailing digit":
+        Mutant([(frames, "pi1", lambda beta, d1: pi2(beta, beta.d // d1))],
+               [suite.reconstruction_battery], raises=True),
+    "intertwiner that returns the identity":
+        Mutant([(homspace, "intertwiner",
+                 lambda h, tol=linalg.DEFAULT_TOL: np.eye(h.dst, dtype=complex))],
+               [suite.intertwiner_battery]),
+    "Smith normal form with a wrong diagonal":
+        Mutant([(abgroup, "smith_normal_form", _snf_with_a_wrong_diagonal)],
+               [suite.abgroup_battery], raises=True),
+    # dim ker and dim coker change while the index n*(win_dom - win_cod)
+    # of the all-zero block stays right.
+    "conjugate and amplify that return all-zero blocks":
+        Mutant([(fredholm, "conjugate",
+                 lambda g, t, tol=linalg.DEFAULT_TOL: _zero_block(t.n, t.win_dom, t.win_cod)),
+                (fredholm, "amplify",
+                 lambda h, t, tol=linalg.DEFAULT_TOL: _zero_block(
+                     t.n * h.mult, t.win_dom, t.win_cod))],
+               [suite.fredholm_battery], count=20),
 }
 
 
@@ -64,17 +112,19 @@ def _bind_everywhere(monkeypatch, owner, name, fake):
 
 @pytest.mark.parametrize("case", MUTANTS)
 def test_battery_fails_on_a_broken_kernel(monkeypatch, case):
-    owner, name, fake, batteries = MUTANTS[case]
-    assert all(battery(seed=7, count=3)["pass"] for battery in batteries)
-    _bind_everywhere(monkeypatch, owner, name, fake)
-    assert [battery(seed=7, count=3)["pass"] for battery in batteries] == [False] * len(batteries)
+    mutant = MUTANTS[case]
+    assert all(run_battery(battery, seed=7, count=mutant.count)["pass"]
+               for battery in mutant.batteries)
+    for owner, name, fake in mutant.kernels:
+        _bind_everywhere(monkeypatch, owner, name, fake)
+    reports = [run_battery(battery, seed=7, count=mutant.count) for battery in mutant.batteries]
+    assert [(r["pass"], "error" in r) for r in reports] == [(False, mutant.raises)] * len(reports)
 
 
 def test_suite_reports_a_broken_kernel_instead_of_raising(monkeypatch):
     """With kron_stack's factors swapped some batteries raise from their
     generators; run_suite turns each such error into a failing report."""
-    _bind_everywhere(monkeypatch, linalg, "kron_stack",
-                     MUTANTS["kron_stack with the factors swapped"][2])
+    _bind_everywhere(monkeypatch, *MUTANTS["kron_stack with the factors swapped"].kernels[0])
     report = suite.run_suite(seed=7, scale=0.02)
     assert report["pass"] is False
     errors = [b for b in report["batteries"] if "error" in b]

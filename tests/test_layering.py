@@ -15,7 +15,7 @@ import frcalc
 
 SRC = pathlib.Path(frcalc.__file__).parent
 ROOT = SRC.parent.parent
-SEARCHED = ("src", "tests", "perfbench")
+SEARCHED = ("src", "perfbench")
 KERNEL_MODULE = "linalg.py"
 BANNED = {"einsum", "kron"}
 
