@@ -235,11 +235,12 @@ def relative_centralizer(a_mats, b: Subalgebra, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def commutation_defect(a: Subalgebra, z: Subalgebra) -> float:
-    worst = 0.0
-    for x in a.basis:
-        for y in z.basis:
-            worst = max(worst, max_abs(x @ y - y @ x))
-    return worst
+    """Largest entry of [x, y] over the basis elements x of a and y of z;
+    0 when either basis is empty."""
+    if not a.dim or not z.dim:
+        return 0.0
+    x, y = np.asarray(a.basis), np.asarray(z.basis)
+    return max_abs(pair_products(x, y) - pair_products(y, x).swapaxes(0, 1))
 
 
 def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:

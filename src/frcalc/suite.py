@@ -1,107 +1,56 @@
-"""Property batteries over seeded random data.
-
-Each battery returns a plain dict {"name", "pass", "residuals"} whose
-residuals are worst cases over the whole batch; the CLI `suite` verb and
-the acceptance tests both run through these, so a battery is the single
-source of truth for its check.
-"""
+"""Property batteries over seeded random data, declared once each in
+``BATTERIES``.  ``run_battery`` turns an entry into a plain report
+{"name", "pass", "residuals", "thresholds"} whose residuals are worst
+cases over the whole batch; ``run_suite``, the CLI ``suite`` verb, the
+acceptance tests and the kernel mutation tests all run through it."""
 
 from __future__ import annotations
 
-import inspect
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import max_abs, random_unitary, subspace_distance
-from .frames import (
-    conjugate_frame,
-    dot,
-    frames_close,
-    matrix_unit_frame,
-    pi1,
-    pi2,
-    random_frame,
-    tensor_frame,
-    trivial_frame,
-    verify_frame,
-)
-from .homspace import (
-    StarHom,
-    block_scalar_deviation,
-    compose_phi,
-    compose_plain,
-    ev,
-    intertwiner,
-    intertwiner_residual,
-    iota,
-    push_frame,
-    random_hom,
-)
-from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
-from .catverify import (
-    NerveChain,
-    bundle_face,
-    check_associativity,
-    check_identity_embedding,
-    check_naturality,
-    check_tau,
-    fr_map,
-    make_c_morphism,
-    nerve_degeneracy,
-    nerve_face,
-)
+from .abgroup import (AbGroupPresentation, GroupHom, cokernel, kernel, localize,
+                      sequential_colimit, smith_normal_form)
+from .catverify import (NerveChain, bundle_face, check_associativity, check_identity_embedding,
+                        check_naturality, check_tau, fr_map, make_c_morphism, nerve_degeneracy,
+                        nerve_face)
+from .frames import (conjugate_frame, dot, frames_close, matrix_unit_frame, pi1, pi2,
+                     random_frame, tensor_frame, trivial_frame, verify_frame)
 from .fredholm import amplify, conjugate, kernel_cokernel_dims, localize_index
-from .abgroup import (
-    AbGroupPresentation,
-    GroupHom,
-    cokernel,
-    kernel,
-    localize,
-    sequential_colimit,
-    smith_normal_form,
-)
-from .generators import (
-    MorphismConfig,
-    random_c_morphism,
-    random_d_morphism,
-    random_fredholm,
-    random_source_frame,
-)
+from .generators import (MorphismConfig, random_c_morphism, random_d_morphism, random_fredholm,
+                         random_source_frame)
+from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
+from .homspace import (StarHom, block_scalar_deviation, compose_phi, compose_plain, ev,
+                       intertwiner, intertwiner_residual, iota, push_frame, random_hom)
+from .linalg import max_abs, random_unitary, subspace_distance
 
 
-def _report(name, residuals, thresholds):
-    ok = all(residuals[k] <= thresholds[k] for k in residuals)
-    return {"name": name, "pass": bool(ok), "residuals": residuals,
-            "thresholds": thresholds}
-
-
-def frame_axioms_battery(seed=7, count=200, pairs=((2, 3), (3, 2), (2, 5))):
+def _frame_axioms(seed, count):
     worst = 0.0
-    for k, l in pairs:
+    for k, l in ((2, 3), (3, 2), (2, 5)):
         for i in range(count):
             fr = random_frame(k, k * l, seed * 1_000_003 + 97 * i + k * 13 + l)
             worst = max(worst, verify_frame(fr).max_error)
-    return _report("frame_axioms", {"max_axiom_error": worst},
-                   {"max_axiom_error": 1e-9})
+    return {"max_axiom_error": worst}
 
 
-def reconstruction_battery(seed=7, count=200, splits=((2, 2), (2, 3), (3, 2))):
+def _reconstruction(seed, count):
     worst = 0.0
-    for d1, d2 in splits:
+    for d1, d2 in ((2, 2), (2, 3), (3, 2)):
         for i in range(count):
             beta = random_frame(d1 * d2, d1 * d2 * 2, seed * 999_983 + 31 * i + d1 + 7 * d2)
             rebuilt = dot(pi1(beta, d1), pi2(beta, d1))
             worst = max(worst, frames_close(rebuilt, beta))
-    return _report("reconstruction", {"max_entry_error": worst},
-                   {"max_entry_error": 1e-9})
+    return {"max_entry_error": worst}
 
 
-def intertwiner_battery(seed=7, count=100, pairs=((2, 3), (3, 2), (2, 5))):
+def _intertwiner(seed, count):
     worst_res, worst_coset = 0.0, 0.0
-    for k, l in pairs:
+    for k, l in ((2, 3), (3, 2), (2, 5)):
         for i in range(count):
             s = seed * 7_368_787 + 101 * i + 17 * k + l
             v = random_unitary(k * l, s)
@@ -109,29 +58,21 @@ def intertwiner_battery(seed=7, count=100, pairs=((2, 3), (3, 2), (2, 5))):
             u = intertwiner(h)
             worst_res = max(worst_res, intertwiner_residual(h, u))
             # v is a second, independently known intertwiner of h.
-            worst_coset = max(worst_coset,
-                              block_scalar_deviation(v.conj().T @ u, k, l))
-    return _report("intertwiner",
-                   {"residual": worst_res, "coset_deviation": worst_coset},
-                   {"residual": 1e-8, "coset_deviation": 1e-7})
+            worst_coset = max(worst_coset, block_scalar_deviation(v.conj().T @ u, k, l))
+    return {"residual": worst_res, "coset_deviation": worst_coset}
 
 
-def centralizer_battery(seed=7, count=100, k=2, l=3):
-    bad_dim = 0
-    worst_dist = 0.0
+def _centralizer(seed, count):
+    k, l = 2, 3
+    bad_dim, worst_dist = 0, 0.0
     for i in range(count):
         a = lambda_map(random_frame(k, k * l, seed * 2_750_159 + 53 * i))
         z = centralizer(a)
         if z.dim != l * l:
             bad_dim += 1
         zz = centralizer(z)
-        worst_dist = max(worst_dist,
-                         subspace_distance(list(zz.basis), list(a.basis)))
-    return _report("centralizer",
-                   {"wrong_dimension_count": float(bad_dim),
-                    "double_centralizer_distance": worst_dist},
-                   {"wrong_dimension_count": 0.0,
-                    "double_centralizer_distance": 1e-8})
+        worst_dist = max(worst_dist, subspace_distance(list(zz.basis), list(a.basis)))
+    return {"wrong_dimension_count": float(bad_dim), "double_centralizer_distance": worst_dist}
 
 
 _NAT_CONFIGS = [
@@ -143,7 +84,7 @@ _NAT_CONFIGS = [
 ]
 
 
-def naturality_battery(seed=7, count=100):
+def _naturality(seed, count):
     worst_square, worst_witness = 0.0, 0.0
     for i in range(count):
         cfg_f, cfg_g = _NAT_CONFIGS[i % len(_NAT_CONFIGS)]
@@ -155,12 +96,10 @@ def naturality_battery(seed=7, count=100):
         sq, wit = check_naturality(fd, gd, ap, pp)
         worst_square = max(worst_square, sq)
         worst_witness = max(worst_witness, wit)
-    return _report("naturality",
-                   {"square_residual": worst_square, "witness_residual": worst_witness},
-                   {"square_residual": 1e-8, "witness_residual": 1e-8})
+    return {"square_residual": worst_square, "witness_residual": worst_witness}
 
 
-def diagrams_battery(seed=7, count=50):
+def _coherence_diagrams(seed, count):
     worst_assoc, worst_ident, worst_tau = 0.0, 0.0, 0.0
     for i in range(count):
         s = seed * 32_452_843 + 307 * i
@@ -170,10 +109,7 @@ def diagrams_battery(seed=7, count=50):
             a, random_frame(2, 4, s + 2), random_frame(1, 2, s + 3)))
         worst_ident = max(worst_ident, check_identity_embedding(b))
         worst_tau = max(worst_tau, check_tau(a, b))
-    return _report("coherence_diagrams",
-                   {"associativity": worst_assoc, "identity": worst_ident,
-                    "tau": worst_tau},
-                   {"associativity": 0.0, "identity": 1e-9, "tau": 1e-9})
+    return {"associativity": worst_assoc, "identity": worst_ident, "tau": worst_tau}
 
 
 _ZT_CONFIGS = [
@@ -183,7 +119,7 @@ _ZT_CONFIGS = [
 ]
 
 
-def centralizer_tensor_battery(seed=7, count=25):
+def _centralizer_tensor(seed, count):
     worst = 0.0
     for i in range(count):
         cfg_f, cfg_g = _ZT_CONFIGS[i % len(_ZT_CONFIGS)]
@@ -192,11 +128,11 @@ def centralizer_tensor_battery(seed=7, count=25):
         gd = random_d_morphism(cfg_g, s + 60)
         _, dist = centralizer_tensor_check(fd.f, gd.f, fd.a, fd.b, gd.a, gd.b)
         worst = max(worst, dist)
-    return _report("centralizer_tensor", {"subspace_distance": worst},
-                   {"subspace_distance": 1e-8})
+    return {"subspace_distance": worst}
 
 
-def ev_composition_battery(seed=7, count=100, k=2, l=3):
+def _ev_composition(seed, count):
+    k, l = 2, 3
     worst = 0.0
     rng = np.random.default_rng(seed + 424242)
     for i in range(count):
@@ -207,13 +143,12 @@ def ev_composition_battery(seed=7, count=100, k=2, l=3):
         composed = compose_phi(h2, h1)
         stepped = ev(iota(h2, h1.dst // h2.src), ev(h1, t))
         worst = max(worst, max_abs(ev(composed, t) - stepped))
-    return _report("ev_composition", {"max_entry_error": worst},
-                   {"max_entry_error": 1e-9})
+    return {"max_entry_error": worst}
 
 
-def fredholm_battery(seed=7, count=100, k=2, l=3):
-    conj_violations = 0
-    amp_violations = 0
+def _fredholm_index(seed, count):
+    k, l = 2, 3
+    conj_violations, amp_violations = 0, 0
     for i in range(count):
         s = seed * 67_867_967 + 601 * i
         t = random_fredholm(k, 3, 2, s, deficiency=i % 3)
@@ -228,11 +163,8 @@ def fredholm_battery(seed=7, count=100, k=2, l=3):
         stable = localize_index([t, amped], l)
         if stable != Fraction(dim_ker - dim_coker, 1):
             amp_violations += 1
-    return _report("fredholm_index",
-                   {"conjugation_violations": float(conj_violations),
-                    "amplification_violations": float(amp_violations)},
-                   {"conjugation_violations": 0.0,
-                    "amplification_violations": 0.0})
+    return {"conjugation_violations": float(conj_violations),
+            "amplification_violations": float(amp_violations)}
 
 
 def _random_chain(seed: int, length: int) -> NerveChain:
@@ -251,10 +183,8 @@ def _chain_residual(c1: NerveChain, c2: NerveChain) -> float:
     return worst
 
 
-def nerve_battery(seed=7, count=50):
-    worst_simplicial = 0.0
-    worst_bundle = 0.0
-    worst_degeneracy = 0.0
+def _nerve(seed, count):
+    worst_simplicial, worst_bundle, worst_degeneracy = 0.0, 0.0, 0.0
     rng = np.random.default_rng(seed + 555)
     for i in range(count):
         s = seed * 23_456_789 + 701 * i
@@ -268,8 +198,7 @@ def nerve_battery(seed=7, count=50):
         # Degeneracy: adjacent face undoes the identity insertion.
         for j in range(length + 1):
             degen = nerve_degeneracy(j, chain)
-            worst_degeneracy = max(worst_degeneracy,
-                                   _chain_residual(nerve_face(j, degen), chain))
+            worst_degeneracy = max(worst_degeneracy, _chain_residual(nerve_face(j, degen), chain))
         # Bundle faces: stepwise evaluation agrees with composed evaluation.
         n0 = chain.homs[0].src
         t = rng.standard_normal((n0, n0)) + 1j * rng.standard_normal((n0, n0))
@@ -281,16 +210,11 @@ def nerve_battery(seed=7, count=50):
         worst_bundle = max(worst_bundle, max_abs(stepwise - composed))
         _, t_kept = bundle_face(2, two, t)
         worst_bundle = max(worst_bundle, max_abs(t_kept - t))
-    return _report("nerve",
-                   {"simplicial_identity": worst_simplicial,
-                    "bundle_compatibility": worst_bundle,
-                    "degeneracy_roundtrip": worst_degeneracy},
-                   {"simplicial_identity": 1e-9,
-                    "bundle_compatibility": 1e-9,
-                    "degeneracy_roundtrip": 0.0})
+    return {"simplicial_identity": worst_simplicial, "bundle_compatibility": worst_bundle,
+            "degeneracy_roundtrip": worst_degeneracy}
 
 
-def functoriality_battery(seed=7, count=50):
+def _fr_functoriality(seed, count):
     """fr_map respects composition of frame-condition morphisms."""
     worst = 0.0
     for i in range(count):
@@ -304,10 +228,8 @@ def functoriality_battery(seed=7, count=50):
         gd = make_c_morphism(g, fd.dst_frame, delta)
         composed = make_c_morphism(compose_plain(g, fd.f), fd.src_frame, delta)
         ap = random_source_frame(MorphismConfig(2, 1, 2, 2), s + 5)
-        worst = max(worst, frames_close(fr_map(composed, ap),
-                                        fr_map(gd, fr_map(fd, ap))))
-    return _report("fr_functoriality", {"max_entry_error": worst},
-                   {"max_entry_error": 1e-8})
+        worst = max(worst, frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap))))
+    return {"max_entry_error": worst}
 
 
 def _gcd_minors_factors(m):
@@ -342,7 +264,7 @@ def _int_det(m):
     return total
 
 
-def abgroup_battery(seed=7, count=200):
+def _abgroup(seed, count):
     rng = np.random.default_rng(seed + 99)
     snf_failures = 0
     for _ in range(count):
@@ -381,47 +303,81 @@ def abgroup_battery(seed=7, count=200):
 
     loc_ok = localize(AbGroupPresentation.cyclic(12), 2).canonical() == ([3], 0)
 
-    return _report("abgroup",
-                   {"snf_failures": float(snf_failures),
-                    "coker_ker_failures": 0.0 if coker_ok else 1.0,
-                    "colimit_failures": 0.0 if colim_ok else 1.0,
-                    "localize_failures": 0.0 if loc_ok else 1.0},
-                   {"snf_failures": 0.0, "coker_ker_failures": 0.0,
-                    "colimit_failures": 0.0, "localize_failures": 0.0})
+    return {"snf_failures": float(snf_failures),
+            "coker_ker_failures": 0.0 if coker_ok else 1.0,
+            "colimit_failures": 0.0 if colim_ok else 1.0,
+            "localize_failures": 0.0 if loc_ok else 1.0}
 
 
-ALL_BATTERIES = [
-    frame_axioms_battery,
-    reconstruction_battery,
-    intertwiner_battery,
-    centralizer_battery,
-    naturality_battery,
-    diagrams_battery,
-    centralizer_tensor_battery,
-    ev_composition_battery,
-    fredholm_battery,
-    nerve_battery,
-    functoriality_battery,
-    abgroup_battery,
-]
+class Battery(NamedTuple):
+    """One seeded battery.  ``sample(seed, count)`` returns the worst
+    residuals over ``count`` samples; each must be at most its entry of
+    ``thresholds``.  ``criterion`` is the acceptance criterion the
+    battery checks (None if no criterion names it) and ``budget_s`` its
+    runtime budget there, at the default ``count``."""
+
+    criterion: int | None
+    name: str
+    count: int
+    budget_s: float
+    thresholds: dict
+    sample: Callable
 
 
-def run_battery(battery, seed, count):
-    """Run one battery on ``count`` samples.  A battery whose computation
-    raises reports ``pass: False`` with the error instead of raising."""
+BATTERIES = (
+    Battery(1, "frame_axioms", 200, 5.0, {"max_axiom_error": 1e-9}, _frame_axioms),
+    Battery(2, "reconstruction", 200, 5.0, {"max_entry_error": 1e-9}, _reconstruction),
+    Battery(3, "intertwiner", 100, 10.0, {"residual": 1e-8, "coset_deviation": 1e-7},
+            _intertwiner),
+    Battery(4, "centralizer", 100, 10.0,
+            {"wrong_dimension_count": 0.0, "double_centralizer_distance": 1e-8}, _centralizer),
+    Battery(5, "naturality", 100, 20.0, {"square_residual": 1e-8, "witness_residual": 1e-8},
+            _naturality),
+    Battery(6, "coherence_diagrams", 50, 10.0,
+            {"associativity": 0.0, "identity": 1e-9, "tau": 1e-9}, _coherence_diagrams),
+    Battery(7, "centralizer_tensor", 25, 30.0, {"subspace_distance": 1e-8}, _centralizer_tensor),
+    Battery(8, "ev_composition", 100, 5.0, {"max_entry_error": 1e-9}, _ev_composition),
+    Battery(9, "fredholm_index", 100, 10.0,
+            {"conjugation_violations": 0.0, "amplification_violations": 0.0}, _fredholm_index),
+    Battery(10, "nerve", 50, 10.0,
+            {"simplicial_identity": 1e-9, "bundle_compatibility": 1e-9,
+             "degeneracy_roundtrip": 0.0}, _nerve),
+    Battery(None, "fr_functoriality", 50, 10.0, {"max_entry_error": 1e-8}, _fr_functoriality),
+    Battery(11, "abgroup", 200, 5.0,
+            {"snf_failures": 0.0, "coker_ker_failures": 0.0, "colimit_failures": 0.0,
+             "localize_failures": 0.0}, _abgroup),
+)
+
+
+def run_battery(battery: Battery, seed, count=None):
+    """Report of one battery on ``count`` samples (default
+    ``battery.count``).  A battery whose computation raises reports
+    ``pass: False`` with the error instead of raising."""
+    report = {"name": battery.name, "pass": False, "residuals": {},
+              "thresholds": dict(battery.thresholds)}
     try:
-        return battery(seed=seed, count=count)
+        residuals = battery.sample(seed, battery.count if count is None else count)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        return {"name": battery.__name__, "pass": False, "residuals": {}, "thresholds": {},
-                "error": f"{type(exc).__name__}: {exc}"}
+        return {**report, "error": f"{type(exc).__name__}: {exc}"}
+    ok = all(residuals[k] <= battery.thresholds[k] for k in residuals)
+    return {**report, "pass": bool(ok), "residuals": residuals}
 
 
 def run_suite(seed=7, scale=1.0):
     """Run every battery through ``run_battery``; scale < 1 shrinks the
     per-battery sample counts proportionally (minimum 1)."""
-    results = []
-    for battery in ALL_BATTERIES:
-        default = inspect.signature(battery).parameters["count"].default
-        results.append(run_battery(battery, seed, max(1, int(default * scale))))
+    results = [run_battery(b, seed, max(1, int(b.count * scale))) for b in BATTERIES]
     return {"seed": seed, "pass": all(r["pass"] for r in results),
             "batteries": results}
+
+
+def _keyword_battery(battery: Battery):
+    def run(seed=7, count=battery.count):
+        return run_battery(battery, seed, count)
+    return run
+
+
+# The benchmark calls these as f(seed=..., count=...) and reads the
+# default count from their signatures; remove at its next change, when it
+# iterates BATTERIES instead.
+ALL_BATTERIES = [_keyword_battery(b) for b in BATTERIES]

@@ -1,96 +1,37 @@
-"""Acceptance battery: one test per criterion, each printing a single
-PASS/FAIL line with its pinned tolerance and runtime budget."""
+"""Acceptance battery: one test per entry of ``frcalc.suite.BATTERIES``
+at its default count, with the entry's thresholds and runtime budget,
+each printing a single PASS/FAIL line; a new table entry gets its test
+here without further code.  Criterion 12 runs the CLI suite twice."""
 
 import json
 import time
 
 from frcalc.cli import run
-from frcalc.suite import (
-    abgroup_battery,
-    centralizer_battery,
-    centralizer_tensor_battery,
-    diagrams_battery,
-    ev_composition_battery,
-    frame_axioms_battery,
-    fredholm_battery,
-    intertwiner_battery,
-    naturality_battery,
-    nerve_battery,
-    reconstruction_battery,
-)
+from frcalc.suite import BATTERIES, run_battery
 
 SEED = 7
 
 
-def _check(capsys, num, label, battery, budget_s, **kwargs):
-    start = time.monotonic()
-    report = battery(seed=SEED, **kwargs)
-    elapsed = time.monotonic() - start
-    ok = report["pass"] and elapsed < budget_s
-    detail = ", ".join(f"{k}={v:.3g}" for k, v in report["residuals"].items())
-    with capsys.disabled():
-        print(f"criterion {num:2d} {label}: {'PASS' if ok else 'FAIL'} "
-              f"({detail}; {elapsed:.1f}s of {budget_s}s budget)", flush=True)
-    assert report["pass"], report
-    assert elapsed < budget_s, f"runtime {elapsed:.1f}s exceeds {budget_s}s"
+def _acceptance_test(battery):
+    def test(capsys):
+        start = time.monotonic()
+        report = run_battery(battery, SEED)
+        elapsed = time.monotonic() - start
+        ok = report["pass"] and elapsed < battery.budget_s
+        detail = ", ".join(f"{k}={v:.3g}" for k, v in report["residuals"].items())
+        label = f"criterion {battery.criterion:2d}" if battery.criterion else "battery     "
+        with capsys.disabled():
+            print(f"{label} {battery.name.replace('_', '-')}: {'PASS' if ok else 'FAIL'} "
+                  f"({detail}; {elapsed:.1f}s of {battery.budget_s}s budget)", flush=True)
+        assert report["pass"], report
+        assert elapsed < battery.budget_s, f"runtime {elapsed:.1f}s exceeds {battery.budget_s}s"
+    return test
 
 
-def test_criterion_01_frame_axioms(capsys):
-    # 200 frames per (k,l) pair, residual <= 1e-9, < 5 s
-    _check(capsys, 1, "frame-axioms", frame_axioms_battery, 5.0,
-           count=200, pairs=((2, 3), (3, 2), (2, 5)))
-
-
-def test_criterion_02_reconstruction(capsys):
-    # entrywise <= 1e-9 on 200 frames per split, < 5 s
-    _check(capsys, 2, "reconstruction", reconstruction_battery, 5.0,
-           count=200, splits=((2, 2), (2, 3), (3, 2)))
-
-
-def test_criterion_03_intertwiner(capsys):
-    # residual <= 1e-8, coset block-scalar deviation <= 1e-7, < 10 s
-    _check(capsys, 3, "intertwiner", intertwiner_battery, 10.0,
-           count=100, pairs=((2, 3), (3, 2), (2, 5)))
-
-
-def test_criterion_04_centralizer(capsys):
-    # dim l^2 and double-centralizer distance <= 1e-8, < 10 s
-    _check(capsys, 4, "centralizer", centralizer_battery, 10.0, count=100, k=2, l=3)
-
-
-def test_criterion_05_naturality(capsys):
-    # square and witness residuals <= 1e-8 on 100 pairs, < 20 s
-    _check(capsys, 5, "naturality", naturality_battery, 20.0, count=100)
-
-
-def test_criterion_06_diagrams(capsys):
-    # associativity exactly 0, identity and swap <= 1e-9, 50 each, < 10 s
-    _check(capsys, 6, "coherence-diagrams", diagrams_battery, 10.0, count=50)
-
-
-def test_criterion_07_centralizer_tensor(capsys):
-    # subspace distance <= 1e-8 on 25 instances, < 30 s
-    _check(capsys, 7, "centralizer-tensor", centralizer_tensor_battery, 30.0, count=25)
-
-
-def test_criterion_08_ev_composition(capsys):
-    # entrywise <= 1e-9 on 100 triples, < 5 s
-    _check(capsys, 8, "ev-composition", ev_composition_battery, 5.0, count=100)
-
-
-def test_criterion_09_fredholm(capsys):
-    # conjugation invariance and x l amplification exact, 100 seeds, < 10 s
-    _check(capsys, 9, "fredholm-index", fredholm_battery, 10.0, count=100)
-
-
-def test_criterion_10_nerve(capsys):
-    # simplicial identities and bundle compatibility, 50 seeds, < 10 s
-    _check(capsys, 10, "nerve", nerve_battery, 10.0, count=50)
-
-
-def test_criterion_11_abgroup(capsys):
-    # SNF oracle, coker/ker enumeration shapes, colimits, < 5 s
-    _check(capsys, 11, "abgroup", abgroup_battery, 5.0, count=200)
+# Named test_criterion_NN_<name> (test_battery_<name> without a criterion).
+for _battery in BATTERIES:
+    _prefix = f"criterion_{_battery.criterion:02d}" if _battery.criterion else "battery"
+    globals()[f"test_{_prefix}_{_battery.name}"] = _acceptance_test(_battery)
 
 
 def test_criterion_12_determinism(capsys):

@@ -20,13 +20,11 @@ from frcalc.frames import (
     Frame,
     frames_close,
     matrix_unit_frame,
-    pi1,
     random_frame,
-    tensor_frame,
     verify_frame,
 )
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
-from frcalc.homspace import basepoint_hom, compose_plain, ev, identity_hom, random_hom
+from frcalc.homspace import compose_plain, ev, identity_hom, random_hom
 from frcalc.linalg import max_abs
 
 

@@ -6,7 +6,7 @@ import pytest
 from frcalc.fredholm import DeskFredholm, amplify, conjugate, index, localize_index
 from frcalc.generators import random_fredholm
 from frcalc.homspace import random_hom
-from frcalc.linalg import Tolerance, numerical_rank, random_unitary
+from frcalc.linalg import numerical_rank, random_unitary
 
 
 def _shift_block(win_dom, win_cod):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frcalc.frames import conjugate_frame, frames_close, matrix_unit_frame, random_frame
+from frcalc.frames import conjugate_frame, matrix_unit_frame, random_frame
 from frcalc.grassmannian import (
     Subalgebra,
     centralizer,
@@ -222,6 +222,30 @@ def test_centralizer_matches_direct_gram_reference(kind, data):
     q = vectorize(list(z.basis))
     assert max_abs(q.conj().T @ q - np.eye(z.dim)) <= 1e-12
     assert commutation_defect(a, z) <= 1e-13
+
+
+def _loop_commutation_defect(a, z):
+    worst = 0.0
+    for x in a.basis:
+        for y in z.basis:
+            worst = max(worst, max_abs(x @ y - y @ x))
+    return worst
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(kl=st.sampled_from([(1, 5), (2, 3), (2, 12), (3, 4), (4, 2)]), seed=_SEED,
+       random_z=st.booleans())
+def test_commutation_defect_matches_the_basis_loop(kl, seed, random_z):
+    k, l = kl
+    a = lambda_map(random_frame(k, k * l, seed))
+    if random_z:
+        rng = np.random.default_rng(seed)
+        z = Subalgebra(k * l, tuple(rng.standard_normal((3, k * l, k * l)) * (1 + 1j)))
+    else:
+        z = centralizer(a)
+    assert commutation_defect(a, z) == _loop_commutation_defect(a, z)
+    assert commutation_defect(a, Subalgebra(k * l, ())) == 0.0
+    assert commutation_defect(Subalgebra(k * l, ()), z) == 0.0
 
 
 def test_extract_frame_roundtrip():

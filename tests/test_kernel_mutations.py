@@ -1,7 +1,9 @@
 """Every contraction kernel of ``frcalc.linalg``, every commutant
-kernel of ``frcalc.grassmannian`` and the kernels behind criteria 2, 3,
-9 and 11 are guarded by a battery: with a deliberately wrong kernel
-bound in every frcalc module, that battery reports ``pass: False``."""
+kernel of ``frcalc.grassmannian`` and a kernel behind each of criteria
+1-11 are guarded by a battery of ``frcalc.suite.BATTERIES``: with a
+deliberately wrong kernel bound in every frcalc module, that battery
+reports ``pass: False`` under the name and thresholds of its passing
+report."""
 
 import inspect
 import sys
@@ -12,12 +14,14 @@ import numpy as np
 import pytest
 
 import frcalc
-from frcalc import abgroup, fredholm, frames, grassmannian, homspace, linalg, suite
-from frcalc.suite import run_battery
+from frcalc import abgroup, catverify, fredholm, frames, grassmannian, homspace, linalg, suite
+from frcalc.suite import BATTERIES, run_battery
 
 apply_frame, kron_stack = linalg.apply_frame, linalg.kron_stack
 centralizer = grassmannian.centralizer
 pi2, smith_normal_form = frames.pi2, abgroup.smith_normal_form
+ev = homspace.ev
+BY_NAME = {battery.name: battery for battery in BATTERIES}
 
 GRAM_CONJ_TERM = "gram -= t + t.conj().T"
 
@@ -48,9 +52,9 @@ def _zero_block(n, win_dom, win_cod):
 
 class Mutant(NamedTuple):
     """Wrong kernels, as (owner module, name, replacement), and the
-    batteries that must fail on ``count`` samples once they are bound:
-    by reporting ``pass: False``, or, when ``raises``, by raising, which
-    ``run_battery`` reports as a failure with the error."""
+    names of the batteries that must fail on ``count`` samples once they
+    are bound: by reporting ``pass: False``, or, when ``raises``, by
+    raising, which ``run_battery`` reports as a failure with the error."""
 
     kernels: list
     batteries: list
@@ -61,35 +65,35 @@ class Mutant(NamedTuple):
 MUTANTS = {
     "pair_products with the factors swapped":
         Mutant([(linalg, "pair_products", lambda a, b: b[None] @ a[:, None])],
-               [suite.frame_axioms_battery]),
+               ["frame_axioms"]),
     "conjugate without the conjugation":
         Mutant([(linalg, "conjugate", lambda u, mats: u @ mats @ u.T)],
-               [suite.frame_axioms_battery]),
+               ["frame_axioms"]),
     "apply_frame with the contracted index pair transposed":
         Mutant([(linalg, "apply_frame",
                  lambda coeffs, mats: apply_frame(np.swapaxes(coeffs, -1, -2), mats))],
-               [suite.nerve_battery]),
+               ["nerve"]),
     "kron_stack with the factors swapped":
         Mutant([(linalg, "kron_stack", lambda a, b: kron_stack(b, a))],
-               [suite.diagrams_battery]),
+               ["coherence_diagrams"]),
     "commutant Gram without the conj(T[q, p]) term":
         Mutant([(grassmannian, "_full_commutant", _full_commutant_without_conj_t())],
-               [suite.centralizer_battery, suite.centralizer_tensor_battery]),
+               ["centralizer", "centralizer_tensor"]),
     "centralizer that drops its last basis element":
         Mutant([(grassmannian, "centralizer",
                  lambda a, tol=linalg.DEFAULT_TOL: grassmannian.Subalgebra(
                      a.ambient, centralizer(a, tol).basis[:-1]))],
-               [suite.centralizer_battery]),
+               ["centralizer"]),
     "pi1 that reads the first factor from the trailing digit":
         Mutant([(frames, "pi1", lambda beta, d1: pi2(beta, beta.d // d1))],
-               [suite.reconstruction_battery], raises=True),
+               ["reconstruction"], raises=True),
     "intertwiner that returns the identity":
         Mutant([(homspace, "intertwiner",
                  lambda h, tol=linalg.DEFAULT_TOL: np.eye(h.dst, dtype=complex))],
-               [suite.intertwiner_battery]),
+               ["intertwiner"]),
     "Smith normal form with a wrong diagonal":
         Mutant([(abgroup, "smith_normal_form", _snf_with_a_wrong_diagonal)],
-               [suite.abgroup_battery], raises=True),
+               ["abgroup"], raises=True),
     # dim ker and dim coker change while the index n*(win_dom - win_cod)
     # of the all-zero block stays right.
     "conjugate and amplify that return all-zero blocks":
@@ -98,7 +102,13 @@ MUTANTS = {
                 (fredholm, "amplify",
                  lambda h, t, tol=linalg.DEFAULT_TOL: _zero_block(
                      t.n * h.mult, t.win_dom, t.win_cod))],
-               [suite.fredholm_battery], count=20),
+               ["fredholm_index"], count=20),
+    "ev evaluating at the transpose":
+        Mutant([(homspace, "ev", lambda h, t: ev(h, np.transpose(t)))],
+               ["ev_composition"]),
+    "naturality square compared without the tensor-to-dot relabelling":
+        Mutant([(catverify, "_tensor_to_dot_order", lambda frame, d_parts: frame)],
+               ["naturality"]),
 }
 
 
@@ -113,12 +123,20 @@ def _bind_everywhere(monkeypatch, owner, name, fake):
 @pytest.mark.parametrize("case", MUTANTS)
 def test_battery_fails_on_a_broken_kernel(monkeypatch, case):
     mutant = MUTANTS[case]
-    assert all(run_battery(battery, seed=7, count=mutant.count)["pass"]
-               for battery in mutant.batteries)
+    batteries = [BY_NAME[name] for name in mutant.batteries]
+    passing = [run_battery(battery, seed=7, count=mutant.count) for battery in batteries]
+    assert all(r["pass"] for r in passing)
     for owner, name, fake in mutant.kernels:
         _bind_everywhere(monkeypatch, owner, name, fake)
-    reports = [run_battery(battery, seed=7, count=mutant.count) for battery in mutant.batteries]
+    reports = [run_battery(battery, seed=7, count=mutant.count) for battery in batteries]
     assert [(r["pass"], "error" in r) for r in reports] == [(False, mutant.raises)] * len(reports)
+    assert [(r["name"], r["thresholds"]) for r in reports] == \
+        [(r["name"], r["thresholds"]) for r in passing]
+
+
+def test_every_criterion_has_a_mutant():
+    guarded = {BY_NAME[name].criterion for mutant in MUTANTS.values() for name in mutant.batteries}
+    assert {battery.criterion for battery in BATTERIES} - {None} <= guarded
 
 
 def test_suite_reports_a_broken_kernel_instead_of_raising(monkeypatch):
@@ -129,3 +147,5 @@ def test_suite_reports_a_broken_kernel_instead_of_raising(monkeypatch):
     assert report["pass"] is False
     errors = [b for b in report["batteries"] if "error" in b]
     assert errors and all(b["pass"] is False and b["error"] for b in errors)
+    assert [(b["name"], b["thresholds"]) for b in report["batteries"]] == \
+        [(b.name, b.thresholds) for b in BATTERIES]

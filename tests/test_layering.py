@@ -4,7 +4,8 @@ every other module contracts through those kernels.  Every public
 function or method of the package is named somewhere in the source, the
 tests or the benchmark, so no public API is dead.  And the package holds
 no ``assert`` statement: ``python -O`` strips them, so runtime checks are
-written as ``if ...: raise``."""
+written as ``if ...: raise``.  No module of the package or the tests
+imports a name it does not use."""
 
 import ast
 import pathlib
@@ -16,6 +17,7 @@ import frcalc
 SRC = pathlib.Path(frcalc.__file__).parent
 ROOT = SRC.parent.parent
 SEARCHED = ("src", "perfbench")
+IMPORT_CHECKED = ("src", "tests")
 KERNEL_MODULE = "linalg.py"
 BANNED = {"einsum", "kron"}
 
@@ -126,3 +128,43 @@ def test_assert_guard_sees_asserts():
 def test_no_assert_in_the_package():
     found = {p.name: assert_lines(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unused_imports(source: str):
+    """(line, name) of every name a module binds by an import but never
+    reads as a bare name; ``from __future__`` imports are directives, not
+    names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.asname or a.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported.setdefault(a.asname or a.name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("snippet", [
+    "import numpy as np\n",
+    "import os.path\n",
+    "from m import a, b as c\nx = a\n",
+    "def f():\n    from m import a\n    return 1\n",
+    "import numpy as np\nx = 'np'\ny = obj.np\n",
+])
+def test_import_guard_sees_unused_imports(snippet):
+    assert unused_imports(snippet)
+
+
+def test_import_guard_ignores_used_imports():
+    assert unused_imports("from __future__ import annotations\nimport os.path\n"
+                          "import numpy as np\nfrom m import a, b as c\n"
+                          "def f(x: c) -> np.ndarray:\n    return os.path.join(a)\n") == []
+
+
+def test_no_unused_imports():
+    found = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
+             for top in IMPORT_CHECKED for path in sorted((ROOT / top).rglob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
