@@ -19,11 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import abgroup, catverify, frames, fredholm, generators, grassmannian, homspace
 from .config import UsageError, load_settings
-from .serialize import (FormatError, chain_from_json, chain_to_json, dump_json, frame_from_json,
-                        frame_to_json, fredholm_from_json, fredholm_to_json, group_from_json,
-                        group_to_json, grouphom_from_json, hom_from_json, hom_to_json,
-                        int_matrix_from_json, load_json, matrix_from_json, matrix_to_json,
-                        subalgebra_from_json, subalgebra_to_json)
+from .serialize import CODECS, FormatError, decode, dump_json, load_json
 from .suite import run_suite
 
 
@@ -31,7 +27,7 @@ class Verb(NamedTuple):
     """One CLI verb.  ``flags`` lists ``--flag kind`` pairs; a kind is
     ``int``, ``size`` (a positive int: a size, degree or multiplicity),
     ``float``, ``seed`` (a non-negative int that defaults to the config
-    seed) or a codec of ``_CODECS``, whose flag names a JSON file.  A
+    seed) or a kind of ``serialize.CODECS``, whose flag names a JSON file.  A
     kind ending in ``?`` is optional (None when absent); ``kind=value``
     has a default.  ``out`` names the codec of the ``--out`` payload.
     ``body(tol, *decoded flag values)`` returns (pass, residuals, result,
@@ -56,40 +52,6 @@ def _flags(spec):
         base = kind.rstrip("?")
         required = kind == base and not has_default and base != "seed"
         yield flag, base, required, _TYPES[base](default) if has_default else None
-
-
-def _bundle_from_json(obj):
-    f, g = (catverify.make_c_morphism(hom_from_json(obj[k]["hom"]),
-                                      frame_from_json(obj[k]["src_frame"]),
-                                      frame_from_json(obj[k]["dst_frame"])) for k in "fg")
-    return f, g, frame_from_json(obj["alpha_prime"]), frame_from_json(obj["phi_prime"])
-
-
-def _colimit_from_json(obj):
-    groups = [group_from_json(g) for g in obj["groups"]]
-    if len(obj["maps"]) != len(groups) - 1:
-        raise FormatError("a colimit chain needs one map between each pair of groups")
-    return groups, [abgroup.GroupHom.from_rows(groups[i], groups[i + 1], rows)
-                    for i, rows in enumerate(obj["maps"])]
-
-
-# kind -> (decode a parsed JSON file, encode an --out payload)
-_CODECS = {
-    "frame": (frame_from_json, frame_to_json),
-    "hom": (hom_from_json, hom_to_json),
-    "alg": (subalgebra_from_json, subalgebra_to_json),
-    "matrix": (matrix_from_json, matrix_to_json),
-    "operator": (fredholm_from_json, fredholm_to_json),
-    "operators": (lambda obj: [fredholm_from_json(o) for o in obj], None),
-    "group": (group_from_json, group_to_json),
-    "grouphom": (grouphom_from_json, None),
-    "ints": (int_matrix_from_json, None),
-    "chain": (chain_from_json, chain_to_json),
-    "fiber": (None, lambda p: {"chain": chain_to_json(p[0]), "fiber": matrix_to_json(p[1])}),
-    "bundle": (_bundle_from_json, None),
-    "colimit": (_colimit_from_json, None),
-    "json": (None, lambda obj: obj),
-}
 
 
 def _made(obj):
@@ -156,6 +118,8 @@ def _naturality(tol, bundle, seed):
                   generators.random_c_morphism(cfg, seed + 1),
                   generators.random_source_frame(cfg, seed + 2),
                   generators.random_source_frame(cfg, seed + 3))
+    else:  # the frame condition of f and g, checked here and not when decoding
+        bundle = (*(catverify.make_c_morphism(*parts, tol) for parts in bundle[:2]), *bundle[2:])
     square, witness = catverify.check_naturality(*bundle, tol)
     return square <= 1e-8 and witness <= 1e-8, {"square": square, "witness": witness}, None, None
 
@@ -315,8 +279,8 @@ def _decode(flag, kind, value, settings):
         return settings.seed
     if kind in _LEAST and value is not None and value < _LEAST[kind]:
         raise UsageError(f"{flag} {value} is less than {_LEAST[kind]}")
-    if kind in _CODECS and value is not None:
-        return _CODECS[kind][0](load_json(value))
+    if kind in CODECS and value is not None:
+        return decode(kind, load_json(value))
     return value
 
 
@@ -334,9 +298,9 @@ def run(argv) -> int:
                   for i, (flag, kind, _, _) in enumerate(_flags(verb.flags))]
         passed, residuals, result, payload = verb.body(settings.tol, *values)
         if verb.out and args.out:
-            dump_json(_CODECS[verb.out][1](payload), args.out)
+            dump_json(CODECS[verb.out][1](payload), args.out)
             report["artifacts"].append(args.out)
-    except (FormatError, UsageError, OSError, KeyError, TypeError) as exc:
+    except (FormatError, UsageError, OSError) as exc:
         code, report["error"] = 2, str(exc)
     except (ValueError, ArithmeticError) as exc:
         code, report["error"] = 1, str(exc)

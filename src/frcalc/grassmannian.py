@@ -254,7 +254,7 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
     """
     n = a.ambient
     if d == 1:
-        if a.dim != 1:
+        if a.dim != 1 or subspace_distance([eye(n)], list(a.basis), tol) > 1e-8:
             raise ValueError("not a d-subalgebra")
         return Frame(1, n, eye(n).reshape(1, 1, n, n))
     if a.dim != d * d or n % d != 0:

@@ -89,13 +89,6 @@ def svd_rank(s: np.ndarray, tol: Tolerance) -> int:
     return int(np.sum(s > tol.rank_cutoff * s[0]))
 
 
-def numerical_rank(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    return svd_rank(np.linalg.svd(a, compute_uv=False), tol)
-
-
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary, deterministic for fixed ``(n, seed)``.
 

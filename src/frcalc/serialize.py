@@ -1,8 +1,12 @@
-"""JSON wire formats for every domain type.
+"""JSON wire formats for every domain type, and the one decode boundary.
 
 Matrices: {"rows": N, "cols": M, "entries": [[re, im], ...]} row-major.
 Composite types carry their fields verbatim; see each codec, except
 that a subalgebra is written in a canonical basis of its span.
+
+``CODECS`` maps each kind to its (decode, encode) pair.  The codecs hold
+no error handling: ``decode(kind, obj)`` is the only place that turns an
+error raised on a malformed payload into ``FormatError``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,28 @@ class FormatError(ValueError):
     """Malformed JSON payload for one of the wire formats."""
 
 
+def _int(x, least=None, name="an integer entry"):
+    """x, which must be a JSON integer of at least ``least``."""
+    if type(x) is not int or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be a JSON integer{bound}, not {x!r:.40}")
+    return x
+
+
+def _list(x, name):
+    if not isinstance(x, list):
+        raise ValueError(f"{name} must be a JSON list, not {x!r:.40}")
+    return x
+
+
+def _int_rows(x, name="an integer matrix"):
+    """A rectangular JSON list of rows of integers."""
+    rows = [[_int(v) for v in _list(row, "a row")] for row in _list(x, name)]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{name} is ragged: its rows differ in length")
+    return rows
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
@@ -37,17 +63,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        pairs = np.asarray(obj["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad matrix payload: {exc}") from exc
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if min(rows, cols) < 0 or pairs.shape != (rows * cols, 2):
-        raise FormatError("entries must be rows*cols [re, im] pairs")
-    if pairs.dtype.kind not in "biuf" or not np.all(np.isfinite(pairs)):
-        raise FormatError("matrix entries must be finite numbers")
+    rows, cols = _int(obj["rows"], 0, "rows"), _int(obj["cols"], 0, "cols")
+    entries = _list(obj["entries"], "entries")
+    pairs = np.asarray(entries) if entries else np.zeros((0, 2))
+    if (pairs.shape != (rows * cols, 2) or pairs.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(pairs))):
+        raise ValueError("entries must be rows*cols [re, im] pairs of finite numbers")
     return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(rows, cols)
 
 
@@ -60,17 +81,11 @@ def frame_to_json(fr: Frame) -> dict:
 
 
 def frame_from_json(obj) -> Frame:
-    try:
-        d, ambient = int(obj["d"]), int(obj["ambient"])
-        mats = [matrix_from_json(m) for m in obj["mats"]]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad frame payload: {exc}") from exc
-    if d < 1 or len(mats) != d * d:
-        raise FormatError("frame must contain d^2 matrices")
-    if any(m.shape != (ambient, ambient) for m in mats):
-        raise FormatError(f"frame matrices must be {ambient}x{ambient}")
-    arr = np.stack(mats).reshape(d, d, ambient, ambient)
-    return Frame(d, ambient, arr)
+    d, ambient = _int(obj["d"], 1, "d"), _int(obj["ambient"], 1, "ambient")
+    mats = [matrix_from_json(m) for m in _list(obj["mats"], "mats")]
+    if len(mats) != d * d or any(m.shape != (ambient, ambient) for m in mats):
+        raise ValueError(f"a frame must hold d^2 = {d * d} matrices of size {ambient}x{ambient}")
+    return Frame(d, ambient, np.stack(mats).reshape(d, d, ambient, ambient))
 
 
 def hom_to_json(h: StarHom) -> dict:
@@ -78,10 +93,8 @@ def hom_to_json(h: StarHom) -> dict:
 
 
 def hom_from_json(obj) -> StarHom:
-    try:
-        return StarHom(int(obj["src"]), int(obj["dst"]), frame_from_json(obj["frame"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad hom payload: {exc}") from exc
+    return StarHom(_int(obj["src"], 1, "src"), _int(obj["dst"], 1, "dst"),
+                   frame_from_json(obj["frame"]))
 
 
 def subalgebra_to_json(a: Subalgebra) -> dict:
@@ -99,13 +112,10 @@ def subalgebra_to_json(a: Subalgebra) -> dict:
 
 
 def subalgebra_from_json(obj) -> Subalgebra:
-    try:
-        ambient = int(obj["ambient"])
-        basis = tuple(matrix_from_json(m) for m in obj["basis"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad subalgebra payload: {exc}") from exc
+    ambient = _int(obj["ambient"], 1, "ambient")
+    basis = tuple(matrix_from_json(m) for m in _list(obj["basis"], "basis"))
     if any(m.shape != (ambient, ambient) for m in basis):
-        raise FormatError(f"subalgebra basis matrices must be {ambient}x{ambient}")
+        raise ValueError(f"subalgebra basis matrices must be {ambient}x{ambient}")
     return Subalgebra(ambient, basis)
 
 
@@ -119,11 +129,8 @@ def fredholm_to_json(t: DeskFredholm) -> dict:
 
 
 def fredholm_from_json(obj) -> DeskFredholm:
-    try:
-        return DeskFredholm(int(obj["n"]), int(obj["win_dom"]), int(obj["win_cod"]),
-                            matrix_from_json(obj["finite_part"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad operator payload: {exc}") from exc
+    return DeskFredholm(_int(obj["n"], 1, "n"), _int(obj["win_dom"], 0, "win_dom"),
+                        _int(obj["win_cod"], 0, "win_cod"), matrix_from_json(obj["finite_part"]))
 
 
 def group_to_json(g: AbGroupPresentation) -> dict:
@@ -131,27 +138,23 @@ def group_to_json(g: AbGroupPresentation) -> dict:
 
 
 def group_from_json(obj) -> AbGroupPresentation:
-    try:
-        return AbGroupPresentation.from_rows(int(obj["gens"]), obj["rels"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad group payload: {exc}") from exc
+    return AbGroupPresentation.from_rows(_int(obj["gens"], 0, "gens"),
+                                         _int_rows(obj["rels"], "rels"))
 
 
 def grouphom_from_json(obj) -> GroupHom:
-    try:
-        return GroupHom.from_rows(group_from_json(obj["src"]),
-                                  group_from_json(obj["dst"]), obj["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad group hom payload: {exc}") from exc
+    return GroupHom.from_rows(group_from_json(obj["src"]), group_from_json(obj["dst"]),
+                              _int_rows(obj["matrix"], "matrix"))
 
 
-def int_matrix_from_json(obj) -> list:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise FormatError("expected a JSON list of integer rows")
-    try:
-        return [[int(x) for x in row] for row in obj]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad integer matrix: {exc}") from exc
+def colimit_from_json(obj):
+    """The groups of a chain and the maps between consecutive ones."""
+    groups = [group_from_json(g) for g in _list(obj["groups"], "groups")]
+    maps = _list(obj["maps"], "maps")
+    if len(maps) != len(groups) - 1:
+        raise ValueError("a colimit chain needs one map between each pair of groups")
+    return groups, [GroupHom.from_rows(groups[i], groups[i + 1], _int_rows(rows, "a map"))
+                    for i, rows in enumerate(maps)]
 
 
 def chain_to_json(chain: NerveChain) -> dict:
@@ -159,11 +162,44 @@ def chain_to_json(chain: NerveChain) -> dict:
 
 
 def chain_from_json(obj) -> NerveChain:
+    return NerveChain(tuple(hom_from_json(h) for h in _list(obj["homs"], "homs")))
+
+
+def bundle_from_json(obj):
+    """(hom, source frame, target frame) of f and of g, then alpha' and
+    phi'; the frame condition of f and g is left to the caller."""
+    f, g = ((hom_from_json(obj[k]["hom"]), frame_from_json(obj[k]["src_frame"]),
+             frame_from_json(obj[k]["dst_frame"])) for k in "fg")
+    return f, g, frame_from_json(obj["alpha_prime"]), frame_from_json(obj["phi_prime"])
+
+
+# kind -> (decode a parsed JSON payload, encode a result as one)
+CODECS = {
+    "frame": (frame_from_json, frame_to_json),
+    "hom": (hom_from_json, hom_to_json),
+    "alg": (subalgebra_from_json, subalgebra_to_json),
+    "matrix": (matrix_from_json, matrix_to_json),
+    "operator": (fredholm_from_json, fredholm_to_json),
+    "operators": (lambda obj: [fredholm_from_json(o) for o in _list(obj, "operators")], None),
+    "group": (group_from_json, group_to_json),
+    "grouphom": (grouphom_from_json, None),
+    "ints": (_int_rows, None),
+    "chain": (chain_from_json, chain_to_json),
+    "fiber": (None, lambda p: {"chain": chain_to_json(p[0]), "fiber": matrix_to_json(p[1])}),
+    "bundle": (bundle_from_json, None),
+    "colimit": (colimit_from_json, None),
+    "json": (None, lambda obj: obj),
+}
+
+
+def decode(kind: str, obj):
+    """``obj`` decoded by the codec of ``kind``; whatever the codec raises
+    on a malformed payload becomes one ``FormatError``."""
+    from_json = CODECS[kind][0]
     try:
-        homs = tuple(hom_from_json(h) for h in obj["homs"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad chain payload: {exc}") from exc
-    return NerveChain(homs)
+        return from_json(obj)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad {kind} payload: {type(exc).__name__}: {exc}") from exc
 
 
 def load_json(path: str):

@@ -135,14 +135,20 @@ def _ev_composition(seed, count):
     k, l = 2, 3
     worst = 0.0
     rng = np.random.default_rng(seed + 424242)
+    a, b = np.arange(l)[:, None], np.arange(l)
     for i in range(count):
         s = seed * 86_028_121 + 503 * i
         h1 = random_hom(k, l, s)
         h2 = random_hom(k, l, s + 1)
         t = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         composed = compose_phi(h2, h1)
-        stepped = ev(iota(h2, h1.dst // h2.src), ev(h1, t))
-        worst = max(worst, max_abs(ev(composed, t) - stepped))
+        suspended = iota(h2, h1.dst // h2.src)
+        stepped = ev(suspended, ev(h1, t))
+        # compose_phi is built from iota, so iota(h2, l) is compared exactly with h2 (x) id_l:
+        # entry ((i,a),(j,b)), ((p,c),(q,d)) is h2(e_ij)[p, q] if a = c and b = d, else 0.
+        blocks = suspended.image_frame.mats.reshape(k, l, k, l, k * l, l, k * l, l).copy()
+        blocks[:, a, :, b, :, a, :, b] -= h2.image_frame.mats
+        worst = max(worst, max_abs(ev(composed, t) - stepped), max_abs(blocks))
     return {"max_entry_error": worst}
 
 

@@ -11,8 +11,9 @@ import frcalc
 from frcalc import cli
 from frcalc.cli import run
 from frcalc.config import UsageError, load_settings, parse_config
-from frcalc.frames import matrix_unit_frame
-from frcalc.serialize import dump_json, frame_to_json, load_json
+from frcalc.frames import matrix_unit_frame, random_frame
+from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
+from frcalc.serialize import dump_json, frame_to_json, hom_to_json, load_json
 
 
 def _run(capsys, argv):
@@ -58,19 +59,38 @@ _BAD_FLAGS = {
 }
 
 
+_EYE3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
+                                           for j in range(3)]}
+
+# Malformed input files: (argv with IN for the file, its contents).
+_BAD_FILES = {
+    "frame of the wrong size": ("frame verify --in IN",
+                                {"d": 2, "ambient": 4, "mats": [_EYE3] * 4}),
+    "degree not dividing the ambient size": ("frame verify --in IN",
+                                             {"d": 2, "ambient": 3, "mats": [_EYE3] * 4}),
+    "degree given as a string": ("frame verify --in IN", {"d": "x", "ambient": 3, "mats": [_EYE3]}),
+    "degree given as a float": ("frame verify --in IN", {"d": 1.5, "ambient": 3, "mats": [_EYE3]}),
+    "subalgebra of the wrong size": ("alg centralizer --in IN", {"ambient": 4, "basis": [_EYE3]}),
+    "subalgebra of M_0": ("alg span --in IN", {"ambient": 0, "basis": []}),
+    "subalgebra of M_-1": ("alg span --in IN", {"ambient": -1, "basis": []}),
+    "ragged integer matrix": ("ab snf --in IN", [[1, 2], [3]]),
+    "float in an integer matrix": ("ab snf --in IN", [[1.5]]),
+    "negative generator count": ("ab localize --in IN --l 2", {"gens": -3, "rels": []}),
+    "colimit map of the wrong shape": ("ab colim --file IN --invert 3",
+                                       {"groups": [{"gens": 1, "rels": []}] * 2,
+                                        "maps": [[[1, 2]]]}),
+}
+
+
 def _malformed(tmp_path, case):
     """argv of one format or usage error, with its input files written."""
-    eye3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
-                                              for j in range(3)]}
-    frame = tmp_path / "frame.json"
-    if case == "frame of the wrong size":
-        frame.write_text(json.dumps({"d": 2, "ambient": 4, "mats": [eye3] * 4}))
-        return ["frame", "verify", "--in", str(frame)]
-    if case == "subalgebra of the wrong size":
-        path = tmp_path / "alg.json"
-        path.write_text(json.dumps({"ambient": 4, "basis": [eye3]}))
-        return ["alg", "centralizer", "--in", str(path)]
+    if case in _BAD_FILES:
+        argv, payload = _BAD_FILES[case]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        return [str(path) if word == "IN" else word for word in argv.split()]
     if case == "negative abs_eps":
+        frame = tmp_path / "frame.json"
         dump_json(frame_to_json(matrix_unit_frame(2, 2)), str(frame))
         config = tmp_path / "bad.toml"
         config.write_text("abs_eps = -1\n")
@@ -78,8 +98,7 @@ def _malformed(tmp_path, case):
     return _BAD_FLAGS[case].split()
 
 
-@pytest.mark.parametrize("case", ["frame of the wrong size", "subalgebra of the wrong size",
-                                  "negative abs_eps", *_BAD_FLAGS])
+@pytest.mark.parametrize("case", [*_BAD_FILES, "negative abs_eps", *_BAD_FLAGS])
 def test_format_and_usage_errors_exit_2(tmp_path, capsys, monkeypatch, case):
     argv = _malformed(tmp_path, case)
     clock = itertools.count(0.0, 0.25)
@@ -90,6 +109,25 @@ def test_format_and_usage_errors_exit_2(tmp_path, capsys, monkeypatch, case):
     report = json.loads(out)
     assert report["pass"] is False and report["error"]
     assert report["elapsed_ms"] == 250
+
+
+def test_naturality_bundle_failing_the_frame_condition_exits_1(tmp_path, capsys):
+    """A well-formed bundle whose morphism f fails the frame condition is
+    a mathematical failure, not a format error."""
+    cfg = MorphismConfig(2, 1, 2, 2)
+    f, g = random_c_morphism(cfg, 50), random_c_morphism(cfg, 51)
+    bundle = {k: {"hom": hom_to_json(m.f), "src_frame": frame_to_json(m.src_frame),
+                  "dst_frame": frame_to_json(m.dst_frame)} for k, m in (("f", f), ("g", g))}
+    bundle.update(alpha_prime=frame_to_json(random_source_frame(cfg, 52)),
+                  phi_prime=frame_to_json(random_source_frame(cfg, 53)))
+    path = tmp_path / "bundle.json"
+    dump_json(bundle, str(path))
+    code, report = _run(capsys, ["cat", "naturality", "--in", str(path)])
+    assert code == 0 and report["pass"]
+    bundle["f"]["dst_frame"] = frame_to_json(random_frame(f.dst_frame.d, f.dst_frame.ambient, 9))
+    dump_json(bundle, str(path))
+    code, report = _run(capsys, ["cat", "naturality", "--in", str(path)])
+    assert code == 1 and "frame condition" in report["error"]
 
 
 def test_run_builds_the_parser_once(capsys, monkeypatch):

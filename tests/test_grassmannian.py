@@ -269,6 +269,11 @@ def test_is_k_subalgebra():
     # a commutative 4-dim span is not an M_2
     diag = Subalgebra(4, tuple(np.diag(np.eye(4)[i]).astype(complex) for i in range(4)))
     assert not is_k_subalgebra(diag, 2)
+    # d = 1: only the scalars C.1 are a unital copy of M_1
+    e11 = np.zeros((2, 2), dtype=complex)
+    e11[0, 0] = 1.0
+    assert not is_k_subalgebra(Subalgebra(2, (e11,)), 1)
+    assert is_k_subalgebra(Subalgebra(2, (np.eye(2, dtype=complex),)), 1)
 
 
 def test_gr_map_with_basepoint_hom():

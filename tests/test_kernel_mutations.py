@@ -106,6 +106,12 @@ MUTANTS = {
     "ev evaluating at the transpose":
         Mutant([(homspace, "ev", lambda h, t: ev(h, np.transpose(t)))],
                ["ev_composition"]),
+    # compose_phi is built from iota, so only the direct comparison of
+    # iota(h, l) with h (x) id_l in the battery can see this one.
+    "iota built as id_l (x) h":
+        Mutant([(homspace, "iota",
+                 lambda h, l: homspace.tensor_hom(homspace.identity_hom(l), h))],
+               ["ev_composition"]),
     "naturality square compared without the tensor-to-dot relabelling":
         Mutant([(catverify, "_tensor_to_dot_order", lambda frame, d_parts: frame)],
                ["naturality"]),

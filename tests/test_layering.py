@@ -1,11 +1,13 @@
 """Layering guards.  No module but ``linalg.py``, which holds the
 package's contraction kernels, may use numpy's ``einsum`` or ``kron``:
 every other module contracts through those kernels.  Every public
-function or method of the package is named somewhere in the source, the
-tests or the benchmark, so no public API is dead.  And the package holds
-no ``assert`` statement: ``python -O`` strips them, so runtime checks are
-written as ``if ...: raise``.  No module of the package or the tests
-imports a name it does not use."""
+function or method of the package is named somewhere in the source or,
+by its frcalc name, in the benchmark, so no public API is dead.  And the
+package holds no ``assert`` statement: ``python -O`` strips them, so
+runtime checks are written as ``if ...: raise``.  No module of the
+package or the tests imports a name it does not use.  ``serialize``
+handles errors only at its decode boundary, ``decode`` and
+``load_json``."""
 
 import ast
 import pathlib
@@ -16,9 +18,9 @@ import frcalc
 
 SRC = pathlib.Path(frcalc.__file__).parent
 ROOT = SRC.parent.parent
-SEARCHED = ("src", "perfbench")
 IMPORT_CHECKED = ("src", "tests")
 KERNEL_MODULE = "linalg.py"
+BOUNDARY_MODULE, BOUNDARY = "serialize.py", {"decode", "load_json"}
 BANNED = {"einsum", "kron"}
 
 
@@ -94,6 +96,33 @@ def named(source: str):
     return names
 
 
+def frcalc_names(source: str):
+    """Every frcalc definition a module outside the package names: a
+    name imported from a frcalc module and read, or an attribute read
+    from such a name or from ``frcalc`` (``cli.run``,
+    ``frcalc.cli.run``, ``GroupHom.from_rows``).  A name that only
+    matches, as a local helper of the same name does, is not counted."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the frcalc name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or "frcalc": "frcalc" for a in node.names
+                          if a.name.split(".")[0] == "frcalc"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "frcalc":
+            bound.update({a.asname or a.name: a.name for a in node.names})
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in bound:
+            names.add(bound[node.id])
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                names.add(node.attr)
+    return names
+
+
 def test_dead_code_guard_sees_unused_definitions():
     source = ("import numpy as np\nfrom m import used\n"
               "def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
@@ -103,11 +132,22 @@ def test_dead_code_guard_sees_unused_definitions():
     assert "used" in named(source) and not {"unused", "method", "m"} & named(source)
 
 
+def test_dead_code_guard_counts_only_frcalc_names_outside_the_package():
+    source = ("import oracles\nimport frcalc.cli\nfrom frcalc import suite\n"
+              "from frcalc.abgroup import GroupHom as G, kernel\nfrom m import rank\n"
+              "def numerical_rank(m): return m\n"
+              "x = [oracles.numerical_rank, numerical_rank, rank, 'smith_normal_form', kernel,\n"
+              "     frcalc.cli.run, suite.BATTERIES, G.from_rows(1, 2, 3), other.index]\n")
+    assert frcalc_names(source) == {"kernel", "frcalc", "cli", "run", "BATTERIES", "GroupHom",
+                                    "from_rows", "suite"}
+
+
 def test_every_public_function_is_named_somewhere():
     used = set()
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            used |= named(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        used |= named(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        used |= frcalc_names(path.read_text(encoding="utf-8"))
     dead = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
             for line, name in public_definitions(path.read_text(encoding="utf-8"))
             if name not in used]
@@ -128,6 +168,31 @@ def test_assert_guard_sees_asserts():
 def test_no_assert_in_the_package():
     found = {p.name: assert_lines(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def except_handlers(source: str):
+    """(top-level function, line) of every ``except`` handler in a
+    module; the function is None for a handler outside any."""
+    found = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        found += [(name, node.lineno) for node in ast.walk(top)
+                  if isinstance(node, ast.ExceptHandler)]
+    return found
+
+
+def test_boundary_guard_sees_a_stray_handler():
+    source = ("def decode(kind, obj):\n    try:\n        return f(obj)\n"
+              "    except ValueError as exc:\n        raise FormatError(kind) from exc\n"
+              "def frame_from_json(obj):\n    try:\n        return int(obj['d'])\n"
+              "    except (KeyError, TypeError):\n        return 0\n"
+              "try:\n    import fast\nexcept ImportError:\n    fast = None\n")
+    assert except_handlers(source) == [("decode", 4), ("frame_from_json", 9), (None, 13)]
+
+
+def test_serialize_handles_errors_only_at_its_boundary():
+    source = (SRC / BOUNDARY_MODULE).read_text(encoding="utf-8")
+    assert {name for name, _ in except_handlers(source)} == BOUNDARY
 
 
 def unused_imports(source: str):

@@ -9,6 +9,7 @@ from frcalc.homspace import random_hom
 from frcalc.linalg import max_abs, random_unitary
 from frcalc.serialize import (
     FormatError,
+    decode,
     frame_from_json,
     frame_to_json,
     fredholm_from_json,
@@ -44,7 +45,7 @@ def test_matrix_rejects_bad_payloads():
         {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [1.0]]},
     ):
         with pytest.raises(FormatError):
-            matrix_from_json(payload)
+            decode("matrix", payload)
 
 
 def test_frame_roundtrip():
@@ -56,7 +57,7 @@ def test_frame_rejects_wrong_count():
     payload = frame_to_json(random_frame(2, 4, 2))
     payload["mats"] = payload["mats"][:3]
     with pytest.raises(FormatError):
-        frame_from_json(payload)
+        decode("frame", payload)
 
 
 def test_hom_roundtrip():
