@@ -25,13 +25,13 @@ from .suite import run_suite
 
 class Verb(NamedTuple):
     """One CLI verb.  ``flags`` lists ``--flag kind`` pairs; a kind is
-    ``int``, ``size`` (a positive int: a size, degree or multiplicity),
-    ``float``, ``seed`` (a non-negative int that defaults to the config
-    seed) or a kind of ``serialize.CODECS``, whose flag names a JSON file.  A
-    kind ending in ``?`` is optional (None when absent); ``kind=value``
-    has a default.  ``out`` names the codec of the ``--out`` payload.
-    ``body(tol, *decoded flag values)`` returns (pass, residuals, result,
-    payload)."""
+    ``index`` (a non-negative int: a face or stage index), ``size`` (a
+    positive int: a size, degree or multiplicity), ``float``, ``seed`` (a
+    non-negative int that defaults to the config seed) or a kind of
+    ``serialize.CODECS``, whose flag names a JSON file.  A kind ending in
+    ``?`` is optional (None when absent); ``kind=value`` has a default.
+    ``out`` names the codec of the ``--out`` payload.  ``body(tol,
+    *decoded flag values)`` returns (pass, residuals, result, payload)."""
 
     name: str
     target: str | None
@@ -40,8 +40,8 @@ class Verb(NamedTuple):
     body: Callable
 
 
-_TYPES = {"int": int, "size": int, "float": float, "seed": int}
-_LEAST = {"size": 1, "seed": 0}  # smallest value a kind accepts
+_TYPES = {"index": int, "size": int, "float": float, "seed": int}
+_LEAST = {"index": 0, "size": 1, "seed": 0}  # smallest value a kind accepts
 
 
 def _flags(spec):
@@ -144,8 +144,8 @@ def _fred_conj(tol, t, g):
 
 def _snf(tol, m):
     u, d, v = abgroup.smith_normal_form(m)
-    factors, _ = abgroup.invariant_factors(m)
     diagonal = [row[i] for i, row in enumerate(d) if i < len(row)]
+    factors = [x for x in diagonal if x > 1]  # D's diagonal is nonnegative
     return True, {}, {"diagonal": diagonal, "invariant_factors": factors}, {"u": u, "d": d, "v": v}
 
 
@@ -223,9 +223,9 @@ VERBS = (
     Verb("cat tau", "catverify.check_tau", "--a frame? --b frame? --seed seed", None,
          lambda tol, a, b, seed: _within(1e-9, "tau", catverify.check_tau(
              _or_random(a, 2, 2, seed), _or_random(b, 2, 6, seed + 1)))),
-    Verb("cat nerve-face", "catverify.nerve_face", "--chain chain --i int", "chain",
+    Verb("cat nerve-face", "catverify.nerve_face", "--chain chain --i index", "chain",
          lambda tol, chain, i: _face(catverify.nerve_face(i, chain))),
-    Verb("cat bundle-face", "catverify.bundle_face", "--chain chain --i int --matrix matrix",
+    Verb("cat bundle-face", "catverify.bundle_face", "--chain chain --i index --matrix matrix",
          "fiber", lambda tol, chain, i, t: _face(*catverify.bundle_face(i, chain, t))),
     Verb("fred index", "fredholm.index", "--in operator", None, _index),
     Verb("fred conj", "fredholm.conjugate", "--in operator --unitary matrix", "operator",
@@ -233,7 +233,7 @@ VERBS = (
     Verb("fred amplify", "fredholm.amplify", "--in operator --hom hom", "operator",
          lambda tol, t, h: _index(tol, fredholm.amplify(h, t, tol))),
     Verb("fred localize", "fredholm.localize_index",
-         "--stages operators --l size --start-stage int=0", None,
+         "--stages operators --l size --start-stage index=0", None,
          lambda tol, stages, l, start: (True, {}, {"index": str(fredholm.localize_index(
              stages, l, start, tol))}, None)),
     Verb("ab snf", "abgroup.smith_normal_form", "--in ints", "json", _snf),
@@ -298,7 +298,7 @@ def run(argv) -> int:
                   for i, (flag, kind, _, _) in enumerate(_flags(verb.flags))]
         passed, residuals, result, payload = verb.body(settings.tol, *values)
         if verb.out and args.out:
-            dump_json(CODECS[verb.out][1](payload), args.out)
+            dump_json(verb.out, payload, args.out)
             report["artifacts"].append(args.out)
     except (FormatError, UsageError, OSError) as exc:
         code, report["error"] = 2, str(exc)

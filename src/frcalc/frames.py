@@ -134,10 +134,16 @@ def pi2(beta: Frame, d1: int) -> Frame:
     return Frame(d2, beta.ambient, np.trace(m, axis1=0, axis2=2))
 
 
-def commutation_residual(alpha: Frame, gamma: Frame) -> float:
+def _products_and_commutation(alpha: Frame, gamma: Frame):
+    """(every product alpha[i,j] gamma[u,v], the largest commutator)."""
     a = alpha.mats.reshape(-1, alpha.ambient, alpha.ambient)
     g = gamma.mats.reshape(-1, gamma.ambient, gamma.ambient)
-    return max_abs(pair_products(a, g) - pair_products(g, a).swapaxes(0, 1))
+    prod = pair_products(a, g)
+    return prod, max_abs(prod - pair_products(g, a).swapaxes(0, 1))
+
+
+def commutation_residual(alpha: Frame, gamma: Frame) -> float:
+    return _products_and_commutation(alpha, gamma)[1]
 
 
 def dot(alpha: Frame, gamma: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
@@ -145,10 +151,10 @@ def dot(alpha: Frame, gamma: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
     first-factor-major: entry ((i,u),(j,v)) = alpha[i,j] gamma[u,v]."""
     if alpha.ambient != gamma.ambient:
         raise ValueError("frames live in different ambient algebras")
-    if commutation_residual(alpha, gamma) > 1e3 * tol.abs_eps:
+    prod, residual = _products_and_commutation(alpha, gamma)
+    if residual > 1e3 * tol.abs_eps:
         raise ValueError("frames do not commute")
     d1, d2, n = alpha.d, gamma.d, alpha.ambient
-    prod = pair_products(alpha.mats.reshape(-1, n, n), gamma.mats.reshape(-1, n, n))
     mats = prod.reshape(d1, d1, d2, d2, n, n).transpose(0, 2, 1, 3, 4, 5)
     return Frame(d1 * d2, n, mats.reshape(d1 * d2, d1 * d2, n, n))
 

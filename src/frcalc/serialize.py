@@ -7,6 +7,16 @@ that a subalgebra is written in a canonical basis of its span.
 ``CODECS`` maps each kind to its (decode, encode) pair.  The codecs hold
 no error handling: ``decode(kind, obj)`` is the only place that turns an
 error raised on a malformed payload into ``FormatError``.
+
+``dump_json(kind, payload, path)`` is its write-side mirror.  Payloads of
+the kinds in ``EXACT_KINDS`` may hold Python ints of any size and are
+written by the stdlib ``json``, which writes every int exactly.  All
+others are written by orjson: like ``float.__repr__`` it writes each
+float as the shortest digits that read back to it, and it does so
+several times faster (Ryu), but it cannot write an int outside
+[-2^63, 2^64).  A matrix with a non-finite entry has no JSON form, so
+``matrix_to_json`` refuses it.  Every file is read by the stdlib
+``json``, because orjson reads an int beyond 64 bits as a float.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import orjson
 
 from .frames import Frame
 from .homspace import StarHom
@@ -39,9 +50,11 @@ def _int(x, least=None, name="an integer entry"):
     return x
 
 
-def _list(x, name):
-    if not isinstance(x, list):
-        raise ValueError(f"{name} must be a JSON list, not {x!r:.40}")
+def _list(x, name, least=0):
+    """x, which must be a JSON list of at least ``least`` items."""
+    if not isinstance(x, list) or len(x) < least:
+        bound = f" of at least {least} items" if least else ""
+        raise ValueError(f"{name} must be a JSON list{bound}, not {x!r:.40}")
     return x
 
 
@@ -55,6 +68,8 @@ def _int_rows(x, name="an integer matrix"):
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("a matrix with a non-finite entry has no JSON form")
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
@@ -180,7 +195,7 @@ CODECS = {
     "alg": (subalgebra_from_json, subalgebra_to_json),
     "matrix": (matrix_from_json, matrix_to_json),
     "operator": (fredholm_from_json, fredholm_to_json),
-    "operators": (lambda obj: [fredholm_from_json(o) for o in _list(obj, "operators")], None),
+    "operators": (lambda obj: [fredholm_from_json(o) for o in _list(obj, "operators", 1)], None),
     "group": (group_from_json, group_to_json),
     "grouphom": (grouphom_from_json, None),
     "ints": (_int_rows, None),
@@ -190,6 +205,10 @@ CODECS = {
     "colimit": (colimit_from_json, None),
     "json": (None, lambda obj: obj),
 }
+
+# Kinds whose payloads may hold ints beyond 64 bits, written by the stdlib:
+# a group's relations, and the identity kind (``ab snf``'s U, D and V).
+EXACT_KINDS = frozenset({"group", "json"})
 
 
 def decode(kind: str, obj):
@@ -210,6 +229,13 @@ def load_json(path: str):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def dump_json(obj, path: str):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+def dump_json(kind: str, payload, path: str):
+    """Write ``payload`` encoded by the codec of ``kind`` to ``path``; the
+    payload is encoded in full before the file is opened."""
+    obj = CODECS[kind][1](payload)
+    if kind in EXACT_KINDS:
+        data = (json.dumps(obj, sort_keys=True) + "\n").encode()
+    else:
+        data = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    with open(path, "wb") as fh:
+        fh.write(data)

@@ -2,18 +2,24 @@ import argparse
 import itertools
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import frcalc
-from frcalc import cli
+from frcalc import cli, homspace
 from frcalc.cli import run
 from frcalc.config import UsageError, load_settings, parse_config
 from frcalc.frames import matrix_unit_frame, random_frame
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
+from frcalc.homspace import random_hom
 from frcalc.serialize import dump_json, frame_to_json, hom_to_json, load_json
+
+SUITE_STDOUT = pathlib.Path(__file__).with_name("suite_seed7_stdout.json")
 
 
 def _run(capsys, argv):
@@ -24,7 +30,7 @@ def _run(capsys, argv):
 
 def test_frame_verify_pass(tmp_path, capsys):
     path = tmp_path / "f.json"
-    dump_json(frame_to_json(matrix_unit_frame(2, 3)), str(path))
+    dump_json("frame", matrix_unit_frame(2, 3), str(path))
     code, report = _run(capsys, ["frame", "verify", "--in", str(path)])
     assert code == 0
     assert report["pass"] is True
@@ -37,7 +43,7 @@ def test_frame_verify_fails_on_bad_frame(tmp_path, capsys):
     for m in payload["mats"]:
         m["entries"] = [[0.5 * re, 0.5 * im] for re, im in m["entries"]]
     path = tmp_path / "bad.json"
-    dump_json(payload, str(path))
+    dump_json("json", payload, str(path))
     code, report = _run(capsys, ["frame", "verify", "--in", str(path)])
     assert code == 1
     assert report["pass"] is False
@@ -61,8 +67,12 @@ _BAD_FLAGS = {
 
 _EYE3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
                                            for j in range(3)]}
+_ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
+_CHAIN = {"homs": [{"src": 1, "dst": 1, "frame": {"d": 1, "ambient": 1, "mats": [_ONE]}}]}
+_STAGES = [{"n": 1, "win_dom": 1, "win_cod": 1, "finite_part": _ONE}]
 
-# Malformed input files: (argv with IN for the file, its contents).
+# Errors of calls that read one input file, malformed or with a flag out
+# of range: (argv with IN for the file, its contents).
 _BAD_FILES = {
     "frame of the wrong size": ("frame verify --in IN",
                                 {"d": 2, "ambient": 4, "mats": [_EYE3] * 4}),
@@ -79,6 +89,9 @@ _BAD_FILES = {
     "colimit map of the wrong shape": ("ab colim --file IN --invert 3",
                                        {"groups": [{"gens": 1, "rels": []}] * 2,
                                         "maps": [[[1, 2]]]}),
+    "negative face index": ("cat nerve-face --chain IN --i -1", _CHAIN),
+    "negative start stage": ("fred localize --stages IN --l 2 --start-stage -1", _STAGES),
+    "no operator stages": ("fred localize --stages IN --l 2", []),
 }
 
 
@@ -91,7 +104,7 @@ def _malformed(tmp_path, case):
         return [str(path) if word == "IN" else word for word in argv.split()]
     if case == "negative abs_eps":
         frame = tmp_path / "frame.json"
-        dump_json(frame_to_json(matrix_unit_frame(2, 2)), str(frame))
+        dump_json("frame", matrix_unit_frame(2, 2), str(frame))
         config = tmp_path / "bad.toml"
         config.write_text("abs_eps = -1\n")
         return ["--config", str(config), "frame", "verify", "--in", str(frame)]
@@ -111,6 +124,60 @@ def test_format_and_usage_errors_exit_2(tmp_path, capsys, monkeypatch, case):
     assert report["elapsed_ms"] == 250
 
 
+def test_face_index_past_the_chain_exits_1(tmp_path, capsys):
+    """An ``--i`` past the chain's length is a mismatch between a flag and
+    a file, not a usage error; the inputs of the exit-2 cases above pass
+    with flags in range."""
+    chain, stages = tmp_path / "chain.json", tmp_path / "stages.json"
+    dump_json("json", _CHAIN, str(chain))
+    dump_json("json", _STAGES, str(stages))
+    assert _run(capsys, ["cat", "nerve-face", "--chain", str(chain), "--i", "1"])[0] == 0
+    assert _run(capsys, ["fred", "localize", "--stages", str(stages), "--l", "2",
+                         "--start-stage", "1"])[0] == 0
+    code, report = _run(capsys, ["cat", "nerve-face", "--chain", str(chain), "--i", "2"])
+    assert code == 1 and "out of range" in report["error"]
+
+
+def test_non_finite_result_exits_1_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(homspace, "ev", lambda h, x: np.full((2, 2), np.nan))
+    hom, x, out = tmp_path / "h.json", tmp_path / "x.json", tmp_path / "out.json"
+    dump_json("hom", random_hom(1, 2, 3), str(hom))
+    dump_json("matrix", np.eye(1), str(x))
+    code, report = _run(capsys, ["hom", "ev", "--hom", str(hom), "--matrix", str(x),
+                                 "--out", str(out)])
+    assert code == 1 and "non-finite" in report["error"]
+    assert report["artifacts"] == [] and not out.exists()
+
+
+def _int_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_ab_verbs_write_ints_beyond_64_bits_exactly(tmp_path, capsys):
+    m = [[2 ** 70 + 1, 2 ** 66, 3], [2 ** 64, 5, 7], [11, 2 ** 65 + 3, 13]]
+    path, out = tmp_path / "m.json", tmp_path / "out.json"
+    dump_json("json", m, str(path))
+    code, report = _run(capsys, ["ab", "snf", "--in", str(path), "--out", str(out)])
+    assert code == 0
+    snf = load_json(str(out))
+    assert _int_product(_int_product(snf["u"], m), snf["v"]) == snf["d"]
+    assert [snf["d"][i][i] for i in range(3)] == report["result"]["diagonal"]
+    assert max(abs(x) for row in snf["u"] + snf["d"] + snf["v"] for x in row) >= 2 ** 64
+    dump_json("json", {"src": {"gens": 1, "rels": []}, "dst": {"gens": 1, "rels": [[2 ** 70]]},
+                       "matrix": [[2 ** 65]]}, str(path))
+    code, report = _run(capsys, ["ab", "coker", "--in", str(path), "--out", str(out)])
+    assert code == 0 and report["result"]["invariant_factors"] == [2 ** 65]
+    assert load_json(str(out)) == {"gens": 1, "rels": [[2 ** 65]]}
+
+
+def test_suite_stdout_matches_the_recording(capsys):
+    """The stdout report is written by the stdlib ``json``: byte for byte
+    the recorded ``frcalc suite --seed 7`` line, but for ``elapsed_ms``."""
+    assert run(["suite", "--seed", "7"]) == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert out == SUITE_STDOUT.read_text()
+
+
 def test_naturality_bundle_failing_the_frame_condition_exits_1(tmp_path, capsys):
     """A well-formed bundle whose morphism f fails the frame condition is
     a mathematical failure, not a format error."""
@@ -121,11 +188,11 @@ def test_naturality_bundle_failing_the_frame_condition_exits_1(tmp_path, capsys)
     bundle.update(alpha_prime=frame_to_json(random_source_frame(cfg, 52)),
                   phi_prime=frame_to_json(random_source_frame(cfg, 53)))
     path = tmp_path / "bundle.json"
-    dump_json(bundle, str(path))
+    dump_json("json", bundle, str(path))
     code, report = _run(capsys, ["cat", "naturality", "--in", str(path)])
     assert code == 0 and report["pass"]
     bundle["f"]["dst_frame"] = frame_to_json(random_frame(f.dst_frame.d, f.dst_frame.ambient, 9))
-    dump_json(bundle, str(path))
+    dump_json("json", bundle, str(path))
     code, report = _run(capsys, ["cat", "naturality", "--in", str(path)])
     assert code == 1 and "frame condition" in report["error"]
 
@@ -199,7 +266,7 @@ def test_ab_colim_verb(tmp_path, capsys):
         "maps": [[[3]], [[3]], [[3]]],
     }
     path = tmp_path / "chain.json"
-    dump_json(chain, str(path))
+    dump_json("json", chain, str(path))
     code, report = _run(capsys, ["ab", "colim", "--file", str(path),
                                  "--invert", "3"])
     assert code == 0
@@ -222,7 +289,7 @@ def test_alg_centralizer_verb(tmp_path, capsys):
     capsys.readouterr()
     # span the frame into a subalgebra file
     payload = load_json(str(f))
-    dump_json({"ambient": 6, "basis": payload["mats"]}, str(a))
+    dump_json("json", {"ambient": 6, "basis": payload["mats"]}, str(a))
     code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
     assert code == 0
     assert report["result"]["dim"] == 9
@@ -231,7 +298,7 @@ def test_alg_centralizer_verb(tmp_path, capsys):
     e12 = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]}
     eye = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
     for basis in ([e12], [eye, e12]):
-        dump_json({"ambient": 2, "basis": basis}, str(a))
+        dump_json("json", {"ambient": 2, "basis": basis}, str(a))
         code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
         assert code == 1 and "*-closed" in report["error"]
 
@@ -247,11 +314,10 @@ def test_cat_seeded_verbs(capsys):
 
 def test_fred_verbs(tmp_path, capsys):
     from frcalc.generators import random_fredholm
-    from frcalc.serialize import fredholm_to_json
 
     t = random_fredholm(2, 3, 2, 6)
     path = tmp_path / "t.json"
-    dump_json(fredholm_to_json(t), str(path))
+    dump_json("operator", t, str(path))
     code, report = _run(capsys, ["fred", "index", "--in", str(path)])
     assert code == 0
     assert report["result"]["index"] == 2

@@ -89,7 +89,7 @@ def _cmorphism_to_json(m):
 def write_inputs():
     """Write every input file the cases read into the working directory."""
     def put(name, obj):
-        dump_json(obj, name)
+        dump_json("json", obj, name)
 
     f44 = frames.random_frame(4, 4, 2)
     for name, fr in {"f6.json": frames.random_frame(2, 6, 1), "f44.json": f44,

@@ -7,7 +7,7 @@ package holds no ``assert`` statement: ``python -O`` strips them, so
 runtime checks are written as ``if ...: raise``.  No module of the
 package or the tests imports a name it does not use.  ``serialize``
 handles errors only at its decode boundary, ``decode`` and
-``load_json``."""
+``load_json``, and is the only module that imports orjson."""
 
 import ast
 import pathlib
@@ -193,6 +193,30 @@ def test_boundary_guard_sees_a_stray_handler():
 def test_serialize_handles_errors_only_at_its_boundary():
     source = (SRC / BOUNDARY_MODULE).read_text(encoding="utf-8")
     assert {name for name, _ in except_handlers(source)} == BOUNDARY
+
+
+def imported_modules(source: str):
+    """Top-level name of every module a source imports by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_module_guard_sees_imports():
+    assert imported_modules("import orjson as fast\nfrom numpy import linalg\n"
+                            "def f():\n    from orjson import dumps\n"
+                            "from . import serialize\n") == {"orjson", "numpy"}
+
+
+def test_only_serialize_imports_orjson():
+    importers = [str(path.relative_to(ROOT)) for top in IMPORT_CHECKED
+                 for path in sorted((ROOT / top).rglob("*.py"))
+                 if "orjson" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == [str((SRC / BOUNDARY_MODULE).relative_to(ROOT))]
 
 
 def unused_imports(source: str):
