@@ -72,6 +72,11 @@ def _frame_axioms(tol, fr):
                           "axiom_iii": report.axiom_iii_maxerr}, None, None
 
 
+def _dot(tol, left, right):
+    fr, residual = frames.dot_with_residual(left, right, tol)
+    return True, {"commutation": residual}, None, fr
+
+
 def _random_frame(tol, d, ambient, seed):
     if ambient % d:
         raise UsageError(f"--d {d} must divide --ambient {ambient}")
@@ -176,9 +181,7 @@ VERBS = (
          lambda tol, fr, split: _made(frames.pi1(fr, split))),
     Verb("frame pi2", "frames.pi2", "--in frame --split size", "frame",
          lambda tol, fr, split: _made(frames.pi2(fr, split))),
-    Verb("frame dot", "frames.dot", "--left frame --right frame", "frame",
-         lambda tol, left, right: (True, {"commutation": frames.commutation_residual(left, right)},
-                                   None, frames.dot(left, right, tol))),
+    Verb("frame dot", "frames.dot", "--left frame --right frame", "frame", _dot),
     Verb("frame tensor", "frames.tensor_frame", "--left frame --right frame", "frame",
          lambda tol, left, right: _made(frames.tensor_frame(left, right))),
     Verb("frame conj", "frames.conjugate_frame", "--in frame --unitary matrix", "frame",
@@ -280,7 +283,7 @@ def _decode(flag, kind, value, settings):
     if kind in _LEAST and value is not None and value < _LEAST[kind]:
         raise UsageError(f"{flag} {value} is less than {_LEAST[kind]}")
     if kind in CODECS and value is not None:
-        return decode(kind, load_json(value))
+        return decode(kind, load_json(value, kind))
     return value
 
 

@@ -134,29 +134,26 @@ def pi2(beta: Frame, d1: int) -> Frame:
     return Frame(d2, beta.ambient, np.trace(m, axis1=0, axis2=2))
 
 
-def _products_and_commutation(alpha: Frame, gamma: Frame):
-    """(every product alpha[i,j] gamma[u,v], the largest commutator)."""
-    a = alpha.mats.reshape(-1, alpha.ambient, alpha.ambient)
-    g = gamma.mats.reshape(-1, gamma.ambient, gamma.ambient)
+def dot_with_residual(alpha: Frame, gamma: Frame,
+                      tol: Tolerance = DEFAULT_TOL) -> tuple[Frame, float]:
+    """``dot(alpha, gamma, tol)`` and the largest commutator
+    alpha[i,j] gamma[u,v] - gamma[u,v] alpha[i,j] it was checked with."""
+    if alpha.ambient != gamma.ambient:
+        raise ValueError("frames live in different ambient algebras")
+    d1, d2, n = alpha.d, gamma.d, alpha.ambient
+    a, g = alpha.mats.reshape(-1, n, n), gamma.mats.reshape(-1, n, n)
     prod = pair_products(a, g)
-    return prod, max_abs(prod - pair_products(g, a).swapaxes(0, 1))
-
-
-def commutation_residual(alpha: Frame, gamma: Frame) -> float:
-    return _products_and_commutation(alpha, gamma)[1]
+    residual = max_abs(prod - pair_products(g, a).swapaxes(0, 1))
+    if residual > 1e3 * tol.abs_eps:
+        raise ValueError("frames do not commute")
+    mats = prod.reshape(d1, d1, d2, d2, n, n).transpose(0, 2, 1, 3, 4, 5)
+    return Frame(d1 * d2, n, mats.reshape(d1 * d2, d1 * d2, n, n)), residual
 
 
 def dot(alpha: Frame, gamma: Frame, tol: Tolerance = DEFAULT_TOL) -> Frame:
     """Frame of all pairwise products of two commuting frames, ordered
     first-factor-major: entry ((i,u),(j,v)) = alpha[i,j] gamma[u,v]."""
-    if alpha.ambient != gamma.ambient:
-        raise ValueError("frames live in different ambient algebras")
-    prod, residual = _products_and_commutation(alpha, gamma)
-    if residual > 1e3 * tol.abs_eps:
-        raise ValueError("frames do not commute")
-    d1, d2, n = alpha.d, gamma.d, alpha.ambient
-    mats = prod.reshape(d1, d1, d2, d2, n, n).transpose(0, 2, 1, 3, 4, 5)
-    return Frame(d1 * d2, n, mats.reshape(d1 * d2, d1 * d2, n, n))
+    return dot_with_residual(alpha, gamma, tol)[0]
 
 
 def tensor_frame(alpha: Frame, phi: Frame) -> Frame:

@@ -8,15 +8,21 @@ that a subalgebra is written in a canonical basis of its span.
 no error handling: ``decode(kind, obj)`` is the only place that turns an
 error raised on a malformed payload into ``FormatError``.
 
-``dump_json(kind, payload, path)`` is its write-side mirror.  Payloads of
-the kinds in ``EXACT_KINDS`` may hold Python ints of any size and are
-written by the stdlib ``json``, which writes every int exactly.  All
-others are written by orjson: like ``float.__repr__`` it writes each
-float as the shortest digits that read back to it, and it does so
-several times faster (Ryu), but it cannot write an int outside
-[-2^63, 2^64).  A matrix with a non-finite entry has no JSON form, so
-``matrix_to_json`` refuses it.  Every file is read by the stdlib
-``json``, because orjson reads an int beyond 64 bits as a float.
+``load_json(path, kind)`` reads a file and ``dump_json(kind, payload,
+path)`` writes one; both pick their engine by one rule.  Payloads of
+the kinds in ``EXACT_KINDS`` (the abelian-group kinds and the identity
+kind ``json``) may hold Python ints of any size and are read and
+written by the stdlib ``json``, which keeps every int exact.  All
+other payloads are floats and small ints, read and written by orjson:
+it spells each float as the shortest digits that read back to it and
+reads them back to the same double, several times faster (Ryu), but
+it reads an int outside [-2^63, 2^64) as a float and cannot write one.
+orjson has no nesting limit of its own and overflows the C stack on a
+deeply nested file, so ``load_json`` rejects a file nested deeper than
+``MAX_DEPTH`` before orjson sees it; a file holding a backslash, which
+no frcalc writer emits, goes to the stdlib reader, whose recursion
+limit stops it instead.  A matrix with a non-finite entry has no JSON
+form, so ``matrix_to_json`` refuses it.
 """
 
 from __future__ import annotations
@@ -206,9 +212,26 @@ CODECS = {
     "json": (None, lambda obj: obj),
 }
 
-# Kinds whose payloads may hold ints beyond 64 bits, written by the stdlib:
-# a group's relations, and the identity kind (``ab snf``'s U, D and V).
-EXACT_KINDS = frozenset({"group", "json"})
+# Kinds whose payloads may hold ints beyond 64 bits, read and written by
+# the stdlib: integer matrices, groups, group homs, colimit chains, and
+# the identity kind (``ab snf``'s U, D and V).
+EXACT_KINDS = frozenset({"ints", "group", "grouphom", "colimit", "json"})
+
+# Deepest nesting of a file read by orjson; the deepest wire formats,
+# ``bundle`` and ``chain``, nest 8 deep.
+MAX_DEPTH = 32
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
+
+
+def _depth(data: bytes) -> int:
+    """Deepest nesting of arrays and objects outside strings in text that
+    holds no backslash, so that its quotes cut it into pieces that lie
+    outside and inside strings in turn.  A parser of the text nests no
+    deeper before it meets an error."""
+    marks = data.translate(None, _NOT_MARKS)
+    outside = b"".join(marks.split(b'"')[::2])
+    return int(np.frombuffer(outside.translate(_STEPS), np.int8).cumsum().max(initial=0))
 
 
 def decode(kind: str, obj):
@@ -221,11 +244,19 @@ def decode(kind: str, obj):
         raise FormatError(f"bad {kind} payload: {type(exc).__name__}: {exc}") from exc
 
 
-def load_json(path: str):
+def load_json(path: str, kind: str):
+    """The JSON value in the file at ``path``, read by the engine of
+    ``kind``; a file that cannot be read, is not UTF-8, is not JSON or
+    is nested too deep becomes one ``FormatError``."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if kind in EXACT_KINDS or b"\\" in data:
+            return json.loads(data.decode())
+        if _depth(data) > MAX_DEPTH:
+            raise ValueError(f"nested deeper than {MAX_DEPTH}")
+        return orjson.loads(data)
+    except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -136,6 +136,7 @@ def _ev_composition(seed, count):
     worst = 0.0
     rng = np.random.default_rng(seed + 424242)
     a, b = np.arange(l)[:, None], np.arange(l)
+    units = np.eye(k * k).reshape(k, k, k, k)
     for i in range(count):
         s = seed * 86_028_121 + 503 * i
         h1 = random_hom(k, l, s)
@@ -148,7 +149,10 @@ def _ev_composition(seed, count):
         # entry ((i,a),(j,b)), ((p,c),(q,d)) is h2(e_ij)[p, q] if a = c and b = d, else 0.
         blocks = suspended.image_frame.mats.reshape(k, l, k, l, k * l, l, k * l, l).copy()
         blocks[:, a, :, b, :, a, :, b] -= h2.image_frame.mats
-        worst = max(worst, max_abs(ev(composed, t) - stepped), max_abs(blocks))
+        # ev at the matrix units gives the frame back exactly.
+        at_units = max(max_abs(ev(h1, units[p, q]) - h1.image_frame.mats[p, q])
+                       for p in range(k) for q in range(k))
+        worst = max(worst, max_abs(ev(composed, t) - stepped), max_abs(blocks), at_units)
     return {"max_entry_error": worst}
 
 

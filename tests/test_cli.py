@@ -17,7 +17,7 @@ from frcalc.config import UsageError, load_settings, parse_config
 from frcalc.frames import matrix_unit_frame, random_frame
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
 from frcalc.homspace import random_hom
-from frcalc.serialize import dump_json, frame_to_json, hom_to_json, load_json
+from frcalc.serialize import MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json
 
 SUITE_STDOUT = pathlib.Path(__file__).with_name("suite_seed7_stdout.json")
 
@@ -65,6 +65,13 @@ _BAD_FLAGS = {
 }
 
 
+def _nested(depth, objects=False):
+    """JSON text of arrays, or of objects, nested ``depth`` deep."""
+    if objects:
+        return b'{"a":' * depth + b"0" + b"}" * depth
+    return b"[" * depth + b"]" * depth
+
+
 _EYE3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
                                            for j in range(3)]}
 _ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
@@ -72,7 +79,10 @@ _CHAIN = {"homs": [{"src": 1, "dst": 1, "frame": {"d": 1, "ambient": 1, "mats": 
 _STAGES = [{"n": 1, "win_dom": 1, "win_cod": 1, "finite_part": _ONE}]
 
 # Errors of calls that read one input file, malformed or with a flag out
-# of range: (argv with IN for the file, its contents).
+# of range: (argv with IN for the file, its contents as a JSON value or as
+# raw bytes).  The files nested 200,000 deep here go to the stdlib reader,
+# an integer kind or a file with a backslash; the orjson reader's depth
+# guard is tested in a subprocess, where a crash cannot take pytest down.
 _BAD_FILES = {
     "frame of the wrong size": ("frame verify --in IN",
                                 {"d": 2, "ambient": 4, "mats": [_EYE3] * 4}),
@@ -92,6 +102,11 @@ _BAD_FILES = {
     "negative face index": ("cat nerve-face --chain IN --i -1", _CHAIN),
     "negative start stage": ("fred localize --stages IN --l 2 --start-stage -1", _STAGES),
     "no operator stages": ("fred localize --stages IN --l 2", []),
+    "frame file that is not UTF-8": ("frame verify --in IN", b"\xff\xfe{}"),
+    "integer matrix file that is not UTF-8": ("ab snf --in IN", b"\xff\xfe[]"),
+    "integer matrix nested 200,000 deep": ("ab snf --in IN", _nested(200_000)),
+    "frame with a backslash nested 200,000 deep": ("frame verify --in IN",
+                                                   b'["\\n", ' + _nested(200_000) + b"]"),
 }
 
 
@@ -100,7 +115,7 @@ def _malformed(tmp_path, case):
     if case in _BAD_FILES:
         argv, payload = _BAD_FILES[case]
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         return [str(path) if word == "IN" else word for word in argv.split()]
     if case == "negative abs_eps":
         frame = tmp_path / "frame.json"
@@ -159,7 +174,7 @@ def test_ab_verbs_write_ints_beyond_64_bits_exactly(tmp_path, capsys):
     dump_json("json", m, str(path))
     code, report = _run(capsys, ["ab", "snf", "--in", str(path), "--out", str(out)])
     assert code == 0
-    snf = load_json(str(out))
+    snf = load_json(str(out), "json")
     assert _int_product(_int_product(snf["u"], m), snf["v"]) == snf["d"]
     assert [snf["d"][i][i] for i in range(3)] == report["result"]["diagonal"]
     assert max(abs(x) for row in snf["u"] + snf["d"] + snf["v"] for x in row) >= 2 ** 64
@@ -167,7 +182,63 @@ def test_ab_verbs_write_ints_beyond_64_bits_exactly(tmp_path, capsys):
                        "matrix": [[2 ** 65]]}, str(path))
     code, report = _run(capsys, ["ab", "coker", "--in", str(path), "--out", str(out)])
     assert code == 0 and report["result"]["invariant_factors"] == [2 ** 65]
-    assert load_json(str(out)) == {"gens": 1, "rels": [[2 ** 65]]}
+    assert load_json(str(out), "group") == {"gens": 1, "rels": [[2 ** 65]]}
+
+
+def test_ab_verbs_read_ints_beyond_64_bits_exactly(tmp_path, capsys):
+    """Integer payloads are read by the stdlib ``json``: orjson reads 2**70
+    as a float, which no integer payload allows."""
+    cyclic = {"gens": 1, "rels": [[2 ** 70]]}
+    by_2_65 = {"src": cyclic, "dst": cyclic, "matrix": [[2 ** 65]]}
+    calls = [("ab coker --in IN", by_2_65, [2 ** 65]),
+             ("ab ker --in IN", by_2_65, [2 ** 65]),
+             ("ab localize --in IN --l 3", {"gens": 2, "rels": [[2 ** 70, 0], [0, 3 * 2 ** 70]]},
+              [2 ** 70, 2 ** 70]),
+             ("ab colim --file IN --invert 3", {"groups": [cyclic, cyclic], "maps": [[[1]]]},
+              [2 ** 70])]
+    path = tmp_path / "in.json"
+    for argv, payload, factors in calls:
+        dump_json("json", payload, str(path))
+        code, report = _run(capsys, [str(path) if w == "IN" else w for w in argv.split()])
+        assert code == 0 and report["result"]["invariant_factors"] == factors
+
+
+_DEPTH_SCRIPT = """
+import contextlib, io, json, sys
+from frcalc import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_orjson_reads_stop_at_the_depth_cap(tmp_path):
+    """Float-kind files nested 200,000 deep, or one level past
+    ``MAX_DEPTH``, exit 2 with one JSON line instead of overflowing
+    orjson's stack; a bundle, the deepest wire format, still decodes.
+    The calls run in a subprocess, so a crash fails this test only."""
+    deep = {"arrays.json": _nested(200_000), "objects.json": _nested(200_000, objects=True),
+            "past_cap.json": _nested(MAX_DEPTH + 1)}
+    for name, text in deep.items():
+        (tmp_path / name).write_bytes(text)
+    bundle = tmp_path / "bundle.json"
+    dump_json("json", _bundle(), str(bundle))
+    argvs = [["frame", "verify", "--in", str(tmp_path / name)] for name in deep]
+    argvs.append(["cat", "naturality", "--in", str(bundle)])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frcalc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _DEPTH_SCRIPT, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    results = json.loads(proc.stdout)
+    for code, out in results[:-1]:
+        assert code == 2 and len(out.splitlines()) == 1
+        assert f"nested deeper than {MAX_DEPTH}" in json.loads(out)["error"]
+    code, out = results[-1]
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_suite_stdout_matches_the_recording(capsys):
@@ -178,20 +249,28 @@ def test_suite_stdout_matches_the_recording(capsys):
     assert out == SUITE_STDOUT.read_text()
 
 
-def test_naturality_bundle_failing_the_frame_condition_exits_1(tmp_path, capsys):
-    """A well-formed bundle whose morphism f fails the frame condition is
-    a mathematical failure, not a format error."""
+def _bundle():
+    """A well-formed ``cat naturality`` bundle whose morphisms pass the
+    frame condition."""
     cfg = MorphismConfig(2, 1, 2, 2)
     f, g = random_c_morphism(cfg, 50), random_c_morphism(cfg, 51)
     bundle = {k: {"hom": hom_to_json(m.f), "src_frame": frame_to_json(m.src_frame),
                   "dst_frame": frame_to_json(m.dst_frame)} for k, m in (("f", f), ("g", g))}
     bundle.update(alpha_prime=frame_to_json(random_source_frame(cfg, 52)),
                   phi_prime=frame_to_json(random_source_frame(cfg, 53)))
+    return bundle
+
+
+def test_naturality_bundle_failing_the_frame_condition_exits_1(tmp_path, capsys):
+    """A well-formed bundle whose morphism f fails the frame condition is
+    a mathematical failure, not a format error."""
+    bundle = _bundle()
     path = tmp_path / "bundle.json"
     dump_json("json", bundle, str(path))
     code, report = _run(capsys, ["cat", "naturality", "--in", str(path)])
     assert code == 0 and report["pass"]
-    bundle["f"]["dst_frame"] = frame_to_json(random_frame(f.dst_frame.d, f.dst_frame.ambient, 9))
+    dst = bundle["f"]["dst_frame"]
+    bundle["f"]["dst_frame"] = frame_to_json(random_frame(dst["d"], dst["ambient"], 9))
     dump_json("json", bundle, str(path))
     code, report = _run(capsys, ["cat", "naturality", "--in", str(path)])
     assert code == 1 and "frame condition" in report["error"]
@@ -240,8 +319,8 @@ def test_pipeline_roundtrip(tmp_path, capsys):
                                  "--right", str(p2), "--out", str(d)])
     assert code == 0
     # projections of a frame recombine to the original frame
-    original = load_json(str(f))
-    recombined = load_json(str(d))
+    original = load_json(str(f), "frame")
+    recombined = load_json(str(d), "frame")
     for a, b in zip(original["mats"], recombined["mats"]):
         for (re1, im1), (re2, im2) in zip(a["entries"], b["entries"]):
             assert abs(re1 - re2) < 1e-9 and abs(im1 - im2) < 1e-9
@@ -288,7 +367,7 @@ def test_alg_centralizer_verb(tmp_path, capsys):
                 "--seed", "5", "--out", str(f)]) == 0
     capsys.readouterr()
     # span the frame into a subalgebra file
-    payload = load_json(str(f))
+    payload = load_json(str(f), "frame")
     dump_json("json", {"ambient": 6, "basis": payload["mats"]}, str(a))
     code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
     assert code == 0

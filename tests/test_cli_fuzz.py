@@ -9,7 +9,8 @@ input files and one mutation of that file:
 - a missing required key;
 - a value of the wrong JSON type (string, float, null, list or object);
 - a zero or negative size, or a negative count;
-- a ragged integer matrix.
+- a ragged integer matrix;
+- NaN or an infinity in place of a float.
 
 The search is derandomized and keeps no example database, so every run
 tries the same examples.
@@ -20,6 +21,7 @@ import copy
 import functools
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, note, settings, strategies as st
@@ -65,7 +67,8 @@ def mutations(doc):
     """Kind -> [(path, replacement)] for every malformed variant of a
     document that changes one node; DELETE as a replacement removes the
     key at the end of the path."""
-    found = {"wrong type": [], "missing key": [], "out of range": [], "ragged": []}
+    found = {"wrong type": [], "missing key": [], "out of range": [], "ragged": [],
+             "non-finite": []}
     for path, value in _nodes(doc):
         found["wrong type"] += [(path, v) for v in _wrong_types(value)]
         if isinstance(value, dict):
@@ -74,6 +77,8 @@ def mutations(doc):
             found["out of range"] += [(path, v) for v in (0, -1) if v < 0 or path[-1] in SIZES]
         if _is_int_matrix(value):
             found["ragged"] += [(path + (i,), row + [0]) for i, row in enumerate(value)]
+        if type(value) is float:
+            found["non-finite"] += [(path, v) for v in (math.nan, math.inf, -math.inf)]
     return {kind: items for kind, items in found.items() if items}
 
 
@@ -100,6 +105,8 @@ def test_mutations_cover_every_kind():
     assert mutated(doc, ("gens",), DELETE) == {"rels": [[6, 0], [0, 4]]}
     assert (("gens",), "2") in found["wrong type"] and (("gens",), 2.0) in found["wrong type"]
     assert mutations({"d": 2})["out of range"] == [(("d",), 0), (("d",), -1)]
+    assert mutations({"x": [0.5]})["non-finite"] == [(("x", 0), v)
+                                                     for v in (math.nan, math.inf, -math.inf)]
 
 
 @pytest.fixture(scope="module")

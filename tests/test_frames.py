@@ -4,8 +4,8 @@ import pytest
 from frcalc.frames import (
     Frame,
     conjugate_frame,
-    commutation_residual,
     dot,
+    dot_with_residual,
     frames_close,
     matrix_unit_frame,
     pi1,
@@ -113,9 +113,10 @@ def test_dot_projections_recover_factors():
 def test_dot_rejects_noncommuting():
     a = random_frame(2, 4, 1)
     b = random_frame(2, 4, 2)
-    assert commutation_residual(a, b) > 1e-3
-    with pytest.raises(ValueError, match="commute"):
-        dot(a, b)
+    assert max_abs(a.mats[0, 0] @ b.mats[0, 0] - b.mats[0, 0] @ a.mats[0, 0]) > 1e-3
+    for product in (dot, dot_with_residual):
+        with pytest.raises(ValueError, match="commute"):
+            product(a, b)
 
 
 def test_reconstruction_identity():

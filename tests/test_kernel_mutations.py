@@ -72,7 +72,7 @@ MUTANTS = {
     "apply_frame with the contracted index pair transposed":
         Mutant([(linalg, "apply_frame",
                  lambda coeffs, mats: apply_frame(np.swapaxes(coeffs, -1, -2), mats))],
-               ["nerve"]),
+               ["nerve", "ev_composition"]),
     "kron_stack with the factors swapped":
         Mutant([(linalg, "kron_stack", lambda a, b: kron_stack(b, a))],
                ["coherence_diagrams"]),

@@ -7,7 +7,9 @@ package holds no ``assert`` statement: ``python -O`` strips them, so
 runtime checks are written as ``if ...: raise``.  No module of the
 package or the tests imports a name it does not use.  ``serialize``
 handles errors only at its decode boundary, ``decode`` and
-``load_json``, and is the only module that imports orjson."""
+``load_json``, and is the only module that imports orjson.  And the
+package has one read path: only ``serialize.load_json`` calls a JSON
+reader, ``json.load``, ``json.loads`` or ``orjson.loads``."""
 
 import ast
 import pathlib
@@ -22,6 +24,7 @@ IMPORT_CHECKED = ("src", "tests")
 KERNEL_MODULE = "linalg.py"
 BOUNDARY_MODULE, BOUNDARY = "serialize.py", {"decode", "load_json"}
 BANNED = {"einsum", "kron"}
+READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
 
 
 def numpy_contractions(source: str):
@@ -193,6 +196,42 @@ def test_boundary_guard_sees_a_stray_handler():
 def test_serialize_handles_errors_only_at_its_boundary():
     source = (SRC / BOUNDARY_MODULE).read_text(encoding="utf-8")
     assert {name for name, _ in except_handlers(source)} == BOUNDARY
+
+
+def json_reads(source: str):
+    """(top-level function, line) of every use of a JSON reader: an
+    attribute of a ``json`` or ``orjson`` alias (``json.loads``,
+    ``orjson.loads``) or a reader imported from either by name; the
+    function is None for a use outside any."""
+    tree = ast.parse(source)
+    aliases, names = {}, set()  # alias -> module; local names of imported readers
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names if a.name in READERS})
+        elif isinstance(node, ast.ImportFrom) and node.module in READERS:
+            names |= {a.asname or a.name for a in node.names if a.name in READERS[node.module]}
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        found += [(name, node.lineno) for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.attr in READERS.get(aliases.get(node.value.id), ())]
+    return found
+
+
+def test_read_guard_sees_json_readers():
+    source = ("import json, orjson as fast\nfrom json import load as read\n"
+              "def load_json(path):\n    return json.loads(path) or fast.loads(path)\n"
+              "def other(fh):\n    return read(fh)\n"
+              "x = json.load\ny = json.dumps(1) + fast.dumps(2) + obj.loads(3)\n")
+    assert json_reads(source) == [("load_json", 4), ("load_json", 4), ("other", 6), (None, 7)]
+
+
+def test_only_load_json_reads_json():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name, _ in json_reads(path.read_text(encoding="utf-8"))}
+    assert found == {(BOUNDARY_MODULE, "load_json")}
 
 
 def imported_modules(source: str):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frcalc.fredholm import amplify
-from frcalc.frames import (Frame, commutation_residual, dot, pi1, pi2, random_frame,
+from frcalc.frames import (Frame, dot, dot_with_residual, pi1, pi2, random_frame,
                            tensor_frame, verify_frame)
 from frcalc.generators import random_fredholm
 from frcalc.homspace import (block_scalar_deviation, compose_plain, intertwiner, iota,
@@ -173,7 +173,7 @@ def test_compose_plain_three_sizes(a, l1, l2, seed):
 @EXAMPLES
 @given(st.integers(1, 3), st.integers(1, 3), SEED)
 def test_frame_kernels_match_einsum(d1, d2, seed):
-    """verify_frame, commutation_residual and dot against their einsum
+    """verify_frame, dot and its commutation residual against their einsum
     formulas, on commuting frames alpha = pi1(beta), gamma = pi2(beta)."""
     beta = random_frame(d1 * d2, 2 * d1 * d2, seed)
     alpha, gamma = pi1(beta, d1), pi2(beta, d1)
@@ -182,7 +182,9 @@ def test_frame_kernels_match_einsum(d1, d2, seed):
     assert max_abs(dot(alpha, gamma).mats - want) < 1e-13
     a, g = alpha.mats.reshape(-1, n, n), gamma.mats.reshape(-1, n, n)
     comm = np.einsum("pab,qbc->pqac", a, g) - np.einsum("qab,pbc->pqac", g, a)
-    assert abs(commutation_residual(alpha, gamma) - max_abs(comm)) < 1e-13
+    combined, residual = dot_with_residual(alpha, gamma)
+    assert max_abs(combined.mats - dot(alpha, gamma).mats) == 0.0
+    assert abs(residual - max_abs(comm)) < 1e-13
     s = beta.mats
     d = beta.d
     err_i = max_abs(np.einsum("ijab,rsbc->ijrsac", s, s)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from frcalc.abgroup import AbGroupPresentation, GroupHom
 from frcalc.catverify import NerveChain
-from frcalc.cli import VERBS
+from frcalc.cli import VERBS, _flags
 from frcalc.fredholm import DeskFredholm
 from frcalc.frames import Frame, frames_close, random_frame
 from frcalc.generators import random_fredholm
@@ -14,6 +15,7 @@ from frcalc.homspace import StarHom, random_hom
 from frcalc.linalg import max_abs, random_unitary
 from frcalc.serialize import (
     CODECS,
+    EXACT_KINDS,
     FormatError,
     decode,
     dump_json,
@@ -32,6 +34,7 @@ from frcalc.serialize import (
     subalgebra_from_json,
     subalgebra_to_json,
 )
+from test_cli_golden import CASES, _working_dir, write_inputs
 
 
 def test_matrix_roundtrip():
@@ -148,6 +151,16 @@ def _leaves(obj):
     return [obj]
 
 
+def _same_leaves(got, want):
+    """Two parsed JSON values hold the same tree of leaves: the same
+    types, values and signs of zero."""
+    assert got == want
+    got, want = _leaves(got), _leaves(want)
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert [math.copysign(1.0, x) for x in got if type(x) is float] == \
+        [math.copysign(1.0, x) for x in want if type(x) is float]
+
+
 def test_every_out_kind_is_covered():
     assert set(OUT_PAYLOADS) == {v.out for v in VERBS if v.out}
 
@@ -159,12 +172,59 @@ def test_dump_json_roundtrips_exactly(kind, tmp_path):
     decodes to the same array."""
     path = str(tmp_path / "out.json")
     dump_json(kind, OUT_PAYLOADS[kind], path)
-    written, encoded = load_json(path), CODECS[kind][1](OUT_PAYLOADS[kind])
-    got, want = _leaves(written), _leaves(encoded)
-    assert [type(x) for x in got] == [type(x) for x in want] and got == want
-    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+    written, encoded = load_json(path, kind), CODECS[kind][1](OUT_PAYLOADS[kind])
+    _same_leaves(written, encoded)
     if kind in ARRAY_OF:
         a, b = (ARRAY_OF[kind](decode(kind, obj)) for obj in (written, encoded))
         assert a.shape == b.shape and max_abs(a - b) == 0.0
     if kind == "group":
         assert decode(kind, written) == OUT_PAYLOADS[kind]
+
+
+def _golden_inputs():
+    """(file name, kind) of every JSON input of the golden CLI calls."""
+    for case in CASES:
+        verb = next(v for v in VERBS if f"{case} ".startswith(f"{v.name} "))
+        kinds = {flag: kind for flag, kind, _, _ in _flags(verb.flags)}
+        argv = case.split()
+        yield from ((name, kinds[flag]) for flag, name in zip(argv, argv[1:])
+                    if name.endswith(".json") and flag != "--out")
+
+
+def test_float_kinds_read_the_golden_inputs_as_the_stdlib_does(tmp_path):
+    """Every float kind's golden input, read by ``load_json`` through
+    orjson, gives the leaves the stdlib reader gives."""
+    with _working_dir(tmp_path):
+        write_inputs()
+    read = set()
+    for name, kind in sorted(set(_golden_inputs())):
+        if kind not in EXACT_KINDS:
+            path = tmp_path / name
+            _same_leaves(load_json(str(path), kind), json.loads(path.read_text()))
+            read.add(kind)
+    assert read == {kind for kind, (from_json, _) in CODECS.items() if from_json} - EXACT_KINDS
+
+
+def test_orjson_reads_extreme_doubles_as_the_stdlib_does(tmp_path):
+    """Doubles at the ends of the range, signed zeros, and random bit
+    patterns, each spelled three ways, read back as the stdlib reads them."""
+    bits = np.random.default_rng(5).integers(0, 2 ** 64, 4000, dtype=np.uint64)
+    rand = bits.view(np.float64)
+    values = [5e-324, -5e-324, -0.0, 0.0, 1e16, 1e-5, 1.7976931348623157e308,
+              -1.7976931348623157e308, 2.2250738585072014e-308, *rand[np.isfinite(rand)][:3000]]
+    path = tmp_path / "doubles.json"
+    for spell in (repr, "{:.17g}".format, "{:.16e}".format):
+        pairs = ", ".join(f"[{spell(float(x))}, {spell(float(-x))}]" for x in values)
+        path.write_text(f'{{"rows": 1, "cols": {len(values)}, "entries": [{pairs}]}}')
+        _same_leaves(load_json(str(path), "matrix"), json.loads(path.read_text()))
+
+
+def test_float_kinds_read_a_huge_integer_entry_as_the_nearest_double(tmp_path):
+    """orjson reads an int outside [-2^63, 2^64) as a float, so a matrix
+    entry 2**70 in a float-kind file decodes to the nearest double; the
+    integer kinds keep it exact."""
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows": 1, "cols": 1, "entries": [[{2 ** 70}, 0]]}}')
+    assert decode("matrix", load_json(str(path), "matrix"))[0, 0] == float(2 ** 70)
+    path.write_text(f"[[{2 ** 70}]]")
+    assert decode("ints", load_json(str(path), "ints")) == [[2 ** 70]]
