@@ -17,6 +17,7 @@ from frcalc.serialize import (
     CODECS,
     EXACT_KINDS,
     FormatError,
+    _depth,
     decode,
     dump_json,
     frame_from_json,
@@ -226,5 +227,62 @@ def test_float_kinds_read_a_huge_integer_entry_as_the_nearest_double(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(f'{{"rows": 1, "cols": 1, "entries": [[{2 ** 70}, 0]]}}')
     assert decode("matrix", load_json(str(path), "matrix"))[0, 0] == float(2 ** 70)
+    path.write_text(f'{{"note": "a\\n\\"b\\\\", "rows": 1, "cols": 1, "entries": [[{2 ** 70}, 0]]}}')
+    assert decode("matrix", load_json(str(path), "matrix"))[0, 0] == float(2 ** 70)
     path.write_text(f"[[{2 ** 70}]]")
     assert decode("ints", load_json(str(path), "ints")) == [[2 ** 70]]
+
+
+def _nesting(obj):
+    if isinstance(obj, dict):
+        return 1 + max(map(_nesting, obj.values()), default=0)
+    if isinstance(obj, list):
+        return 1 + max(map(_nesting, obj), default=0)
+    return 0
+
+
+def test_depth_skips_strings_with_escaped_quotes_and_backslashes():
+    """``_depth`` counts only the brackets outside strings, whatever
+    escaped quotes, backslashes and brackets the strings hold."""
+    rng = np.random.default_rng(11)
+    alphabet = ['"', "\\", "[", "]", "{", "}", "a", "\n", "\u00e9"]
+
+    def text():
+        return "".join(rng.choice(alphabet, rng.integers(0, 6)))
+
+    def value(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return text() if rng.random() < 0.5 else 1.5
+        items = [value(depth - 1) for _ in range(rng.integers(0, 3))]
+        return {text(): v for v in items} if rng.random() < 0.5 else items
+
+    for _ in range(300):
+        obj = value(int(rng.integers(0, 7)))
+        data = json.dumps(obj, ensure_ascii=bool(rng.integers(2))).encode()
+        assert _depth(data) == _nesting(obj), data
+
+
+_PAIR = [1.0, 0.0]
+_BAD_PAIRS = [[1.0], [1.0, 0.0, 0.0], ["1.0", 0.0], {"re": 1.0, "im": 0.0},
+              [[1.0, 0.0], [0.0, 0.0]], [math.nan, 0.0], [math.inf, 0.0], [None, 0.0], "10", 1.0]
+
+
+@pytest.mark.parametrize("entries", [[_PAIR] * 3 + [pair] for pair in _BAD_PAIRS] +
+                         [[_PAIR] * 3, [_PAIR] * 5, [_PAIR, _PAIR, [1.0, 0.0, 0.0], [1.0]]])
+def test_frame_decode_rejects_bad_entries_in_any_matrix(entries):
+    """Bad [re, im] entries in the last matrix of a frame, whose matrices
+    are decoded together, are a format error: a bad pair, too few or too
+    many pairs, or pairs whose lengths make up the count between them."""
+    good = {"rows": 2, "cols": 2, "entries": [_PAIR] * 4}
+    bad = {"rows": 2, "cols": 2, "entries": entries}
+    with pytest.raises(FormatError):
+        decode("frame", {"d": 2, "ambient": 2, "mats": [good] * 3 + [bad]})
+
+
+def test_frame_decode_rejects_a_matrix_of_another_size():
+    one = {"rows": 1, "cols": 1, "entries": [_PAIR]}
+    two = {"rows": 1, "cols": 2, "entries": [_PAIR, _PAIR]}
+    with pytest.raises(FormatError, match="a matrix must be 1x1, not 1x2"):
+        decode("frame", {"d": 2, "ambient": 1, "mats": [one] * 3 + [two]})
+    with pytest.raises(FormatError):
+        decode("alg", {"ambient": 1, "basis": [one, two]})
