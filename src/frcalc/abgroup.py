@@ -3,17 +3,17 @@
 Groups are presented by integer relation matrices (rows = relations,
 columns = generators); everything reduces to Smith normal form over the
 arbitrary-precision integers, with pivoting by least absolute value to
-contain entry growth.
+contain entry growth.  The form is computed on one list-of-lists tableau
+[[D, U], [V, 0]], so each row or column operation on D carries the
+transform that records it in the same pass: invariant factors read D,
+kernels and lattice membership read V as well, and U (which `ab snf`
+writes) witnesses U m V = D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _det_unimodular(m):
@@ -48,65 +48,68 @@ def smith_normal_form(m):
     division, and the smallest remainder left becomes the next pivot.
     Once both are clear, a row holding an entry the pivot does not divide
     is added to the pivot row, which leaves a smaller remainder there.
+
+    It runs on one tableau [[D, U], [V, 0]]: the first ``rows`` rows are
+    D with U to its right, the last ``cols`` rows are V below it, and the
+    zero block is not stored.  A row operation on D is then one list
+    comprehension over a whole row, which carries U, and a column
+    operation on D one loop over every row, which carries V; U and V are
+    sliced out at the end.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    d = [row[:] for row in m]
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):  # row_dst += c * row_src
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
+    tab = [list(row) + [0] * rows for row in m] + [[0] * cols for _ in range(cols)]
+    for i in range(rows):
+        tab[i][cols + i] = 1
+    for j in range(cols):
+        tab[rows + j][j] = 1
     for t in range(min(rows, cols)):
-        nonzero = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(d[i][t:], t) if x]
-        if not nonzero:
+        # The pivot is the first entry of least absolute value in row
+        # order, i.e. the least (abs, i, j).
+        least = 0
+        for i in range(t, rows):
+            row = tab[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (not least or abs(x) < least):
+                    least, pi, pj = abs(x), i, j
+        if not least:
             break
-        _, pi, pj = min(nonzero)
         while pi is not None:
-            swap_rows(t, pi)
+            tab[t], tab[pi] = tab[pi], tab[t]
             if pj != t:
-                swap_cols(t, pj)
-            p = d[t][t]
+                for row in tab:
+                    row[t], row[pj] = row[pj], row[t]
+            top = tab[t]
+            p = top[t]
             # Floor division leaves remainders smaller than |p|; the
             # least of them is the next pivot.
             least, pi, pj = abs(p), None, None
             for i in range(t + 1, rows):
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // p))
-                    if 0 < abs(d[i][t]) < least:
-                        least, pi, pj = abs(d[i][t]), i, t
+                row = tab[i]
+                if row[t]:
+                    c = -(row[t] // p)
+                    tab[i] = row = [x + c * y for x, y in zip(row, top)]
+                    if 0 < abs(row[t]) < least:
+                        least, pi, pj = abs(row[t]), i, t
             for j in range(t + 1, cols):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // p))
-                    if 0 < abs(d[t][j]) < least:
-                        least, pi, pj = abs(d[t][j]), t, j
+                if top[j]:
+                    c = -(top[j] // p)
+                    for row in tab:
+                        row[j] += c * row[t]
+                    if 0 < abs(top[j]) < least:
+                        least, pi, pj = abs(top[j]), t, j
             if pi is None and least != 1:
                 offending = next((i for i in range(t + 1, rows)
-                                  if any(x % p for x in d[i][t + 1:])), None)
+                                  if any(x % p for x in tab[i][t + 1:cols])), None)
                 if offending is not None:
-                    add_row(t, offending, 1)
+                    tab[t] = [x + y for x, y in zip(top, tab[offending])]
                     pi, pj = t, t
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
+        if tab[t][t] < 0:
+            tab[t] = [-x for x in tab[t]]
+    u = [row[cols:] for row in tab[:rows]]
+    d = [row[:cols] for row in tab[:rows]]
+    v = tab[rows:]
     if abs(_det_unimodular(u)) != 1 or abs(_det_unimodular(v)) != 1:
         raise ArithmeticError("Smith normal form transforms are not unimodular")
     return u, d, v
@@ -172,23 +175,23 @@ class AbGroupPresentation:
         return not factors and free_rank == 0
 
 
-def _relation_lattice_contains(rels, vec):
-    """Whether vec lies in the integer row span of rels."""
+def _relation_lattice_contains(rels, vecs):
+    """Whether every vector of vecs lies in the integer row span of
+    rels; one Smith normal form of rels serves them all."""
     rows = [list(r) for r in rels]
     if not rows:
-        return all(x == 0 for x in vec)
-    u, d, v = smith_normal_form(rows)
+        return all(x == 0 for vec in vecs for x in vec)
+    _, d, v = smith_normal_form(rows)
+    n = len(v)
+    rank = min(len(rows), n)
+    diag = [d[j][j] if j < rank else 0 for j in range(n)]
     # vec in rowspan(M) iff vec*V has coordinates divisible by the
     # diagonal (and zero beyond the rank).
-    transformed = [sum(vec[i] * v[i][j] for i in range(len(vec))) for j in range(len(vec))]
-    rank = min(len(rows), len(vec))
-    for j in range(len(vec)):
-        dj = d[j][j] if j < rank else 0
-        if dj == 0:
-            if transformed[j] != 0:
+    for vec in vecs:
+        for j, dj in enumerate(diag):
+            x = sum(vec[i] * v[i][j] for i in range(n))
+            if x % dj if dj else x:
                 return False
-        elif transformed[j] % dj != 0:
-            return False
     return True
 
 
@@ -197,7 +200,7 @@ def integer_kernel(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
-        return _identity(cols)
+        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     _, d, v = smith_normal_form(m)
     basis = []
     for j in range(cols):
@@ -226,12 +229,9 @@ class GroupHom:
         return GroupHom(src, dst, tuple(tuple(int(x) for x in r) for r in rows))
 
     def is_well_defined(self):
-        for rel in self.src.rels:
-            image = [sum(self.matrix[i][j] * rel[j] for j in range(self.src.gens))
-                     for i in range(self.dst.gens)]
-            if not _relation_lattice_contains(self.dst.rels, image):
-                return False
-        return True
+        images = [[sum(self.matrix[i][j] * rel[j] for j in range(self.src.gens))
+                   for i in range(self.dst.gens)] for rel in self.src.rels]
+        return not images or _relation_lattice_contains(self.dst.rels, images)
 
 
 def _require_well_defined(f: GroupHom):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -124,6 +125,22 @@ def test_snf_property_against_sympy(m):
     _check_snf_against_sympy(m, *smith_normal_form(m))
 
 
+# SHA-256 of the (U, D, V) triples that Cohen's elimination gives on the
+# matrices below, recorded when U, D and V were still updated as three
+# separate matrices: pivots, reductions and sign fixes are pinned to it.
+SNF_DIGEST = "1b3ae9319cd6371604139f14a65faa3c896854723e7ffc013c9c160a59dbd333"
+
+
+def test_snf_transforms_match_the_recorded_digest():
+    rng = np.random.default_rng(12)
+    matrices = []
+    for _ in range(2000):
+        r, c = rng.integers(1, 7, 2)
+        matrices.append(rng.integers(-9, 10, (r, c)).tolist())
+    results = json.dumps([smith_normal_form(m) for m in matrices])
+    assert hashlib.sha256(results.encode()).hexdigest() == SNF_DIGEST
+
+
 def test_snf_against_gcd_minors_oracle():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -245,6 +262,22 @@ def test_hom_well_definedness_check():
     assert not f.is_well_defined()
     with pytest.raises(ValueError, match="relations"):
         cokernel(f)
+
+
+def test_well_definedness_takes_one_snf_for_all_relations(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(abgroup, "smith_normal_form", counting)
+    src = AbGroupPresentation.from_rows(2, [[2, 0], [0, 3], [2, 3]])
+    dst = AbGroupPresentation.cyclic(6)
+    assert GroupHom.from_rows(src, dst, [[3, 2]]).is_well_defined()
+    assert len(calls) == 1
+    assert not GroupHom.from_rows(src, dst, [[1, 2]]).is_well_defined()
+    assert len(calls) == 2
 
 
 def test_kernel_of_injection_trivial():

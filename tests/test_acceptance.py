@@ -1,12 +1,12 @@
 """Acceptance battery: one test per entry of ``frcalc.suite.BATTERIES``
 at its default count, with the entry's thresholds and runtime budget,
 each printing a single PASS/FAIL line; a new table entry gets its test
-here without further code.  Criterion 12 runs the CLI suite twice."""
+here without further code.  Criterion 12 compares two runs of the CLI suite
+(the ``suite_seed7_runs`` fixture of conftest.py)."""
 
 import json
 import time
 
-from frcalc.cli import run
 from frcalc.suite import BATTERIES, run_battery
 
 SEED = 7
@@ -34,15 +34,12 @@ for _battery in BATTERIES:
     globals()[f"test_{_prefix}_{_battery.name}"] = _acceptance_test(_battery)
 
 
-def test_criterion_12_determinism(capsys):
+def test_criterion_12_determinism(capsys, suite_seed7_runs):
     # `frcalc suite --seed 7` twice: byte-identical modulo elapsed_ms,
     # total runtime < 2 min
-    start = time.monotonic()
-    assert run(["suite", "--seed", "7"]) == 0
-    first = capsys.readouterr().out
-    assert run(["suite", "--seed", "7"]) == 0
-    second = capsys.readouterr().out
-    elapsed = time.monotonic() - start
+    assert suite_seed7_runs.codes == [0, 0]
+    first, second = suite_seed7_runs.outputs
+    elapsed = suite_seed7_runs.elapsed_s
 
     def strip(text):
         obj = json.loads(text)

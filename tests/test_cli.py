@@ -243,11 +243,11 @@ def test_orjson_reads_stop_at_the_depth_cap(tmp_path):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
-def test_suite_stdout_matches_the_recording(capsys):
+def test_suite_stdout_matches_the_recording(suite_seed7_runs):
     """The stdout report is written by the stdlib ``json``: byte for byte
     the recorded ``frcalc suite --seed 7`` line, but for ``elapsed_ms``."""
-    assert run(["suite", "--seed", "7"]) == 0
-    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    assert suite_seed7_runs.codes[0] == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', suite_seed7_runs.outputs[0])
     assert out == SUITE_STDOUT.read_text()
 
 

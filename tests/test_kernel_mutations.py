@@ -24,18 +24,41 @@ ev = homspace.ev
 BY_NAME = {battery.name: battery for battery in BATTERIES}
 
 GRAM_CONJ_TERM = "gram -= t + t.conj().T"
+# The Smith normal form's column operation, which carries V in the rows
+# below D, and its row operation, which carries U in the columns right of D.
+SNF_COLUMN_OP = "for row in tab:\n                        row[j] += c * row[t]"
+SNF_ROW_OP = "[x + c * y for x, y in zip(row, top)]"
+
+
+def _recompiled(module, old, new):
+    """``module`` compiled from its source with the one occurrence of
+    ``old`` replaced by ``new``."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1
+    compiled = types.ModuleType(module.__name__)
+    compiled.__package__ = frcalc.__name__
+    exec(compile(source.replace(old, new), module.__file__, "exec"), compiled.__dict__)
+    return compiled
 
 
 def _full_commutant_without_conj_t():
-    """``grassmannian._full_commutant`` compiled from the module's source
-    with the conj(T[q, p]) term dropped from its closed-form Gram."""
-    source = inspect.getsource(grassmannian)
-    assert source.count(GRAM_CONJ_TERM) == 1
-    module = types.ModuleType(grassmannian.__name__)
-    module.__package__ = frcalc.__name__
-    exec(compile(source.replace(GRAM_CONJ_TERM, "gram -= t"), grassmannian.__file__, "exec"),
-         module.__dict__)
-    return module._full_commutant
+    """``grassmannian._full_commutant`` with the conj(T[q, p]) term
+    dropped from its closed-form Gram."""
+    return _recompiled(grassmannian, GRAM_CONJ_TERM, "gram -= t")._full_commutant
+
+
+def _snf_with_column_operations_on_d_only():
+    """``abgroup.smith_normal_form`` whose column operations walk only
+    the rows of D, so V takes the swaps but not the reductions."""
+    return _recompiled(abgroup, SNF_COLUMN_OP,
+                       SNF_COLUMN_OP.replace("in tab:", "in tab[:rows]:")).smith_normal_form
+
+
+def _snf_with_row_operations_on_d_only():
+    """``abgroup.smith_normal_form`` whose row operations update only the
+    columns of D, so U takes the swaps but not the reductions."""
+    return _recompiled(abgroup, SNF_ROW_OP,
+                       "[x + c * y for x, y in zip(row, top[:cols])] + row[cols:]").smith_normal_form
 
 
 def _snf_with_a_wrong_diagonal(m):
@@ -94,6 +117,16 @@ MUTANTS = {
     "Smith normal form with a wrong diagonal":
         Mutant([(abgroup, "smith_normal_form", _snf_with_a_wrong_diagonal)],
                ["abgroup"], raises=True),
+    # Both report rather than raise: U and V stay unimodular, so the
+    # unimodularity check passes, and U m V != D counts as snf_failures.
+    # A V without the reductions also gives kernel a wrong basis, which
+    # coker_ker_failures counts; the battery reads U only in U m V.
+    "Smith normal form whose column operations do not carry V":
+        Mutant([(abgroup, "smith_normal_form", _snf_with_column_operations_on_d_only())],
+               ["abgroup"]),
+    "Smith normal form whose row operations do not carry U":
+        Mutant([(abgroup, "smith_normal_form", _snf_with_row_operations_on_d_only())],
+               ["abgroup"]),
     # dim ker and dim coker change while the index n*(win_dom - win_cod)
     # of the all-zero block stays right.
     "conjugate and amplify that return all-zero blocks":
