@@ -113,7 +113,8 @@ def _centralizer(tol, alg):
 
 def _extract(tol, alg, d):
     fr = grassmannian.extract_frame(alg, d, tol)
-    return True, {"frame_axioms": frames.verify_frame(fr, tol).max_error}, None, fr
+    report = frames.verify_frame(fr, tol)  # the rule of ``frame verify``
+    return report.pass_, {"frame_axioms": report.max_error}, None, fr
 
 
 def _naturality(tol, bundle, seed):

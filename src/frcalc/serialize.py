@@ -20,10 +20,21 @@ it reads an int outside [-2^63, 2^64) as a float and cannot write one.
 orjson has no nesting limit of its own and overflows the C stack on a
 deeply nested file, so ``load_json`` rejects a file nested deeper than
 ``MAX_DEPTH`` before orjson sees it (the stdlib reader's recursion limit
-stops a deep file of the exact kinds).  A matrix with a non-finite entry
-has no JSON form, so ``matrix_to_json`` refuses it.  The matrices of a
-frame or a subalgebra basis are decoded together, by one numpy
-conversion of all their [re, im] pairs.
+stops a deep file of the exact kinds).
+
+The float encoders do not build lists of numbers: each matrix's
+entries stand in the tree they return as a C-contiguous float64 array
+of shape (rows*cols, 2), its [re, im] pairs.  The matrices of a frame
+or a subalgebra basis become such arrays together, by one copy of their
+stack and one finiteness check; a matrix with a non-finite entry has no
+JSON form, so the encoders refuse it (a subalgebra's own basis is
+checked too, before the SVD that takes its canonical basis, which may
+never return on an inf).  ``dump_json`` is the only writer
+of these trees: orjson writes each array as the list it stands for,
+with the digits it gives a list of the same Python floats, and the
+stdlib path turns every array into that list first.  On the way back
+the matrices of a frame or a subalgebra basis are decoded together, by
+one numpy conversion of all their [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .linalg import DEFAULT_TOL, orthonormal_cols
 
 # Seed of the fixed reference matrix that picks the canonical basis.
 _CANONICAL_SEED = 0xBA515
+_NON_FINITE = "a matrix with a non-finite entry has no JSON form"
 
 
 class FormatError(ValueError):
@@ -74,15 +86,23 @@ def _int_rows(x, name="an integer matrix"):
     return rows
 
 
+def _matrices_to_json(ms) -> list:
+    """The JSON matrices of a stack ``ms`` of equal-size complex matrices.
+    Their entries are one copy of the stack in C order, viewed as float64:
+    a complex128 array holds each entry as its real and imaginary parts
+    side by side, so matrix k's [re, im] pairs are the C-contiguous
+    (rows*cols, 2) block k of the view, which orjson writes as the list
+    it stands for (it refuses an array that is not C-contiguous)."""
+    ms = np.array(ms, dtype=complex, order="C")
+    if not np.isfinite(ms).all():
+        raise ValueError(_NON_FINITE)
+    count, rows, cols = ms.shape
+    pairs = ms.view(np.float64).reshape(count, rows * cols, 2)
+    return [{"rows": rows, "cols": cols, "entries": entries} for entries in pairs]
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("a matrix with a non-finite entry has no JSON form")
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
-    }
+    return _matrices_to_json([m])[0]
 
 
 def _matrices_from_json(objs, rows: int, cols: int) -> np.ndarray:
@@ -113,7 +133,7 @@ def frame_to_json(fr: Frame) -> dict:
     return {
         "d": fr.d,
         "ambient": fr.ambient,
-        "mats": [matrix_to_json(m) for m in fr.as_list()],
+        "mats": _matrices_to_json(fr.mats.reshape(-1, fr.ambient, fr.ambient)),
     }
 
 
@@ -135,18 +155,27 @@ def hom_from_json(obj) -> StarHom:
                    frame_from_json(obj["frame"]))
 
 
-def subalgebra_to_json(a: Subalgebra) -> dict:
-    """Writes the Q factor, with R's diagonal made positive, of P R_ref:
-    P projects onto the span and R_ref is a fixed seeded n^2 x dim
-    matrix, so the basis is a function of the span alone (an SVD or
-    eigh basis of a degenerate subspace moves by O(1) under rounding)."""
+def _canonical_basis(a: Subalgebra) -> np.ndarray:
+    """The Q factor, with R's diagonal made positive, of P R_ref, as a
+    (dim, n, n) stack: P projects onto the span and R_ref is a fixed
+    seeded n^2 x dim matrix, so the basis is a function of the span
+    alone (an SVD or eigh basis of a degenerate subspace moves by O(1)
+    under rounding).  The stack is a view of Q's transpose, not
+    C-contiguous.  A basis with a non-finite entry is refused before
+    the SVD, which may never return on one that holds an inf."""
+    if not np.isfinite(a.basis).all():
+        raise ValueError(_NON_FINITE)
     n = a.ambient
     q0 = orthonormal_cols(list(a.basis), DEFAULT_TOL) if a.basis else np.zeros((n * n, 0))
     ref = np.random.default_rng(_CANONICAL_SEED).standard_normal((n * n, q0.shape[1]))
     q, r = np.linalg.qr(q0 @ (q0.conj().T @ ref))
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return {"ambient": n, "basis": [matrix_to_json(m.reshape(n, n)) for m in q.T]}
+    return (q * (d / np.abs(d))).T.reshape(-1, n, n)
+
+
+def subalgebra_to_json(a: Subalgebra) -> dict:
+    """Writes the subalgebra in its canonical basis."""
+    return {"ambient": a.ambient, "basis": _matrices_to_json(_canonical_basis(a))}
 
 
 def subalgebra_from_json(obj) -> Subalgebra:
@@ -283,8 +312,9 @@ def dump_json(kind: str, payload, path: str):
     payload is encoded in full before the file is opened."""
     obj = CODECS[kind][1](payload)
     if kind in EXACT_KINDS:
-        data = (json.dumps(obj, sort_keys=True) + "\n").encode()
+        data = (json.dumps(obj, sort_keys=True, default=np.ndarray.tolist) + "\n").encode()
     else:
-        data = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+        data = orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                            | orjson.OPT_SERIALIZE_NUMPY)
     with open(path, "wb") as fh:
         fh.write(data)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import frcalc
-from frcalc import cli, homspace
+from frcalc import cli, frames, grassmannian, homspace
 from frcalc.cli import run
 from frcalc.config import UsageError, load_settings, parse_config
-from frcalc.frames import matrix_unit_frame, random_frame
+from frcalc.frames import Frame, matrix_unit_frame, random_frame
+from frcalc.grassmannian import Subalgebra, lambda_map
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
 from frcalc.homspace import random_hom
 from frcalc.serialize import MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json
@@ -160,6 +161,44 @@ def test_non_finite_result_exits_1_and_writes_no_file(tmp_path, capsys, monkeypa
                                  "--out", str(out)])
     assert code == 1 and "non-finite" in report["error"]
     assert report["artifacts"] == [] and not out.exists()
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_non_finite_entry_in_any_matrix_of_a_batch_exits_1(tmp_path, capsys, monkeypatch, k):
+    """A frame or subalgebra result whose k-th matrix holds a NaN, the
+    first or the last, exits 1 and writes no file: the matrices of one
+    payload are checked together, every one of them."""
+    fr, alg = random_frame(2, 4, 1), lambda_map(random_frame(2, 4, 2))
+    mats, basis = fr.mats.copy(), [m.copy() for m in alg.basis]
+    mats[k // 2, k % 2, 1, 0] = np.nan
+    basis[k][1, 0] = np.nan
+    monkeypatch.setattr(frames, "pi1", lambda fr, split: Frame(2, 4, mats))
+    monkeypatch.setattr(grassmannian, "centralizer", lambda alg, tol: Subalgebra(4, tuple(basis)))
+    frame_in, alg_in, out = tmp_path / "f.json", tmp_path / "a.json", tmp_path / "out.json"
+    dump_json("frame", fr, str(frame_in))
+    dump_json("alg", alg, str(alg_in))
+    for argv in (["frame", "pi1", "--in", str(frame_in), "--split", "2"],
+                 ["alg", "centralizer", "--in", str(alg_in)]):
+        code, report = _run(capsys, argv + ["--out", str(out)])
+        assert code == 1 and "non-finite" in report["error"], argv
+        assert report["artifacts"] == [] and not out.exists()
+
+
+def test_alg_extract_fails_by_the_rule_of_frame_verify(tmp_path, capsys, monkeypatch):
+    """``alg extract`` passes an extracted frame only if ``frame verify``
+    would: a frame with axiom error 5e-9, above the default ``abs_eps``
+    of 1e-9, exits 1, and so does ``frame verify`` on the file it wrote."""
+    mats = matrix_unit_frame(2, 3).mats.copy()
+    mats[0, 0, 0, 0] += 2.5e-9  # the Gram axiom is off by twice that
+    monkeypatch.setattr(grassmannian, "extract_frame", lambda alg, d, tol: Frame(2, 6, mats))
+    alg, out = tmp_path / "alg.json", tmp_path / "fr.json"
+    dump_json("alg", lambda_map(matrix_unit_frame(2, 3)), str(alg))
+    code, report = _run(capsys, ["alg", "extract", "--in", str(alg), "--d", "2",
+                                 "--out", str(out)])
+    assert code == 1 and report["pass"] is False
+    assert 4e-9 < report["residuals"]["frame_axioms"] < 6e-9
+    code, report = _run(capsys, ["frame", "verify", "--in", str(out)])
+    assert code == 1 and report["pass"] is False
 
 
 def _int_product(a, b):

@@ -8,8 +8,11 @@ runtime checks are written as ``if ...: raise``.  No module of the
 package or the tests imports a name it does not use.  ``serialize``
 handles errors only at its decode boundary, ``decode`` and
 ``load_json``, and is the only module that imports orjson.  And the
-package has one read path: only ``serialize.load_json`` calls a JSON
-reader, ``json.load``, ``json.loads`` or ``orjson.loads``."""
+package has one read path and one fast write path: only
+``serialize.load_json`` calls a JSON reader, ``json.load``,
+``json.loads`` or ``orjson.loads``, and only ``serialize.dump_json``
+calls ``orjson.dumps``, so no other writer meets the float64 arrays
+that the encoders put in their trees."""
 
 import ast
 import pathlib
@@ -25,6 +28,7 @@ KERNEL_MODULE = "linalg.py"
 BOUNDARY_MODULE, BOUNDARY = "serialize.py", {"decode", "load_json"}
 BANNED = {"einsum", "kron"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
+WRITERS = {"orjson": {"dumps"}}  # module -> the writers only dump_json may call
 
 
 def numpy_contractions(source: str):
@@ -198,25 +202,26 @@ def test_serialize_handles_errors_only_at_its_boundary():
     assert {name for name, _ in except_handlers(source)} == BOUNDARY
 
 
-def json_reads(source: str):
-    """(top-level function, line) of every use of a JSON reader: an
-    attribute of a ``json`` or ``orjson`` alias (``json.loads``,
-    ``orjson.loads``) or a reader imported from either by name; the
-    function is None for a use outside any."""
+def json_uses(source: str, functions=READERS):
+    """(top-level function, line) of every use of one of ``functions``
+    (module -> names, by default the JSON readers): an attribute of an
+    alias of the module (``json.loads``, ``orjson.loads``) or a function
+    imported from it by name; the function is None for a use outside
+    any."""
     tree = ast.parse(source)
-    aliases, names = {}, set()  # alias -> module; local names of imported readers
+    aliases, names = {}, set()  # alias -> module; local names of imported functions
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            aliases.update({a.asname or a.name: a.name for a in node.names if a.name in READERS})
-        elif isinstance(node, ast.ImportFrom) and node.module in READERS:
-            names |= {a.asname or a.name for a in node.names if a.name in READERS[node.module]}
+            aliases.update({a.asname or a.name: a.name for a in node.names if a.name in functions})
+        elif isinstance(node, ast.ImportFrom) and node.module in functions:
+            names |= {a.asname or a.name for a in node.names if a.name in functions[node.module]}
     found = []
     for top in tree.body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
         found += [(name, node.lineno) for node in ast.walk(top)
                   if isinstance(node, ast.Name) and node.id in names
                   or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.attr in READERS.get(aliases.get(node.value.id), ())]
+                  and node.attr in functions.get(aliases.get(node.value.id), ())]
     return found
 
 
@@ -225,13 +230,27 @@ def test_read_guard_sees_json_readers():
               "def load_json(path):\n    return json.loads(path) or fast.loads(path)\n"
               "def other(fh):\n    return read(fh)\n"
               "x = json.load\ny = json.dumps(1) + fast.dumps(2) + obj.loads(3)\n")
-    assert json_reads(source) == [("load_json", 4), ("load_json", 4), ("other", 6), (None, 7)]
+    assert json_uses(source) == [("load_json", 4), ("load_json", 4), ("other", 6), (None, 7)]
 
 
 def test_only_load_json_reads_json():
     found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
-             for name, _ in json_reads(path.read_text(encoding="utf-8"))}
+             for name, _ in json_uses(path.read_text(encoding="utf-8"))}
     assert found == {(BOUNDARY_MODULE, "load_json")}
+
+
+def test_write_guard_sees_a_stray_orjson_dumps():
+    source = ("import json, orjson, orjson as fast\nfrom orjson import dumps as write\n"
+              "def dump_json(obj):\n    return orjson.dumps(obj)\n"
+              "def report(obj):\n    return fast.dumps(obj) + write(obj)\n"
+              "x = json.dumps(1) + orjson.loads(b'2') + obj.dumps(3)\n")
+    assert json_uses(source, WRITERS) == [("dump_json", 4), ("report", 6), ("report", 6)]
+
+
+def test_only_dump_json_calls_orjson_dumps():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name, _ in json_uses(path.read_text(encoding="utf-8"), WRITERS)}
+    assert found == {(BOUNDARY_MODULE, "dump_json")}
 
 
 def imported_modules(source: str):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from frcalc import serialize
 from frcalc.abgroup import AbGroupPresentation, GroupHom
 from frcalc.catverify import NerveChain
 from frcalc.cli import VERBS, _flags
 from frcalc.fredholm import DeskFredholm
-from frcalc.frames import Frame, frames_close, random_frame
+from frcalc.frames import Frame, frames_close, pi1, pi2, random_frame
 from frcalc.generators import random_fredholm
 from frcalc.grassmannian import Subalgebra, lambda_map
 from frcalc.homspace import StarHom, random_hom
@@ -17,18 +18,17 @@ from frcalc.serialize import (
     CODECS,
     EXACT_KINDS,
     FormatError,
+    _canonical_basis,
     _depth,
     decode,
     dump_json,
     frame_from_json,
     frame_to_json,
     fredholm_from_json,
-    fredholm_to_json,
     grouphom_from_json,
     group_from_json,
     group_to_json,
     hom_from_json,
-    hom_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -38,12 +38,25 @@ from frcalc.serialize import (
 from test_cli_golden import CASES, _working_dir, write_inputs
 
 
-def test_matrix_roundtrip():
+def _written(kind, payload, tmp_path):
+    """``payload`` written by ``dump_json`` and read back by ``load_json``:
+    the JSON value of its file."""
+    path = str(tmp_path / f"{kind}.json")
+    dump_json(kind, payload, path)
+    return load_json(path, kind)
+
+
+def test_matrix_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    assert max_abs(matrix_from_json(matrix_to_json(m)) - m) == 0.0
-    assert matrix_to_json(m)["entries"] == [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
-    assert matrix_from_json(matrix_to_json(np.zeros((0, 3)))).shape == (0, 3)
+    pairs = [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
+    written = _written("matrix", m, tmp_path)
+    assert max_abs(matrix_from_json(written) - m) == 0.0
+    assert written["entries"] == pairs
+    entries = matrix_to_json(m)["entries"]  # the encoder's tree holds the pairs as an array
+    assert entries.dtype == np.float64 and entries.flags.c_contiguous
+    assert entries.tolist() == pairs
+    assert matrix_from_json(_written("matrix", np.zeros((0, 3)), tmp_path)).shape == (0, 3)
 
 
 def test_matrix_to_json_refuses_non_finite_entries():
@@ -68,9 +81,9 @@ def test_matrix_rejects_bad_payloads():
             decode("matrix", payload)
 
 
-def test_frame_roundtrip():
+def test_frame_roundtrip(tmp_path):
     fr = random_frame(2, 4, 1)
-    assert frames_close(frame_from_json(frame_to_json(fr)), fr) == 0.0
+    assert frames_close(frame_from_json(_written("frame", fr, tmp_path)), fr) == 0.0
 
 
 def test_frame_rejects_wrong_count():
@@ -80,29 +93,29 @@ def test_frame_rejects_wrong_count():
         decode("frame", payload)
 
 
-def test_hom_roundtrip():
+def test_hom_roundtrip(tmp_path):
     h = random_hom(2, 3, 3)
-    back = hom_from_json(hom_to_json(h))
+    back = hom_from_json(_written("hom", h, tmp_path))
     assert back.src == 2 and back.dst == 6
     assert max_abs(back.image_frame.mats - h.image_frame.mats) == 0.0
 
 
-def test_subalgebra_roundtrip():
+def test_subalgebra_roundtrip(tmp_path):
     a = lambda_map(random_frame(2, 4, 4))
-    back = subalgebra_from_json(subalgebra_to_json(a))
+    back = subalgebra_from_json(_written("alg", a, tmp_path))
     assert back.ambient == 4 and back.dim == a.dim
     # The written basis is a function of the span: another orthonormal
     # basis of it, or the decoded one, is written the same way.
     w = random_unitary(a.dim, 5)
     rotated = Subalgebra(4, tuple(np.tensordot(w, np.array(a.basis), axes=1)))
     for other in (rotated, back):
-        assert max_abs(np.array(subalgebra_from_json(subalgebra_to_json(other)).basis)
+        assert max_abs(np.array(subalgebra_from_json(_written("alg", other, tmp_path)).basis)
                        - np.array(back.basis)) < 1e-12
 
 
-def test_fredholm_roundtrip():
+def test_fredholm_roundtrip(tmp_path):
     t = random_fredholm(2, 3, 2, 5)
-    back = fredholm_from_json(fredholm_to_json(t))
+    back = fredholm_from_json(_written("operator", t, tmp_path))
     assert (back.n, back.win_dom, back.win_cod) == (2, 3, 2)
     assert max_abs(back.finite_part - t.finite_part) == 0.0
 
@@ -143,6 +156,16 @@ ARRAY_OF = {
 }
 
 
+def _listed(obj):
+    """A codec's tree with each array in it replaced by the list it
+    stands for."""
+    if isinstance(obj, dict):
+        return {key: _listed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_listed(item) for item in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
 def _leaves(obj):
     """Every number of a JSON value, in key order."""
     if isinstance(obj, dict):
@@ -169,17 +192,110 @@ def test_every_out_kind_is_covered():
 @pytest.mark.parametrize("kind", OUT_PAYLOADS)
 def test_dump_json_roundtrips_exactly(kind, tmp_path):
     """A payload written by ``dump_json`` and read back through
-    ``load_json`` gives the very numbers its codec gave in memory, and
-    decodes to the same array."""
+    ``load_json`` gives the very numbers its codec gave in memory, in
+    list form, and decodes to the same array."""
     path = str(tmp_path / "out.json")
     dump_json(kind, OUT_PAYLOADS[kind], path)
-    written, encoded = load_json(path, kind), CODECS[kind][1](OUT_PAYLOADS[kind])
+    written, encoded = load_json(path, kind), _listed(CODECS[kind][1](OUT_PAYLOADS[kind]))
     _same_leaves(written, encoded)
     if kind in ARRAY_OF:
         a, b = (ARRAY_OF[kind](decode(kind, obj)) for obj in (written, encoded))
         assert a.shape == b.shape and max_abs(a - b) == 0.0
     if kind == "group":
         assert decode(kind, written) == OUT_PAYLOADS[kind]
+
+
+def _list_matrix(m):
+    """A matrix's wire form with its entries as nested Python lists, as
+    the encoders built it before they handed orjson float64 arrays."""
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()}
+
+
+def _list_frame(fr):
+    return {"d": fr.d, "ambient": fr.ambient, "mats": [_list_matrix(m) for m in fr.as_list()]}
+
+
+def _list_hom(h):
+    return {"src": h.src, "dst": h.dst, "frame": _list_frame(h.image_frame)}
+
+
+def _list_chain(c):
+    return {"homs": [_list_hom(h) for h in c.homs]}
+
+
+# kind -> the wire form of a payload, built one matrix at a time as lists
+LIST_TREES = {
+    "frame": _list_frame,
+    "hom": _list_hom,
+    "alg": lambda a: {"ambient": a.ambient, "basis": [_list_matrix(m) for m in _canonical_basis(a)]},
+    "matrix": _list_matrix,
+    "operator": lambda t: {"n": t.n, "win_dom": t.win_dom, "win_cod": t.win_cod,
+                           "finite_part": _list_matrix(t.finite_part)},
+    "chain": _list_chain,
+    "fiber": lambda p: {"chain": _list_chain(p[0]), "fiber": _list_matrix(p[1])},
+}
+_F44 = random_frame(4, 4, 2)
+_CHAIN = NerveChain((random_hom(1, 2, 5), random_hom(2, 2, 3)))
+_ALG = lambda_map(random_frame(2, 4, 4))
+# Payloads of every float kind: the edge values of EDGE, and matrices
+# that are views whose memory is not in C order (a transpose, the
+# canonical basis of a subalgebra) or that come out of a kernel.
+BYTE_CASES = {
+    "frame-edge": ("frame", _EDGE_HOM.image_frame),
+    "frame-transposed": ("frame", Frame(1, 2, EDGE.T[None, None])),
+    "frame-pi1": ("frame", pi1(_F44, 2)),
+    "frame-pi2": ("frame", pi2(_F44, 2)),
+    "hom-edge": ("hom", _EDGE_HOM),
+    "hom-random": ("hom", random_hom(2, 2, 3)),
+    "alg": ("alg", _ALG),
+    "alg-empty": ("alg", Subalgebra(3, ())),
+    "matrix-edge": ("matrix", EDGE),
+    "matrix-transposed": ("matrix", EDGE.T),
+    "matrix-empty": ("matrix", np.zeros((0, 3))),
+    "operator-edge": ("operator", DeskFredholm(1, 2, 2, EDGE)),
+    "chain-edge": ("chain", NerveChain((_EDGE_HOM,))),
+    "chain-random": ("chain", _CHAIN),
+    "fiber": ("fiber", (_CHAIN, EDGE.T)),
+}
+
+
+def test_byte_cases_cover_every_float_kind_and_strided_inputs():
+    assert {kind for kind, _ in BYTE_CASES.values()} == set(OUT_PAYLOADS) - EXACT_KINDS
+    assert not EDGE.T.flags.c_contiguous and not _canonical_basis(_ALG).flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind, payload", BYTE_CASES.values(), ids=BYTE_CASES)
+def test_dump_json_writes_the_bytes_of_the_list_form(kind, payload, tmp_path):
+    """Each float kind is written byte for byte as orjson writes its list
+    form, the trees the encoders built before they held arrays; and a
+    codec tree written under the stdlib kind ``json`` is written as the
+    stdlib writes that list form."""
+    path = tmp_path / "out.json"
+    dump_json(kind, payload, str(path))
+    fast = serialize.orjson
+    want = fast.dumps(LIST_TREES[kind](payload), option=fast.OPT_SORT_KEYS | fast.OPT_APPEND_NEWLINE)
+    assert path.read_bytes() == want
+    dump_json("json", CODECS[kind][1](payload), str(path))
+    assert path.read_text() == json.dumps(LIST_TREES[kind](payload), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_batch_encoders_refuse_a_non_finite_entry_in_any_matrix(x):
+    """A frame or a subalgebra basis with a non-finite entry in any one
+    of its matrices has no JSON form.  A subalgebra's basis is checked
+    before the SVD that takes its canonical basis: on an inf that SVD
+    does not return."""
+    fr, alg = random_frame(2, 4, 1), lambda_map(random_frame(2, 4, 2))
+    for k in range(4):
+        mats, basis = fr.mats.copy(), [m.copy() for m in alg.basis]
+        mats[k // 2, k % 2, 1, 0] = x
+        basis[k][1, 0] = x
+        with pytest.raises(ValueError, match="non-finite"):
+            frame_to_json(Frame(2, 4, mats))
+        with pytest.raises(ValueError, match="non-finite"):
+            subalgebra_to_json(Subalgebra(4, tuple(basis)))
 
 
 def _golden_inputs():
