@@ -60,7 +60,7 @@ def is_c_morphism(f: StarHom, alpha: Frame, beta: Frame, d1: int,
     if pushed.d != d1:
         raise ValueError("split does not match the source frame degree")
     residual = frames_close(pushed, pi1(beta, d1))
-    return residual <= 1e3 * tol.abs_eps, residual
+    return residual <= tol.bound("frame_condition"), residual
 
 
 def make_c_morphism(f: StarHom, alpha: Frame, beta: Frame,

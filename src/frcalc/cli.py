@@ -58,12 +58,9 @@ def _made(obj):
     return True, {}, None, obj
 
 
-def _check(name, ok_residual):
-    return ok_residual[0], {name: ok_residual[1]}, None, None
-
-
-def _within(bound, name, residual, payload=None):
-    return residual <= bound, {name: residual}, None, payload
+def _within(tol, check, residual, payload=None):
+    """Pass iff ``residual`` is within the bound of ``check``, which names it."""
+    return residual <= tol.bound(check), {check: residual}, None, payload
 
 
 def _frame_axioms(tol, fr):
@@ -74,7 +71,7 @@ def _frame_axioms(tol, fr):
 
 def _dot(tol, left, right):
     fr, residual = frames.dot_with_residual(left, right, tol)
-    return True, {"commutation": residual}, None, fr
+    return _within(tol, "commutation", residual, fr)
 
 
 def _random_frame(tol, d, ambient, seed):
@@ -85,7 +82,7 @@ def _random_frame(tol, d, ambient, seed):
 
 def _intertwiner(tol, h):
     u = homspace.intertwiner(h, tol)
-    return _within(1e-8, "intertwiner", homspace.intertwiner_residual(h, u), u)
+    return _within(tol, "intertwiner", homspace.intertwiner_residual(h, u), u)
 
 
 def _with_dim(ok, residuals, alg):
@@ -95,7 +92,7 @@ def _with_dim(ok, residuals, alg):
 def _span(tol, gens):
     alg = grassmannian.span_subalgebra(list(gens.basis), gens.ambient, tol)
     residual = grassmannian.closure_residual(alg, tol)
-    return _with_dim(residual <= 1e3 * tol.abs_eps, {"closure": residual}, alg)
+    return _with_dim(residual <= tol.bound("in_span"), {"closure": residual}, alg)
 
 
 def _is_k(tol, alg, d):
@@ -108,7 +105,7 @@ def _centralizer(tol, alg):
         raise ValueError("the basis does not span a *-closed set")
     z = grassmannian.centralizer(alg, tol)
     defect = grassmannian.commutation_defect(alg, z)
-    return _with_dim(defect <= 1e-8, {"commutation": defect}, z)
+    return _with_dim(defect <= tol.bound("centralizer"), {"commutation": defect}, z)
 
 
 def _extract(tol, alg, d):
@@ -127,7 +124,8 @@ def _naturality(tol, bundle, seed):
     else:  # the frame condition of f and g, checked here and not when decoding
         bundle = (*(catverify.make_c_morphism(*parts, tol) for parts in bundle[:2]), *bundle[2:])
     square, witness = catverify.check_naturality(*bundle, tol)
-    return square <= 1e-8 and witness <= 1e-8, {"square": square, "witness": witness}, None, None
+    bound = tol.bound("naturality")
+    return square <= bound and witness <= bound, {"square": square, "witness": witness}, None, None
 
 
 def _or_random(fr, d, ambient, seed):
@@ -209,11 +207,11 @@ VERBS = (
              h, a_prime, a, b, tol))),
     Verb("alg ztensor", "grassmannian.centralizer_tensor_check",
          "--f hom --g hom --a alg --b alg --phi alg --psi alg", None,
-         lambda tol, *data: _check("subspace_distance",
-                                   grassmannian.centralizer_tensor_check(*data, tol))),
+         lambda tol, *data: _within(tol, "subspace_distance",
+                                    grassmannian.centralizer_tensor_check(*data, tol)[1])),
     Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split size?", None,
-         lambda tol, h, src, dst, split: _check("frame_condition", catverify.is_c_morphism(
-             h, src, dst, split or src.d, tol))),
+         lambda tol, h, src, dst, split: _within(tol, "frame_condition", catverify.is_c_morphism(
+             h, src, dst, split or src.d, tol)[1])),
     Verb("cat frmap", "catverify.fr_map", _MORPHISM + " --arg frame", "frame",
          lambda tol, h, src, dst, arg: _made(catverify.fr_map(
              catverify.make_c_morphism(h, src, dst, tol), arg, tol))),
@@ -221,11 +219,11 @@ VERBS = (
          _naturality),
     Verb("cat assoc", "catverify.check_associativity",
          "--a frame? --b frame? --c frame? --seed seed", None,
-         lambda tol, a, b, c, seed: _within(0.0, "associativity", catverify.check_associativity(
+         lambda tol, a, b, c, seed: _within(tol, "associativity", catverify.check_associativity(
              _or_random(a, 2, 2, seed), _or_random(b, 2, 4, seed + 1),
              _or_random(c, 1, 2, seed + 2)))),
     Verb("cat tau", "catverify.check_tau", "--a frame? --b frame? --seed seed", None,
-         lambda tol, a, b, seed: _within(1e-9, "tau", catverify.check_tau(
+         lambda tol, a, b, seed: _within(tol, "tau", catverify.check_tau(
              _or_random(a, 2, 2, seed), _or_random(b, 2, 6, seed + 1)))),
     Verb("cat nerve-face", "catverify.nerve_face", "--chain chain --i index", "chain",
          lambda tol, chain, i: _face(catverify.nerve_face(i, chain))),

@@ -2,8 +2,8 @@
 
 A config file is plain text, one ``key = value`` pair per line, with
 ``#`` comments.  Recognized keys: abs_eps, rank_cutoff, seed.  The path
-is taken from the FRCALC_CONFIG environment variable when set, else
-``frcalc.toml`` in the working directory when present.
+is the one given (``frcalc --config PATH``), else the FRCALC_CONFIG
+environment variable when set, else ``frcalc.toml`` when present.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def parse_config(text: str) -> Settings:
             values[key] = _KEYS[key](val)
         except ValueError as exc:
             raise UsageError(f"config line {lineno}: {key}: {exc}") from None
-    tol = Tolerance(values.get("abs_eps", DEFAULT_TOL.abs_eps),
-                    values.get("rank_cutoff", DEFAULT_TOL.rank_cutoff))
+    tol = Tolerance(**{key: values[key] for key in ("abs_eps", "rank_cutoff") if key in values})
     return Settings(tol, values.get("seed", DEFAULT_SETTINGS.seed))
 
 

@@ -76,24 +76,11 @@ def trivial_frame(ambient: int) -> Frame:
     return matrix_unit_frame(1, ambient)
 
 
-def verify_frame(candidate, tol: Tolerance = DEFAULT_TOL) -> FrameReport:
-    """Report the worst violation of each frame axiom.
-
-    ``candidate`` is a Frame or a row-major list of equal-size square
-    matrices whose count must be a perfect square.
-    """
-    if isinstance(candidate, Frame):
-        stack, d, n = candidate.mats, candidate.d, candidate.ambient
-    else:
-        mats = [np.asarray(m, dtype=complex) for m in candidate]
-        d = round(np.sqrt(len(mats)))
-        if d * d != len(mats) or not mats:
-            raise ValueError("not a d²-list")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise ValueError("frame matrices must be square of equal size")
-        stack = np.stack(mats).reshape(d, d, n, n)
+def verify_frame(candidate: Frame, tol: Tolerance = DEFAULT_TOL,
+                 check: str = "frame_axioms") -> FrameReport:
+    """Report the worst violation of each frame axiom; each must be at
+    most the bound of ``check``."""
+    stack, d, n = candidate.mats, candidate.d, candidate.ambient
 
     # (i): alpha[i,j] alpha[r,s] = delta_{j,r} alpha[i,s], all d^4 pairs;
     # the j = r products have alpha[i,s] subtracted in place.
@@ -110,8 +97,8 @@ def verify_frame(candidate, tol: Tolerance = DEFAULT_TOL) -> FrameReport:
     gram = flat @ flat.conj().T
     err_iii = max_abs(gram - (n / d) * np.eye(d * d))
 
-    threshold = tol.abs_eps
-    ok = err_i <= threshold and err_ii <= threshold and err_iii <= threshold
+    bound = tol.bound(check)
+    ok = err_i <= bound and err_ii <= bound and err_iii <= bound
     return FrameReport(err_i, err_ii, err_iii, ok)
 
 
@@ -144,7 +131,7 @@ def dot_with_residual(alpha: Frame, gamma: Frame,
     a, g = alpha.mats.reshape(-1, n, n), gamma.mats.reshape(-1, n, n)
     prod = pair_products(a, g)
     residual = max_abs(prod - pair_products(g, a).swapaxes(0, 1))
-    if residual > 1e3 * tol.abs_eps:
+    if residual > tol.bound("commutation"):
         raise ValueError("frames do not commute")
     mats = prod.reshape(d1, d1, d2, d2, n, n).transpose(0, 2, 1, 3, 4, 5)
     return Frame(d1 * d2, n, mats.reshape(d1 * d2, d1 * d2, n, n)), residual

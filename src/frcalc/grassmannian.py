@@ -136,6 +136,13 @@ def _eig_clusters(w: np.ndarray):
     return [range(a, b) for a, b in zip([0] + cuts, cuts + [len(w)])]
 
 
+def _unit_scaled(mats) -> np.ndarray:
+    """The complex stack ``mats`` times the power of two that puts its largest
+    entry in [0.5, 1): exact, and the kernels' absolute floors see one scale."""
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    return np.ldexp(mats.view(np.float64), -np.frexp(max_abs(mats))[1]).view(complex)
+
+
 def _gram_kernel(gram: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel of a Gram matrix."""
     w, v = np.linalg.eigh(gram)
@@ -151,7 +158,7 @@ def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
         return []
     qmats = q_cols.T.reshape(qdim, n, n)
     gram = np.zeros((qdim, qdim), dtype=complex)
-    for b in constraints:
+    for b in _unit_scaled(constraints).reshape(-1, n, n):
         comm = qmats @ b - b @ qmats
         g = comm.reshape(qdim, -1)
         gram += g.conj() @ g.T
@@ -163,7 +170,7 @@ def _full_commutant(mats, n: int, tol: Tolerance):
     """Commutant inside all of M_n of a *-closed span of n x n matrices,
     through the closed-form Gram of the module docstring.  Returns
     orthonormal matrices."""
-    mats = np.asarray(mats, dtype=complex).reshape(-1, n, n)
+    mats = _unit_scaled(mats).reshape(-1, n, n)
     w, vecs = np.linalg.eigh(_generic_hermitian(mats, n, _GENERIC_SEED))
     rot = conjugate(vecs.conj().T, mats)
     m = len(rot)
@@ -196,8 +203,7 @@ def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
     if not mats:
         return True
     adj = np.asarray(mats, dtype=complex).conj().transpose(0, 2, 1)
-    return (_off_span(adj, mats, adj.shape[-1], tol)
-            <= 1e3 * tol.abs_eps * max(1.0, max_abs(adj)))
+    return _off_span(adj, mats, adj.shape[-1], tol) <= tol.bound("in_span") * max(1.0, max_abs(adj))
 
 
 def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
@@ -209,7 +215,7 @@ def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
         return False
     q = vectorize(list(b.basis))
     x = np.random.default_rng(_GENERIC_SEED).standard_normal(n * n)
-    return max_abs(x - q @ (q.conj().T @ x)) <= 1e3 * tol.abs_eps * max_abs(x)
+    return max_abs(x - q @ (q.conj().T @ x)) <= tol.bound("in_span") * max_abs(x)
 
 
 def centralizer(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
@@ -253,8 +259,10 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
     draws are retried with a fresh internal seed up to 5 times.
     """
     n = a.ambient
+    a = Subalgebra(n, tuple(_unit_scaled(a.basis)))
     if d == 1:
-        if a.dim != 1 or subspace_distance([eye(n)], list(a.basis), tol) > 1e-8:
+        if a.dim != 1 or (subspace_distance([eye(n)], list(a.basis), tol)
+                          > tol.bound("subspace_distance")):
             raise ValueError("not a d-subalgebra")
         return Frame(1, n, eye(n).reshape(1, 1, n, n))
     if a.dim != d * d or n % d != 0:
@@ -282,7 +290,7 @@ def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
     for i in range(1, d):
         wmat = projections[i] @ y @ projections[0]
         u, s, vh = np.linalg.svd(wmat)
-        if len(s) < mult or s[mult - 1] <= tol.rank_cutoff * s[0]:
+        if svd_rank(s, tol) < mult:
             return None
         iso.append(u[:, :mult] @ vh[:mult, :])
     mats = np.zeros((d, d, n, n), dtype=complex)
@@ -290,9 +298,9 @@ def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
         for j in range(d):
             mats[i, j] = iso[i] @ iso[j].conj().T
     fr = Frame(d, n, mats)
-    if not verify_frame(fr, Tolerance(1e-8, tol.rank_cutoff)).pass_:
+    if not verify_frame(fr, tol, "extracted_frame").pass_:
         return None
-    if subspace_distance(fr.as_list(), list(a.basis), tol) > 1e-8:
+    if subspace_distance(fr.as_list(), list(a.basis), tol) > tol.bound("subspace_distance"):
         return None
     return fr
 
@@ -321,7 +329,7 @@ def _check_d_morphism(f: StarHom, a: Subalgebra, b: Subalgebra, tol: Tolerance):
     if f.src != a.ambient or f.dst != b.ambient:
         raise ValueError("not a D-morphism")
     images = [ev(f, x) for x in a.basis]
-    if _off_span(images, b.basis, b.ambient, tol) > 1e3 * tol.abs_eps:
+    if _off_span(images, b.basis, b.ambient, tol) > tol.bound("in_span"):
         raise ValueError("not a D-morphism")
     return images
 
@@ -367,4 +375,4 @@ def centralizer_tensor_check(f: StarHom, g: StarHom, a: Subalgebra, b: Subalgebr
         relative_centralizer(images_phi, psi, tol),
     )
     dist = subspace_distance(list(left.basis), list(right.basis), tol)
-    return dist <= 1e-8, dist
+    return dist <= tol.bound("subspace_distance"), dist

@@ -17,11 +17,14 @@ from .linalg import (
     apply_frame,
     conjugate,
     eye,
+    is_unitary,
     kron_stack,
     max_abs,
     random_unitary,
 )
 from .frames import Frame, conjugate_frame, matrix_unit_frame, tensor_frame
+
+_PHASE_PIVOT = 1e-6  # the first entry this large of a basis vector fixes its phase
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     vs = []
     for col in range(l):
         v = w[:, col]
-        idx = int(np.argmax(np.abs(v) > 1e-6))
+        idx = int(np.argmax(np.abs(v) > _PHASE_PIVOT))
         phase = v[idx] / abs(v[idx])
         vs.append(v / phase)
     u = np.zeros((n, n), dtype=complex)
@@ -133,8 +136,7 @@ def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         hi1 = h.image_frame.mats[i, 0]
         for s_ in range(l):
             u[:, i * l + s_] = hi1 @ vs[s_]
-    residual = intertwiner_residual(h, u)
-    if residual > 1e2 * tol.rank_cutoff or max_abs(u @ u.conj().T - eye(n)) > 1e3 * tol.abs_eps:
+    if intertwiner_residual(h, u) > tol.bound("intertwiner_guard") or not is_unitary(u, tol):
         raise ValueError("input not a unital *-homomorphism")
     return u
 

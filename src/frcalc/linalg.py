@@ -18,6 +18,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The bound of every named pass/fail check, read by ``Tolerance.bound``: (factor, field)
+# is factor * tol.<field>, which the config moves, and (bound, None) one that no config moves.
+BOUNDS = {
+    "frame_axioms": (1.0, "abs_eps"),  # frame verify, alg extract; battery 1
+    "commutation": (1e3, "abs_eps"),  # frames.dot, frame dot
+    "frame_condition": (1e3, "abs_eps"),  # catverify.is_c_morphism, cat check-morphism
+    "in_span": (1e3, "abs_eps"),  # off-span residuals: alg span, star_closed, D-morphisms
+    "unitary": (1e3, "abs_eps"),  # is_unitary: frame conj, fred conj, hom intertwiner
+    "intertwiner_guard": (1e2, "rank_cutoff"),  # homspace.intertwiner raises above it
+    "intertwiner": (1e-8, None),  # hom intertwiner; battery 3
+    "extracted_frame": (1e-8, None),  # the frame axioms extract_frame accepts
+    "subspace_distance": (1e-8, None),  # extract_frame, alg ztensor; batteries 4, 7
+    "centralizer": (1e-8, None),  # alg centralizer: its result commutes with its input
+    "naturality": (1e-8, None),  # cat naturality; battery 5
+    "tau": (1e-9, None),  # cat tau; battery 6
+    "associativity": (0.0, None),  # cat assoc; battery 6
+    "entries": (1e-9, None),  # batteries 2, 6, 8, 10: one matrix computed two ways
+    "coset_deviation": (1e-7, None),  # battery 3
+    "functoriality": (1e-8, None),  # fr_functoriality battery
+    "exact": (0.0, None),  # batteries: failure counts, residuals of exact identities
+}
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds: absolute comparison and relative rank cutoff."""
@@ -28,6 +51,11 @@ class Tolerance:
     def __post_init__(self):
         if self.abs_eps <= 0 or self.rank_cutoff <= 0:
             raise ValueError("tolerances must be positive")
+
+    def bound(self, check: str) -> float:
+        """The bound of the named check of ``BOUNDS`` under this tolerance."""
+        factor, field = BOUNDS[check]
+        return factor if field is None else factor * getattr(self, field)
 
 
 DEFAULT_TOL = Tolerance()
@@ -106,7 +134,7 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 
 def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     n = u.shape[0]
-    return u.shape == (n, n) and max_abs(u @ u.conj().T - eye(n)) <= 1e3 * tol.abs_eps
+    return u.shape == (n, n) and max_abs(u @ u.conj().T - eye(n)) <= tol.bound("unitary")
 
 
 def vectorize(mats) -> np.ndarray:

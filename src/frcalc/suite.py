@@ -26,7 +26,7 @@ from .generators import (MorphismConfig, random_c_morphism, random_d_morphism, r
 from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
 from .homspace import (StarHom, block_scalar_deviation, compose_phi, compose_plain, ev,
                        intertwiner, intertwiner_residual, iota, push_frame, random_hom)
-from .linalg import max_abs, random_unitary, subspace_distance
+from .linalg import DEFAULT_TOL, max_abs, random_unitary, subspace_distance
 
 
 def _frame_axioms(seed, count):
@@ -334,28 +334,38 @@ class Battery(NamedTuple):
     sample: Callable
 
 
+def _bounds(**checks):
+    """Thresholds: each residual's bound is the default one of its check."""
+    return {name: DEFAULT_TOL.bound(check) for name, check in checks.items()}
+
+
 BATTERIES = (
-    Battery(1, "frame_axioms", 200, 5.0, {"max_axiom_error": 1e-9}, _frame_axioms),
-    Battery(2, "reconstruction", 200, 5.0, {"max_entry_error": 1e-9}, _reconstruction),
-    Battery(3, "intertwiner", 100, 10.0, {"residual": 1e-8, "coset_deviation": 1e-7},
-            _intertwiner),
+    Battery(1, "frame_axioms", 200, 5.0, _bounds(max_axiom_error="frame_axioms"), _frame_axioms),
+    Battery(2, "reconstruction", 200, 5.0, _bounds(max_entry_error="entries"), _reconstruction),
+    Battery(3, "intertwiner", 100, 10.0,
+            _bounds(residual="intertwiner", coset_deviation="coset_deviation"), _intertwiner),
     Battery(4, "centralizer", 100, 10.0,
-            {"wrong_dimension_count": 0.0, "double_centralizer_distance": 1e-8}, _centralizer),
-    Battery(5, "naturality", 100, 20.0, {"square_residual": 1e-8, "witness_residual": 1e-8},
-            _naturality),
+            _bounds(wrong_dimension_count="exact", double_centralizer_distance="subspace_distance"),
+            _centralizer),
+    Battery(5, "naturality", 100, 20.0,
+            _bounds(square_residual="naturality", witness_residual="naturality"), _naturality),
     Battery(6, "coherence_diagrams", 50, 10.0,
-            {"associativity": 0.0, "identity": 1e-9, "tau": 1e-9}, _coherence_diagrams),
-    Battery(7, "centralizer_tensor", 25, 30.0, {"subspace_distance": 1e-8}, _centralizer_tensor),
-    Battery(8, "ev_composition", 100, 5.0, {"max_entry_error": 1e-9}, _ev_composition),
+            _bounds(associativity="associativity", identity="entries", tau="tau"),
+            _coherence_diagrams),
+    Battery(7, "centralizer_tensor", 25, 30.0, _bounds(subspace_distance="subspace_distance"),
+            _centralizer_tensor),
+    Battery(8, "ev_composition", 100, 5.0, _bounds(max_entry_error="entries"), _ev_composition),
     Battery(9, "fredholm_index", 100, 10.0,
-            {"conjugation_violations": 0.0, "amplification_violations": 0.0}, _fredholm_index),
+            _bounds(conjugation_violations="exact", amplification_violations="exact"),
+            _fredholm_index),
     Battery(10, "nerve", 50, 10.0,
-            {"simplicial_identity": 1e-9, "bundle_compatibility": 1e-9,
-             "degeneracy_roundtrip": 0.0}, _nerve),
-    Battery(None, "fr_functoriality", 50, 10.0, {"max_entry_error": 1e-8}, _fr_functoriality),
+            _bounds(simplicial_identity="entries", bundle_compatibility="entries",
+                    degeneracy_roundtrip="exact"), _nerve),
+    Battery(None, "fr_functoriality", 50, 10.0, _bounds(max_entry_error="functoriality"),
+            _fr_functoriality),
     Battery(11, "abgroup", 200, 5.0,
-            {"snf_failures": 0.0, "coker_ker_failures": 0.0, "colimit_failures": 0.0,
-             "localize_failures": 0.0}, _abgroup),
+            _bounds(snf_failures="exact", coker_ker_failures="exact", colimit_failures="exact",
+                    localize_failures="exact"), _abgroup),
 )
 
 

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 import frcalc
-from frcalc import cli, frames, grassmannian, homspace
+from frcalc import catverify, cli, frames, grassmannian, homspace
 from frcalc.cli import run
 from frcalc.config import UsageError, load_settings, parse_config
 from frcalc.frames import Frame, matrix_unit_frame, random_frame
 from frcalc.grassmannian import Subalgebra, lambda_map
-from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
+from frcalc.generators import (MorphismConfig, random_c_morphism, random_d_morphism,
+                               random_source_frame)
 from frcalc.homspace import random_hom
+from frcalc.linalg import eye, kron_stack
 from frcalc.serialize import MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json
 
 SUITE_STDOUT = pathlib.Path(__file__).with_name("suite_seed7_stdout.json")
@@ -199,6 +201,127 @@ def test_alg_extract_fails_by_the_rule_of_frame_verify(tmp_path, capsys, monkeyp
     assert 4e-9 < report["residuals"]["frame_axioms"] < 6e-9
     code, report = _run(capsys, ["frame", "verify", "--in", str(out)])
     assert code == 1 and report["pass"] is False
+
+
+def _files(tmp_path, **payloads):
+    """Write each ``name=(kind, payload)`` to its own file; the paths."""
+    paths = {}
+    for name, (kind, payload) in payloads.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump_json(kind, payload, paths[name])
+    return paths
+
+
+def _off_frame():
+    """The basepoint frame of M_2 in M_6 with one entry moved by 1e-9:
+    its Gram axiom is off by 2e-9."""
+    mats = matrix_unit_frame(2, 3).mats.copy()
+    mats[0, 0, 0, 0] += 1e-9
+    return Frame(2, 6, mats)
+
+
+def _frame_verify_case(tmp_path, monkeypatch):
+    return ["frame", "verify", "--in", _files(tmp_path, fr=("frame", _off_frame()))["fr"]]
+
+
+def _alg_extract_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(grassmannian, "extract_frame", lambda alg, d, tol: _off_frame())
+    alg = _files(tmp_path, alg=("alg", lambda_map(matrix_unit_frame(2, 3))))["alg"]
+    return ["alg", "extract", "--in", alg, "--d", "2"]
+
+
+def _frame_dot_case(tmp_path, monkeypatch):
+    """e_ij (x) 1_2 and 1_2 (x) e_uv in M_4, the second with entry (0, 2)
+    of its (0, 0) matrix moved by 1.5e-6: the commutator is exactly that."""
+    right = kron_stack(eye(2), eye(4).reshape(2, 2, 2, 2))
+    right[0, 0, 0, 2] += 1.5e-6
+    paths = _files(tmp_path, left=("frame", matrix_unit_frame(2, 2)),
+                   right=("frame", Frame(2, 4, right)))
+    return ["frame", "dot", "--left", paths["left"], "--right", paths["right"]]
+
+
+def _alg_span_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(grassmannian, "closure_residual", lambda alg, tol: 1.5e-6)
+    alg = _files(tmp_path, alg=("alg", lambda_map(matrix_unit_frame(2, 3))))["alg"]
+    return ["alg", "span", "--in", alg]
+
+
+def _check_morphism_case(tmp_path, monkeypatch):
+    m = random_c_morphism(MorphismConfig(2, 1, 2, 2), 5)
+    monkeypatch.setattr(catverify, "frames_close", lambda a, b: 1.5e-6)
+    paths = _files(tmp_path, h=("hom", m.f), src=("frame", m.src_frame),
+                   dst=("frame", m.dst_frame))
+    return ["cat", "check-morphism", "--hom", paths["h"], "--src-frame", paths["src"],
+            "--dst-frame", paths["dst"]]
+
+
+def _naturality_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(catverify, "check_naturality", lambda *data: (1.5e-8, 0.0))
+    return ["cat", "naturality"]
+
+
+def _tau_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(catverify, "check_tau", lambda a, b: 1.5e-9)
+    return ["cat", "tau"]
+
+
+def _assoc_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(catverify, "check_associativity", lambda a, b, c: 5e-324)
+    return ["cat", "assoc"]
+
+
+def _intertwiner_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(homspace, "intertwiner_residual", lambda h, u: 1.5e-8)
+    return ["hom", "intertwiner", "--hom", _files(tmp_path, h=("hom", random_hom(2, 3, 4)))["h"]]
+
+
+def _centralizer_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(grassmannian, "commutation_defect", lambda a, z: 1.5e-8)
+    alg = _files(tmp_path, alg=("alg", lambda_map(random_frame(2, 6, 5))))["alg"]
+    return ["alg", "centralizer", "--in", alg]
+
+
+def _ztensor_case(tmp_path, monkeypatch):
+    monkeypatch.setattr(grassmannian, "subspace_distance", lambda a, b, tol: 1.5e-8)
+    cfg = MorphismConfig(2, 1, 2, 2)
+    f, g = random_d_morphism(cfg, 6), random_d_morphism(cfg, 7)
+    paths = _files(tmp_path, f=("hom", f.f), g=("hom", g.f), a=("alg", f.a), b=("alg", f.b),
+                   phi=("alg", g.a), psi=("alg", g.b))
+    return ["alg", "ztensor", *(x for name in "f g a b phi psi".split()
+                                for x in (f"--{name}", paths[name]))]
+
+
+# Each verb that compares a residual with a bound, fed a residual just
+# above its default bound, and whether ``abs_eps = 1e-6`` moves that bound
+# past the residual.
+_BOUND_CASES = {
+    "frame verify": (_frame_verify_case, True),
+    "alg extract": (_alg_extract_case, True),
+    "frame dot": (_frame_dot_case, True),
+    "alg span": (_alg_span_case, True),
+    "cat check-morphism": (_check_morphism_case, True),
+    "cat naturality": (_naturality_case, False),
+    "cat tau": (_tau_case, False),
+    "cat assoc": (_assoc_case, False),
+    "hom intertwiner": (_intertwiner_case, False),
+    "alg centralizer": (_centralizer_case, False),
+    "alg ztensor": (_ztensor_case, False),
+}
+
+
+@pytest.mark.parametrize("verb", list(_BOUND_CASES))
+def test_which_decisions_the_abs_eps_config_moves(tmp_path, capsys, monkeypatch, verb):
+    """A residual just above its default bound fails the verb; under
+    ``abs_eps = 1e-6`` it passes exactly the verbs whose bound follows
+    ``abs_eps`` (``linalg.BOUNDS``), and the others still fail it."""
+    case, moves = _BOUND_CASES[verb]
+    argv = case(tmp_path, monkeypatch)
+    config = tmp_path / "loose.toml"
+    config.write_text("abs_eps = 1e-6\n")
+    code, report = _run(capsys, argv)
+    assert code == 1 and report["pass"] is False and report["verb"] == verb
+    code, report = _run(capsys, ["--config", str(config), *argv])
+    assert code == (0 if moves else 1) and report["pass"] is moves
 
 
 def _int_product(a, b):

@@ -276,6 +276,22 @@ def test_is_k_subalgebra():
     assert is_k_subalgebra(Subalgebra(2, (np.eye(2, dtype=complex),)), 1)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-8, 1e-7, 0.5, 1.0, 1e7, 1e200])
+def test_centralizers_and_extraction_ignore_the_input_scale(c):
+    """A basis scaled by c spans the same algebra: the commutant of
+    lambda(alpha) for a frame of M_2 in M_6 is 9-dimensional, that of
+    span{I, E_11} in M_4 is M_1 + M_3, and lambda(alpha) is an M_2."""
+    a = lambda_map(random_frame(2, 6, 3))
+    scaled = Subalgebra(6, tuple(c * b for b in a.basis))
+    assert centralizer(scaled).dim == 9
+    assert is_k_subalgebra(scaled, 2)
+    extracted = extract_frame(scaled, 2)
+    assert subspace_distance(extracted.as_list(), list(a.basis)) < 1e-8
+    e11 = np.zeros((4, 4), dtype=complex)
+    e11[0, 0] = c
+    assert centralizer(Subalgebra(4, (c * np.eye(4, dtype=complex), e11))).dim == 10
+
+
 def test_gr_map_with_basepoint_hom():
     # f : M_6 -> M_12, X -> X (x) E_2; A' = A = lambda(alpha) for a
     # 2-frame; the image span must contain f(A') and the centralizer

@@ -12,7 +12,10 @@ package has one read path and one fast write path: only
 ``serialize.load_json`` calls a JSON reader, ``json.load``,
 ``json.loads`` or ``orjson.loads``, and only ``serialize.dump_json``
 calls ``orjson.dumps``, so no other writer meets the float64 arrays
-that the encoders put in their trees."""
+that the encoders put in their trees.  Every pass/fail bound is read by
+name from ``linalg.BOUNDS``: outside ``linalg.py`` no module reads a
+tolerance's ``abs_eps``, and a small float literal is only the value of
+a named module-level constant."""
 
 import ast
 import pathlib
@@ -315,3 +318,43 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
              for top in IMPORT_CHECKED for path in sorted((ROOT / top).rglob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def bare_tolerances(source: str):
+    """(line, text) of every read of an ``abs_eps`` attribute and of every
+    float literal in (0, 1e-3) that is not the whole value of a
+    module-level assignment (``_EIG_GAP = 1e-7``)."""
+    tree = ast.parse(source)
+    constants = {id(node.value) for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < node.value < 1e-3 and id(node) not in constants):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Attribute) and node.attr == "abs_eps"
+              and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, ".abs_eps"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("snippet", [
+    "def ok(r):\n    return r <= 1e-8\n",
+    "def ok(r, tol):\n    return r <= 1e3 * tol.abs_eps\n",
+    "BOUNDS = {'tau': 1e-9}\n",
+    "class T:\n    eps: float = 1e-9\n",
+    "x = -2e-4 * y\n",
+])
+def test_tolerance_guard_sees_bare_bounds(snippet):
+    assert bare_tolerances(snippet)
+
+
+def test_tolerance_guard_ignores_named_constants():
+    assert bare_tolerances("_EIG_GAP = 1e-7\n_PIVOT: float = 1e-6\nx = 0.5 * 1e3 + 0.0\n"
+                           "tol = Tolerance(abs_eps=1.0)\nok = r <= tol.bound('tau')\n") == []
+
+
+def test_bounds_are_read_from_the_table():
+    found = {p.name: bare_tolerances(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != KERNEL_MODULE}
+    assert {name: uses for name, uses in found.items() if uses} == {}
