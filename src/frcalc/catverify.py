@@ -170,7 +170,7 @@ def check_identity_embedding(phi_prime: Frame) -> float:
     unit = trivial_frame(1)
     left = frames_close(tensor_frame(unit, phi_prime), phi_prime)
     right = frames_close(tensor_frame(phi_prime, unit), phi_prime)
-    return max(left, right)
+    return float(np.max([left, right]))
 
 
 def check_tau(alpha: Frame, phi: Frame) -> float:

@@ -60,7 +60,7 @@ class FrameReport:
 
     @property
     def max_error(self) -> float:
-        return max(self.axiom_i_maxerr, self.axiom_ii_maxerr, self.axiom_iii_maxerr)
+        return float(np.max([self.axiom_i_maxerr, self.axiom_ii_maxerr, self.axiom_iii_maxerr]))
 
 
 def matrix_unit_frame(d: int, cofactor: int) -> Frame:

@@ -199,11 +199,13 @@ def _full_commutant(mats, n: int, tol: Tolerance):
 
 
 def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the adjoint of every matrix lies in the span of all of them."""
+    """True when the adjoint of every matrix lies in the span of all of
+    them, judged on the stack scaled by ``_unit_scaled``."""
     if not mats:
         return True
-    adj = np.asarray(mats, dtype=complex).conj().transpose(0, 2, 1)
-    return _off_span(adj, mats, adj.shape[-1], tol) <= tol.bound("in_span") * max(1.0, max_abs(adj))
+    mats = _unit_scaled(mats)
+    adj = mats.conj().transpose(0, 2, 1)
+    return _off_span(adj, mats, adj.shape[-1], tol) <= tol.bound("in_span")
 
 
 def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:

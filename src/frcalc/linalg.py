@@ -168,8 +168,13 @@ def subspace_distance(basis_a, basis_b, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def orthonormal_cols(mats, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis, as columns, of the span of the vectorized matrices."""
+    """Orthonormal basis, as columns, of the span of the vectorized
+    matrices.  A non-finite entry raises ValueError before the SVD, which
+    may never return on a matrix that holds an inf."""
     if not mats:
         return np.zeros((0, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(vectorize(mats), full_matrices=False)
+    cols = vectorize(mats)
+    if not np.isfinite(cols).all():
+        raise ValueError("cannot span matrices with a non-finite entry")
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, :svd_rank(s, tol)]

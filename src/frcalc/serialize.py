@@ -161,10 +161,7 @@ def _canonical_basis(a: Subalgebra) -> np.ndarray:
     seeded n^2 x dim matrix, so the basis is a function of the span
     alone (an SVD or eigh basis of a degenerate subspace moves by O(1)
     under rounding).  The stack is a view of Q's transpose, not
-    C-contiguous.  A basis with a non-finite entry is refused before
-    the SVD, which may never return on one that holds an inf."""
-    if not np.isfinite(a.basis).all():
-        raise ValueError(_NON_FINITE)
+    C-contiguous."""
     n = a.ambient
     q0 = orthonormal_cols(list(a.basis), DEFAULT_TOL) if a.basis else np.zeros((n * n, 0))
     ref = np.random.default_rng(_CANONICAL_SEED).standard_normal((n * n, q0.shape[1]))

@@ -1,8 +1,13 @@
 """Property batteries over seeded random data, declared once each in
-``BATTERIES``.  ``run_battery`` turns an entry into a plain report
-{"name", "pass", "residuals", "thresholds"} whose residuals are worst
-cases over the whole batch; ``run_suite``, the CLI ``suite`` verb, the
-acceptance tests and the kernel mutation tests all run through it."""
+``BATTERIES``.  Each battery's ``sample(seed, count)`` is a generator
+that yields one dict of residuals per sample or sub-check, and
+``run_battery`` reduces them by one rule: a float is a residual, whose
+largest value is reported (a NaN propagates and fails), and a bool is a
+violation, whose True values are counted.  The report
+{"name", "pass", "residuals", "thresholds"} holds exactly the keys of
+the battery's thresholds; a yielded key outside them raises.
+``run_suite``, the CLI ``suite`` verb, the acceptance tests and the
+kernel mutation tests all run through ``run_battery``."""
 
 from __future__ import annotations
 
@@ -30,49 +35,40 @@ from .linalg import DEFAULT_TOL, max_abs, random_unitary, subspace_distance
 
 
 def _frame_axioms(seed, count):
-    worst = 0.0
     for k, l in ((2, 3), (3, 2), (2, 5)):
         for i in range(count):
             fr = random_frame(k, k * l, seed * 1_000_003 + 97 * i + k * 13 + l)
-            worst = max(worst, verify_frame(fr).max_error)
-    return {"max_axiom_error": worst}
+            yield {"max_axiom_error": verify_frame(fr).max_error}
 
 
 def _reconstruction(seed, count):
-    worst = 0.0
     for d1, d2 in ((2, 2), (2, 3), (3, 2)):
         for i in range(count):
             beta = random_frame(d1 * d2, d1 * d2 * 2, seed * 999_983 + 31 * i + d1 + 7 * d2)
             rebuilt = dot(pi1(beta, d1), pi2(beta, d1))
-            worst = max(worst, frames_close(rebuilt, beta))
-    return {"max_entry_error": worst}
+            yield {"max_entry_error": frames_close(rebuilt, beta)}
 
 
 def _intertwiner(seed, count):
-    worst_res, worst_coset = 0.0, 0.0
     for k, l in ((2, 3), (3, 2), (2, 5)):
         for i in range(count):
             s = seed * 7_368_787 + 101 * i + 17 * k + l
             v = random_unitary(k * l, s)
             h = StarHom(k, k * l, conjugate_frame(v, matrix_unit_frame(k, l)))
             u = intertwiner(h)
-            worst_res = max(worst_res, intertwiner_residual(h, u))
             # v is a second, independently known intertwiner of h.
-            worst_coset = max(worst_coset, block_scalar_deviation(v.conj().T @ u, k, l))
-    return {"residual": worst_res, "coset_deviation": worst_coset}
+            yield {"residual": intertwiner_residual(h, u),
+                   "coset_deviation": block_scalar_deviation(v.conj().T @ u, k, l)}
 
 
 def _centralizer(seed, count):
     k, l = 2, 3
-    bad_dim, worst_dist = 0, 0.0
     for i in range(count):
         a = lambda_map(random_frame(k, k * l, seed * 2_750_159 + 53 * i))
         z = centralizer(a)
-        if z.dim != l * l:
-            bad_dim += 1
         zz = centralizer(z)
-        worst_dist = max(worst_dist, subspace_distance(list(zz.basis), list(a.basis)))
-    return {"wrong_dimension_count": float(bad_dim), "double_centralizer_distance": worst_dist}
+        yield {"wrong_dimension_count": z.dim != l * l,
+               "double_centralizer_distance": subspace_distance(list(zz.basis), list(a.basis))}
 
 
 _NAT_CONFIGS = [
@@ -85,7 +81,6 @@ _NAT_CONFIGS = [
 
 
 def _naturality(seed, count):
-    worst_square, worst_witness = 0.0, 0.0
     for i in range(count):
         cfg_f, cfg_g = _NAT_CONFIGS[i % len(_NAT_CONFIGS)]
         s = seed * 15_485_863 + 211 * i
@@ -94,22 +89,18 @@ def _naturality(seed, count):
         ap = random_source_frame(cfg_f, s + 90)
         pp = random_source_frame(cfg_g, s + 91)
         sq, wit = check_naturality(fd, gd, ap, pp)
-        worst_square = max(worst_square, sq)
-        worst_witness = max(worst_witness, wit)
-    return {"square_residual": worst_square, "witness_residual": worst_witness}
+        yield {"square_residual": sq, "witness_residual": wit}
 
 
 def _coherence_diagrams(seed, count):
-    worst_assoc, worst_ident, worst_tau = 0.0, 0.0, 0.0
     for i in range(count):
         s = seed * 32_452_843 + 307 * i
         a = random_frame(2, 2, s)
         b = random_frame(2, 6, s + 1)
-        worst_assoc = max(worst_assoc, check_associativity(
-            a, random_frame(2, 4, s + 2), random_frame(1, 2, s + 3)))
-        worst_ident = max(worst_ident, check_identity_embedding(b))
-        worst_tau = max(worst_tau, check_tau(a, b))
-    return {"associativity": worst_assoc, "identity": worst_ident, "tau": worst_tau}
+        yield {"associativity": check_associativity(a, random_frame(2, 4, s + 2),
+                                                    random_frame(1, 2, s + 3)),
+               "identity": check_identity_embedding(b),
+               "tau": check_tau(a, b)}
 
 
 _ZT_CONFIGS = [
@@ -120,20 +111,17 @@ _ZT_CONFIGS = [
 
 
 def _centralizer_tensor(seed, count):
-    worst = 0.0
     for i in range(count):
         cfg_f, cfg_g = _ZT_CONFIGS[i % len(_ZT_CONFIGS)]
         s = seed * 49_979_687 + 401 * i
         fd = random_d_morphism(cfg_f, s)
         gd = random_d_morphism(cfg_g, s + 60)
         _, dist = centralizer_tensor_check(fd.f, gd.f, fd.a, fd.b, gd.a, gd.b)
-        worst = max(worst, dist)
-    return {"subspace_distance": worst}
+        yield {"subspace_distance": dist}
 
 
 def _ev_composition(seed, count):
     k, l = 2, 3
-    worst = 0.0
     rng = np.random.default_rng(seed + 424242)
     a, b = np.arange(l)[:, None], np.arange(l)
     units = np.eye(k * k).reshape(k, k, k, k)
@@ -150,31 +138,27 @@ def _ev_composition(seed, count):
         blocks = suspended.image_frame.mats.reshape(k, l, k, l, k * l, l, k * l, l).copy()
         blocks[:, a, :, b, :, a, :, b] -= h2.image_frame.mats
         # ev at the matrix units gives the frame back exactly.
-        at_units = max(max_abs(ev(h1, units[p, q]) - h1.image_frame.mats[p, q])
-                       for p in range(k) for q in range(k))
-        worst = max(worst, max_abs(ev(composed, t) - stepped), max_abs(blocks), at_units)
-    return {"max_entry_error": worst}
+        for p, q in np.ndindex(k, k):
+            yield {"max_entry_error": max_abs(ev(h1, units[p, q]) - h1.image_frame.mats[p, q])}
+        yield {"max_entry_error": max_abs(ev(composed, t) - stepped)}
+        yield {"max_entry_error": max_abs(blocks)}
 
 
 def _fredholm_index(seed, count):
     k, l = 2, 3
-    conj_violations, amp_violations = 0, 0
     for i in range(count):
         s = seed * 67_867_967 + 601 * i
         t = random_fredholm(k, 3, 2, s, deficiency=i % 3)
         dim_ker, dim_coker = kernel_cokernel_dims(t)
         g = random_unitary(k, s + 1)
-        if kernel_cokernel_dims(conjugate(g, t)) != (dim_ker, dim_coker):
-            conj_violations += 1
+        yield {"conjugation_violations":
+               kernel_cokernel_dims(conjugate(g, t)) != (dim_ker, dim_coker)}
         h = random_hom(k, l, s + 2)
         amped = amplify(h, t)
-        if kernel_cokernel_dims(amped) != (l * dim_ker, l * dim_coker):
-            amp_violations += 1
+        yield {"amplification_violations":
+               kernel_cokernel_dims(amped) != (l * dim_ker, l * dim_coker)}
         stable = localize_index([t, amped], l)
-        if stable != Fraction(dim_ker - dim_coker, 1):
-            amp_violations += 1
-    return {"conjugation_violations": float(conj_violations),
-            "amplification_violations": float(amp_violations)}
+        yield {"amplification_violations": stable != Fraction(dim_ker - dim_coker, 1)}
 
 
 def _random_chain(seed: int, length: int) -> NerveChain:
@@ -187,14 +171,11 @@ def _random_chain(seed: int, length: int) -> NerveChain:
 def _chain_residual(c1: NerveChain, c2: NerveChain) -> float:
     if len(c1) != len(c2) or c1.levels != c2.levels:
         return float("inf")
-    worst = 0.0
-    for h1, h2 in zip(c1.homs, c2.homs):
-        worst = max(worst, max_abs(h1.image_frame.mats - h2.image_frame.mats))
-    return worst
+    return float(np.max([max_abs(h1.image_frame.mats - h2.image_frame.mats)
+                         for h1, h2 in zip(c1.homs, c2.homs)], initial=0.0))
 
 
 def _nerve(seed, count):
-    worst_simplicial, worst_bundle, worst_degeneracy = 0.0, 0.0, 0.0
     rng = np.random.default_rng(seed + 555)
     for i in range(count):
         s = seed * 23_456_789 + 701 * i
@@ -204,11 +185,11 @@ def _nerve(seed, count):
             for k_ in range(j + 1, length + 1):
                 left = nerve_face(j, nerve_face(k_, chain))
                 right = nerve_face(k_ - 1, nerve_face(j, chain))
-                worst_simplicial = max(worst_simplicial, _chain_residual(left, right))
+                yield {"simplicial_identity": _chain_residual(left, right)}
         # Degeneracy: adjacent face undoes the identity insertion.
         for j in range(length + 1):
             degen = nerve_degeneracy(j, chain)
-            worst_degeneracy = max(worst_degeneracy, _chain_residual(nerve_face(j, degen), chain))
+            yield {"degeneracy_roundtrip": _chain_residual(nerve_face(j, degen), chain)}
         # Bundle faces: stepwise evaluation agrees with composed evaluation.
         n0 = chain.homs[0].src
         t = rng.standard_normal((n0, n0)) + 1j * rng.standard_normal((n0, n0))
@@ -217,16 +198,13 @@ def _nerve(seed, count):
         after1_chain, after1_t = bundle_face(1, two, t)
         stepwise = ev(after0_chain.homs[0], after0_t)
         composed = ev(after1_chain.homs[0], after1_t)
-        worst_bundle = max(worst_bundle, max_abs(stepwise - composed))
+        yield {"bundle_compatibility": max_abs(stepwise - composed)}
         _, t_kept = bundle_face(2, two, t)
-        worst_bundle = max(worst_bundle, max_abs(t_kept - t))
-    return {"simplicial_identity": worst_simplicial, "bundle_compatibility": worst_bundle,
-            "degeneracy_roundtrip": worst_degeneracy}
+        yield {"bundle_compatibility": max_abs(t_kept - t)}
 
 
 def _fr_functoriality(seed, count):
     """fr_map respects composition of frame-condition morphisms."""
-    worst = 0.0
     for i in range(count):
         s = seed * 54_018_521 + 809 * i
         fd = random_c_morphism(MorphismConfig(2, 1, 2, 2), s)
@@ -238,8 +216,7 @@ def _fr_functoriality(seed, count):
         gd = make_c_morphism(g, fd.dst_frame, delta)
         composed = make_c_morphism(compose_plain(g, fd.f), fd.src_frame, delta)
         ap = random_source_frame(MorphismConfig(2, 1, 2, 2), s + 5)
-        worst = max(worst, frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap))))
-    return {"max_entry_error": worst}
+        yield {"max_entry_error": frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap)))}
 
 
 def _gcd_minors_factors(m):
@@ -276,53 +253,42 @@ def _int_det(m):
 
 def _abgroup(seed, count):
     rng = np.random.default_rng(seed + 99)
-    snf_failures = 0
     for _ in range(count):
         m = rng.integers(-9, 10, size=(4, 4)).tolist()
         u, d, v = smith_normal_form(m)
         product = np.array(u, dtype=object) @ np.array(m, dtype=object) @ np.array(v, dtype=object)
         diag = [int(d[i][i]) for i in range(4)]
-        if not np.array_equal(product, np.array(d, dtype=object)):
-            snf_failures += 1
-            continue
-        if any(diag[i] and diag[i + 1] % diag[i] for i in range(3) if diag[i]):
-            snf_failures += 1
-            continue
-        oracle = _gcd_minors_factors(m)
-        if [x for x in diag if x] != oracle:
-            snf_failures += 1
+        # U m V = D, each invariant factor divides the next, and they match the minors oracle.
+        yield {"snf_failures": (not np.array_equal(product, np.array(d, dtype=object))
+                                or any(diag[i + 1] % diag[i] for i in range(3) if diag[i])
+                                or [x for x in diag if x] != _gcd_minors_factors(m))}
 
-    coker_ok = True
-    z = AbGroupPresentation.free(1)
-    zk = cokernel(GroupHom.from_rows(z, z, [[2]]))
-    coker_ok &= zk.canonical() == ([2], 0)
-    coker_ok &= kernel(GroupHom.from_rows(z, z, [[2]])).is_trivial()
-    z12 = AbGroupPresentation.cyclic(12)
-    coker_ok &= cokernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0)
-    coker_ok &= kernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0)
+    z, z12 = AbGroupPresentation.free(1), AbGroupPresentation.cyclic(12)
+    coker_ker = [cokernel(GroupHom.from_rows(z, z, [[2]])).canonical() == ([2], 0),
+                 kernel(GroupHom.from_rows(z, z, [[2]])).is_trivial(),
+                 cokernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0),
+                 kernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0)]
+    yield {"coker_ker_failures": not all(coker_ker)}
 
     groups = [AbGroupPresentation.cyclic(2 * 3 ** n) for n in range(4)]
     maps = [GroupHom.from_rows(groups[n], groups[n + 1], [[3]]) for n in range(3)]
     colim, stage = sequential_colimit(groups, maps, 3)
     colim_ok = colim.canonical() == ([2], 0) and stage == 0
-
     zs = [AbGroupPresentation.free(1) for _ in range(4)]
     zmaps = [GroupHom.from_rows(zs[n], zs[n + 1], [[3]]) for n in range(3)]
     zcolim, zstage = sequential_colimit(zs, zmaps, 3)
-    colim_ok = colim_ok and zcolim.canonical() == ([], 1) and zstage == 0
+    yield {"colimit_failures": not (colim_ok and zcolim.canonical() == ([], 1) and zstage == 0)}
 
-    loc_ok = localize(AbGroupPresentation.cyclic(12), 2).canonical() == ([3], 0)
-
-    return {"snf_failures": float(snf_failures),
-            "coker_ker_failures": 0.0 if coker_ok else 1.0,
-            "colimit_failures": 0.0 if colim_ok else 1.0,
-            "localize_failures": 0.0 if loc_ok else 1.0}
+    yield {"localize_failures":
+           localize(AbGroupPresentation.cyclic(12), 2).canonical() != ([3], 0)}
 
 
 class Battery(NamedTuple):
-    """One seeded battery.  ``sample(seed, count)`` returns the worst
-    residuals over ``count`` samples; each must be at most its entry of
-    ``thresholds``.  ``criterion`` is the acceptance criterion the
+    """One seeded battery.  ``sample(seed, count)`` is a generator that
+    yields dicts of residuals over ``count`` samples, a key as often as
+    it likes; ``run_battery`` keeps the largest float and counts the True
+    bools of each key, which must be one of ``thresholds`` and at most
+    its entry there.  ``criterion`` is the acceptance criterion the
     battery checks (None if no criterion names it) and ``budget_s`` its
     runtime budget there, at the default ``count``."""
 
@@ -369,14 +335,30 @@ BATTERIES = (
 )
 
 
+def _reduce(samples, thresholds: dict) -> dict:
+    """One residual per key of ``thresholds`` from the yielded dicts: the
+    largest float (a NaN propagates) or the count of True bools; 0.0 for
+    a key never yielded.  A key outside ``thresholds`` raises KeyError."""
+    values = {key: [] for key in thresholds}
+    for sample in samples:
+        for key, x in sample.items():
+            if key not in values:
+                raise KeyError(f"battery residual {key!r} has no threshold")
+            values[key].append(x)
+    return {key: float(sum(xs)) if xs and isinstance(xs[0], bool)
+            else float(np.max(xs, initial=0.0)) for key, xs in values.items()}
+
+
 def run_battery(battery: Battery, seed, count=None):
     """Report of one battery on ``count`` samples (default
-    ``battery.count``).  A battery whose computation raises reports
-    ``pass: False`` with the error instead of raising."""
+    ``battery.count``), its yielded residuals reduced by ``_reduce``.  A
+    battery whose computation raises reports ``pass: False`` with the
+    error instead of raising."""
     report = {"name": battery.name, "pass": False, "residuals": {},
               "thresholds": dict(battery.thresholds)}
     try:
-        residuals = battery.sample(seed, battery.count if count is None else count)
+        residuals = _reduce(battery.sample(seed, battery.count if count is None else count),
+                            battery.thresholds)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return {**report, "error": f"{type(exc).__name__}: {exc}"}
     ok = all(residuals[k] <= battery.thresholds[k] for k in residuals)

@@ -119,6 +119,14 @@ def test_identity_embedding_zero():
     assert check_identity_embedding(random_frame(2, 6, 16)) == 0.0
 
 
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_identity_embedding_keeps_a_nan_of_either_side(monkeypatch, side):
+    residuals = iter([np.nan if i == side else 0.0 for i in range(2)])
+    monkeypatch.setattr(catverify, "frames_close", lambda a, b: next(residuals))
+    assert np.isnan(check_identity_embedding(random_frame(2, 6, 16)))
+
+
 def test_tau_small_residual():
     assert check_tau(random_frame(2, 2, 17), random_frame(2, 6, 18)) < 1e-12
 

@@ -537,10 +537,12 @@ def test_alg_centralizer_verb(tmp_path, capsys):
     assert code == 0
     assert report["result"]["dim"] == 9
     # span{I, E_12} is not *-closed: its commutant is itself, not the
-    # scalars that the spectral cut would give.
+    # scalars that the spectral cut would give.  Nor is span{c E_12} at
+    # any scale c.
     e12 = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]}
     eye = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
-    for basis in ([e12], [eye, e12]):
+    small, large = ({**e12, "entries": [[0, 0], [c, 0], [0, 0], [0, 0]]} for c in (1e-200, 1e200))
+    for basis in ([e12], [eye, e12], [small], [large]):
         dump_json("json", {"ambient": 2, "basis": basis}, str(a))
         code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
         assert code == 1 and "*-closed" in report["error"]

@@ -3,6 +3,7 @@ import pytest
 
 from frcalc.frames import (
     Frame,
+    FrameReport,
     conjugate_frame,
     dot,
     dot_with_residual,
@@ -32,6 +33,14 @@ def test_basepoint_entries_are_shifted_identities():
     e12 = np.zeros((6, 6))
     e12[0:3, 3:6] = np.eye(3)
     assert np.array_equal(fr.mats[0, 1], e12)
+
+
+
+@pytest.mark.parametrize("axiom", range(3))
+def test_frame_report_max_error_keeps_a_nan_of_any_axiom(axiom):
+    errors = [0.0, 0.0, 0.0]
+    errors[axiom] = np.nan
+    assert np.isnan(FrameReport(*errors, False).max_error)
 
 
 def test_random_frame_passes_axioms():

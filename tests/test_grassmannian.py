@@ -16,6 +16,7 @@ from frcalc.grassmannian import (
     lambda_map,
     relative_centralizer,
     span_subalgebra,
+    star_closed,
     tensor_subalgebra,
 )
 from frcalc.generators import MorphismConfig, random_d_morphism
@@ -290,6 +291,16 @@ def test_centralizers_and_extraction_ignore_the_input_scale(c):
     e11 = np.zeros((4, 4), dtype=complex)
     e11[0, 0] = c
     assert centralizer(Subalgebra(4, (c * np.eye(4, dtype=complex), e11))).dim == 10
+
+
+
+@pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+def test_star_closed_ignores_the_input_scale(c):
+    """span{c E_12} is not *-closed at any c; span{c E_12, c E_21} is."""
+    e12 = np.zeros((2, 2), dtype=complex)
+    e12[0, 1] = c
+    assert not star_closed([e12])
+    assert star_closed([e12, e12.T])
 
 
 def test_gr_map_with_basepoint_hom():

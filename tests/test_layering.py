@@ -15,14 +15,18 @@ calls ``orjson.dumps``, so no other writer meets the float64 arrays
 that the encoders put in their trees.  Every pass/fail bound is read by
 name from ``linalg.BOUNDS``: outside ``linalg.py`` no module reads a
 tolerance's ``abs_eps``, and a small float literal is only the value of
-a named module-level constant."""
+a named module-level constant.  Every battery of ``suite.BATTERIES``
+samples through a generator function, whose yields ``run_battery``
+reduces in one place."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
 import frcalc
+from frcalc.suite import BATTERIES
 
 SRC = pathlib.Path(frcalc.__file__).parent
 ROOT = SRC.parent.parent
@@ -358,3 +362,7 @@ def test_bounds_are_read_from_the_table():
     found = {p.name: bare_tolerances(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py")) if p.name != KERNEL_MODULE}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_every_battery_samples_through_a_generator():
+    assert [b.name for b in BATTERIES if not inspect.isgeneratorfunction(b.sample)] == []

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frcalc import linalg
 from frcalc.fredholm import amplify
 from frcalc.frames import (Frame, dot, dot_with_residual, pi1, pi2, random_frame,
                            tensor_frame, verify_frame)
@@ -16,6 +21,7 @@ from frcalc.linalg import (
     is_unitary,
     kron_stack,
     max_abs,
+    orthonormal_cols,
     orthonormal_span,
     pair_products,
     random_unitary,
@@ -54,6 +60,40 @@ def test_orthonormal_span_dimension():
         for j, y in enumerate(basis):
             inner = np.trace(x @ y.conj().T)
             assert abs(inner - (1.0 if i == j else 0.0)) < 1e-12
+
+
+
+@pytest.mark.parametrize("x", [np.inf, np.nan])
+def test_orthonormal_cols_refuses_a_non_finite_entry(x):
+    """[E_11 + x E_12, I]: an inf gave an empty basis and a NaN a raw
+    LinAlgError before the guard."""
+    e = np.zeros((2, 2), dtype=complex)
+    e[0, 0], e[0, 1] = 1.0, x
+    with pytest.raises(ValueError, match="non-finite"):
+        orthonormal_cols([e, np.eye(2)], DEFAULT_TOL)
+
+
+_INF_IN_A_BASIS = """
+import numpy as np
+from frcalc.frames import random_frame
+from frcalc.grassmannian import lambda_map
+from frcalc.linalg import DEFAULT_TOL, orthonormal_cols
+basis = [m.copy() for m in lambda_map(random_frame(2, 4, 2)).basis]
+basis[0][1, 0] = np.inf
+try:
+    orthonormal_cols(basis, DEFAULT_TOL)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_orthonormal_cols_refuses_an_inf_on_which_the_svd_does_not_return():
+    """Run in a subprocess: without the guard the SVD of this basis
+    never returns, and the test fails after 30 s instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _INF_IN_A_BASIS], env=env,
+                          capture_output=True, text=True, timeout=30, check=True)
+    assert "non-finite" in proc.stdout
 
 
 def test_subspace_distance_zero_and_one():
