@@ -3,11 +3,14 @@
 Groups are presented by integer relation matrices (rows = relations,
 columns = generators); everything reduces to Smith normal form over the
 arbitrary-precision integers, with pivoting by least absolute value to
-contain entry growth.  The form is computed on one list-of-lists tableau
-[[D, U], [V, 0]], so each row or column operation on D carries the
-transform that records it in the same pass: invariant factors read D,
-kernels and lattice membership read V as well, and U (which `ab snf`
-writes) witnesses U m V = D.
+contain entry growth.  One elimination, ``_eliminate``, reduces D, the
+top-left block of a list-of-lists tableau, and each row or column
+operation on D carries whatever the tableau stores beside it in the same
+pass.  Each caller builds only the tableau it reads: ``smith_normal_form``
+builds [[D, U], [V, 0]] (U, which `ab snf` writes, witnesses U m V = D),
+kernels and lattice membership build [[D], [V]], and invariant factors
+build [[D]].  The pivots depend on D alone, so D and V agree entry for
+entry across the three shapes.
 """
 
 from __future__ import annotations
@@ -17,10 +20,25 @@ from math import gcd
 
 
 def _det_unimodular(m):
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+    """Determinant: a closed form up to 4x4, fraction-free Gaussian
+    elimination (Bareiss) on a copy of m above."""
     n = len(m)
     if n == 0:
         return 1
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        # Laplace expansion along the first two rows: their 2x2 minors
+        # times the complementary minors of the last two.
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (w, x, y, z) = m
+        return ((a * f - b * e) * (k * z - l * y) - (a * g - c * e) * (j * z - l * x)
+                + (a * h - d * e) * (j * y - k * x) + (b * g - c * f) * (i * z - l * w)
+                - (b * h - d * f) * (i * y - k * w) + (c * h - d * g) * (i * x - j * w))
     a = [row[:] for row in m]
     prev = 1
     sign = 1
@@ -38,9 +56,9 @@ def _det_unimodular(m):
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(m):
-    """U, D, V with U m V = D, U and V unimodular, and the diagonal of D
-    nonnegative with d_i | d_{i+1}.
+def _eliminate(tab, rows, cols):
+    """Bring D, the top-left ``rows`` x ``cols`` block of the tableau
+    ``tab`` (a list of rows), to Smith normal form in place.
 
     The elimination is Cohen's (A Course in Computational Algebraic
     Number Theory, Alg. 2.4.14): the pivot is an entry of least absolute
@@ -49,20 +67,12 @@ def smith_normal_form(m):
     Once both are clear, a row holding an entry the pivot does not divide
     is added to the pivot row, which leaves a smaller remainder there.
 
-    It runs on one tableau [[D, U], [V, 0]]: the first ``rows`` rows are
-    D with U to its right, the last ``cols`` rows are V below it, and the
-    zero block is not stored.  A row operation on D is then one list
-    comprehension over a whole row, which carries U, and a column
-    operation on D one loop over every row, which carries V; U and V are
-    sliced out at the end.
+    Pivots are chosen from D alone.  A row operation on D carries the
+    rest of its row of ``tab``, and a column operation carries every row
+    below D, so whatever the caller stores right of D or below it is
+    transformed along: U to the right records the row operations, V
+    below the column operations.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    tab = [list(row) + [0] * rows for row in m] + [[0] * cols for _ in range(cols)]
-    for i in range(rows):
-        tab[i][cols + i] = 1
-    for j in range(cols):
-        tab[rows + j][j] = 1
     for t in range(min(rows, cols)):
         # The pivot is the first entry of least absolute value in row
         # order, i.e. the least (abs, i, j).
@@ -107,6 +117,30 @@ def smith_normal_form(m):
                     pi, pj = t, t
         if tab[t][t] < 0:
             tab[t] = [-x for x in tab[t]]
+
+
+def smith_normal_form(m):
+    """U, D, V with U m V = D, U and V unimodular, and the diagonal of D
+    nonnegative with d_i | d_{i+1}.
+
+    ``_eliminate`` runs on the tableau [[D, U], [V, 0]]: the first
+    ``rows`` rows are D with U to its right, the last ``cols`` rows are V
+    below it, and the zero block is not stored.  A row operation on D is
+    then one list comprehension over a whole row, which carries U, and a
+    column operation on D one loop over the rows, which carries V; U and
+    V are sliced out at the end, and a determinant checks both on every
+    call.  Callers that read less build less: kernels and lattice
+    membership reduce [[D], [V]], invariant factors [[D]] alone, with
+    the same pivots, so their D and V are the ones returned here.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    tab = [list(row) + [0] * rows for row in m] + [[0] * cols for _ in range(cols)]
+    for i in range(rows):
+        tab[i][cols + i] = 1
+    for j in range(cols):
+        tab[rows + j][j] = 1
+    _eliminate(tab, rows, cols)
     u = [row[cols:] for row in tab[:rows]]
     d = [row[:cols] for row in tab[:rows]]
     v = tab[rows:]
@@ -115,15 +149,28 @@ def smith_normal_form(m):
     return u, d, v
 
 
+def _diagonal_and_v_columns(m):
+    """The diagonal of D (zero past the rank, one entry per column) and
+    the columns of V of the Smith normal form of m, reduced on the
+    tableau [[D], [V]]; V is checked unimodular and not kept."""
+    rows, cols = len(m), len(m[0])
+    tab = [list(row) for row in m] + [[int(i == j) for j in range(cols)] for i in range(cols)]
+    _eliminate(tab, rows, cols)
+    v = tab[rows:]
+    if abs(_det_unimodular(v)) != 1:
+        raise ArithmeticError("Smith normal form transforms are not unimodular")
+    return [tab[j][j] if j < rows else 0 for j in range(cols)], list(zip(*v))
+
+
 def invariant_factors(m):
     """Nontrivial invariant factors (> 1) and the free rank of the
     cokernel of the relation matrix."""
     cols = len(m[0]) if m else 0
     if not m:
         return [], cols
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(len(d), cols))]
-    nonzero = [abs(x) for x in diag if x != 0]
+    d = [list(row) for row in m]
+    _eliminate(d, len(d), cols)
+    nonzero = [abs(d[i][i]) for i in range(min(len(d), cols)) if d[i][i]]
     factors = [x for x in nonzero if x != 1]
     free_rank = cols - len(nonzero)
     return factors, free_rank
@@ -178,18 +225,14 @@ class AbGroupPresentation:
 def _relation_lattice_contains(rels, vecs):
     """Whether every vector of vecs lies in the integer row span of
     rels; one Smith normal form of rels serves them all."""
-    rows = [list(r) for r in rels]
-    if not rows:
+    if not rels:
         return all(x == 0 for vec in vecs for x in vec)
-    _, d, v = smith_normal_form(rows)
-    n = len(v)
-    rank = min(len(rows), n)
-    diag = [d[j][j] if j < rank else 0 for j in range(n)]
+    diag, columns = _diagonal_and_v_columns(rels)
     # vec in rowspan(M) iff vec*V has coordinates divisible by the
     # diagonal (and zero beyond the rank).
     for vec in vecs:
-        for j, dj in enumerate(diag):
-            x = sum(vec[i] * v[i][j] for i in range(n))
+        for dj, column in zip(diag, columns):
+            x = sum(a * b for a, b in zip(vec, column))
             if x % dj if dj else x:
                 return False
     return True
@@ -201,13 +244,8 @@ def integer_kernel(m):
     cols = len(m[0]) if rows else 0
     if rows == 0:
         return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    _, d, v = smith_normal_form(m)
-    basis = []
-    for j in range(cols):
-        dj = d[j][j] if j < min(rows, cols) else 0
-        if dj == 0:
-            basis.append([v[i][j] for i in range(cols)])
-    return basis
+    diag, columns = _diagonal_and_v_columns(m)
+    return [list(column) for dj, column in zip(diag, columns) if dj == 0]
 
 
 @dataclass(frozen=True)
@@ -241,6 +279,10 @@ def _require_well_defined(f: GroupHom):
 
 def cokernel(f: GroupHom) -> AbGroupPresentation:
     _require_well_defined(f)
+    return _cokernel(f)
+
+
+def _cokernel(f: GroupHom) -> AbGroupPresentation:
     rels = [list(r) for r in f.dst.rels]
     for j in range(f.src.gens):
         rels.append([f.matrix[i][j] for i in range(f.dst.gens)])
@@ -249,6 +291,10 @@ def cokernel(f: GroupHom) -> AbGroupPresentation:
 
 def kernel(f: GroupHom) -> AbGroupPresentation:
     _require_well_defined(f)
+    return _kernel(f)
+
+
+def _kernel(f: GroupHom) -> AbGroupPresentation:
     g, h = f.src.gens, f.dst.gens
     n_rels = len(f.dst.rels)
     # Solutions of M x = R^T y: integer kernel of [M | -R^T], x part.
@@ -294,8 +340,9 @@ def localize(g: AbGroupPresentation, l: int) -> AbGroupPresentation:
 
 def _is_iso_after_localization(f: GroupHom, l: int) -> bool:
     """A map becomes an isomorphism once l is inverted iff its kernel
-    and cokernel are annihilated by a power of l."""
-    return localize(kernel(f), l).is_trivial() and localize(cokernel(f), l).is_trivial()
+    and cokernel are annihilated by a power of l.  The caller has checked
+    that f is well defined."""
+    return localize(_kernel(f), l).is_trivial() and localize(_cokernel(f), l).is_trivial()
 
 
 def sequential_colimit(groups, maps, invert: int):
@@ -307,7 +354,8 @@ def sequential_colimit(groups, maps, invert: int):
     if len(maps) != len(groups) - 1:
         raise ValueError("need exactly one map between consecutive groups")
     for i, f in enumerate(maps):
-        if f.src is not groups[i] and f.src.canonical() != groups[i].canonical():
+        if (f.src is not groups[i] and f.src.canonical() != groups[i].canonical()
+                or f.dst is not groups[i + 1] and f.dst.canonical() != groups[i + 1].canonical()):
             raise ValueError("maps are not composable with the group chain")
         _require_well_defined(f)
     if not maps:

@@ -3,6 +3,8 @@
 Every verb prints a JSON report {verb, pass, residuals, artifacts,
 elapsed_ms} on stdout and exits 0 on pass, 1 on mathematical failure,
 2 on usage or format errors.  All randomness is controlled by --seed.
+JSON has no NaN or infinity, so the report spells a non-finite float
+as the string "nan", "inf" or "-inf".
 
 Each verb is declared once, in ``VERBS``; the parser, the dispatch and
 ``list-ops`` are all derived from that table.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -286,6 +289,17 @@ def _decode(flag, kind, value, settings):
     return value
 
 
+def _spelled(obj):
+    """``obj`` with every non-finite float replaced by its name."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _spelled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spelled(value) for value in obj]
+    return obj
+
+
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -312,7 +326,7 @@ def run(argv) -> int:
         if result is not None:
             report["result"] = result
     report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(_spelled(report), sort_keys=True, allow_nan=False))
     return code
 
 

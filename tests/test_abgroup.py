@@ -80,6 +80,64 @@ def test_snf_unimodularity_check_raises(monkeypatch):
         smith_normal_form([[2, 4], [6, 8]])
 
 
+def test_det_unimodular_matches_cofactor_expansion():
+    """Closed forms up to 4x4 and Bareiss above, with entries up to 2**70,
+    on random matrices, on ones with a zero first pivot (the reversed
+    identity, a random matrix with m[0][0] = 0) and on singular ones;
+    the input is left as it was."""
+    rng = np.random.default_rng(5)
+    for n in range(7):
+        cases = [[[int(i + j == n - 1) for j in range(n)] for i in range(n)]]
+        for bound in (3, 10 ** 6, 2 ** 70):
+            for _ in range(6):
+                m = [[int(x) * bound // 999 for x in rng.integers(-999, 1000, n)] for _ in range(n)]
+                cases += [m, [[0] + row[1:] if i == 0 else row for i, row in enumerate(m)],
+                          [row[:] for row in m[:1] * n]]
+        for m in cases:
+            want = _int_det(m) if n else 1
+            before = [row[:] for row in m]
+            assert abgroup._det_unimodular(m) == want
+            assert m == before
+
+
+def _eliminated(m, with_v):
+    """D, and V when ``with_v``, reduced on [[D], [V]] or [[D]]."""
+    rows, cols = len(m), len(m[0])
+    tab = [list(row) for row in m]
+    if with_v:
+        tab += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    abgroup._eliminate(tab, rows, cols)
+    return tab[:rows], tab[rows:]
+
+
+def test_every_tableau_shape_gives_the_same_d_and_v():
+    """[[D], [V]] and [[D]] pick the pivots of [[D, U], [V, 0]], so
+    their D and V are those of smith_normal_form, entry for entry; one
+    matrix in ten has entries up to 1e13."""
+    rng = np.random.default_rng(16)
+    for k in range(2000):
+        r, c = rng.integers(1, 7, 2)
+        bound = 10 ** 13 if k % 10 == 0 else 9
+        m = rng.integers(-bound, bound + 1, (r, c)).tolist()
+        _, d, v = smith_normal_form(m)
+        assert _eliminated(m, with_v=True) == (d, v)
+        assert _eliminated(m, with_v=False) == (d, [])
+        diag, columns = abgroup._diagonal_and_v_columns(m)
+        assert diag == [d[j][j] if j < r else 0 for j in range(c)]
+        assert columns == list(zip(*v))
+
+
+def test_every_built_transform_is_checked_unimodular(monkeypatch):
+    """U and V of smith_normal_form and the V behind integer_kernel are
+    checked; invariant_factors builds no transform to check."""
+    monkeypatch.setattr(abgroup, "_det_unimodular", lambda m: 2)
+    with pytest.raises(ArithmeticError, match="unimodular"):
+        smith_normal_form([[2, 4], [6, 8]])
+    with pytest.raises(ArithmeticError, match="unimodular"):
+        integer_kernel([[2, 4], [6, 8]])
+    assert invariant_factors([[2, 4], [6, 8]]) == ([2, 4], 0)
+
+
 def _check_snf_against_sympy(m, u, d, v):
     """U M V = D with unimodular U, V, D a nonnegative diagonal
     divisibility chain, and its nonzero entries sympy's invariant factors."""
@@ -265,15 +323,19 @@ def test_hom_well_definedness_check():
 
 
 def test_well_definedness_takes_one_snf_for_all_relations(monkeypatch):
+    """One elimination per map, whatever the number of source relations;
+    Z/6 is presented as Z/<12, 18> so that the answer needs a reduced
+    relation matrix."""
     calls = []
+    eliminate = abgroup._eliminate
 
-    def counting(m):
-        calls.append(m)
-        return smith_normal_form(m)
+    def counting(tab, rows, cols):
+        calls.append(tab)
+        eliminate(tab, rows, cols)
 
-    monkeypatch.setattr(abgroup, "smith_normal_form", counting)
+    monkeypatch.setattr(abgroup, "_eliminate", counting)
     src = AbGroupPresentation.from_rows(2, [[2, 0], [0, 3], [2, 3]])
-    dst = AbGroupPresentation.cyclic(6)
+    dst = AbGroupPresentation.from_rows(1, [[12], [18]])
     assert GroupHom.from_rows(src, dst, [[3, 2]]).is_well_defined()
     assert len(calls) == 1
     assert not GroupHom.from_rows(src, dst, [[1, 2]]).is_well_defined()
@@ -345,3 +407,25 @@ def test_sequential_colimit_not_stabilized_raises():
     maps = [GroupHom.from_rows(groups[n], groups[n + 1], [[2]]) for n in range(2)]
     with pytest.raises(ValueError, match="stabilized"):
         sequential_colimit(groups, maps, 3)
+
+
+def test_sequential_colimit_checks_each_target():
+    """A map into a group other than the next one in the chain is
+    refused, as a map out of the wrong group is."""
+    z2, z4, z6 = (AbGroupPresentation.cyclic(n) for n in (2, 4, 6))
+    with pytest.raises(ValueError, match="composable"):
+        sequential_colimit([z2, z4], [GroupHom.from_rows(z2, z6, [[3]])], 3)
+    with pytest.raises(ValueError, match="composable"):
+        sequential_colimit([z2, z4], [GroupHom.from_rows(z6, z4, [[2]])], 3)
+    z4_again = AbGroupPresentation.from_rows(1, [[-4]])
+    assert sequential_colimit([z2, z4], [GroupHom.from_rows(z2, z4_again, [[2]])], 2)[1] == 0
+
+
+def test_sequential_colimit_checks_each_map_once(monkeypatch):
+    checks = []
+    require = abgroup._require_well_defined
+    monkeypatch.setattr(abgroup, "_require_well_defined", lambda f: checks.append(f) or require(f))
+    groups = [AbGroupPresentation.cyclic(2 * 3 ** n) for n in range(4)]
+    maps = [GroupHom.from_rows(groups[n], groups[n + 1], [[3]]) for n in range(3)]
+    sequential_colimit(groups, maps, 3)
+    assert checks == maps

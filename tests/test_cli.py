@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import math
 import os
 import pathlib
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import frcalc
-from frcalc import catverify, cli, frames, grassmannian, homspace
+from frcalc import catverify, cli, frames, grassmannian, homspace, suite
 from frcalc.cli import run
 from frcalc.config import UsageError, load_settings, parse_config
 from frcalc.frames import Frame, matrix_unit_frame, random_frame
@@ -488,6 +489,38 @@ def test_pipeline_roundtrip(tmp_path, capsys):
     for a, b in zip(original["mats"], recombined["mats"]):
         for (re1, im1), (re2, im2) in zip(a["entries"], b["entries"]):
             assert abs(re1 - re2) < 1e-9 and abs(im1 - im2) < 1e-9
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses the NaN and Infinity tokens, which
+    RFC 8259 does not have and orjson does not read."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_nan_suite_residual_is_reported_as_json(capsys, monkeypatch):
+    """A NaN residual fails its battery, and the report still parses as
+    JSON (RFC 8259 has no NaN token): the residual is the string "nan"."""
+    monkeypatch.setattr(suite, "frames_close", lambda a, b: math.nan)
+    monkeypatch.setattr(suite, "BATTERIES",
+                        tuple(b for b in suite.BATTERIES if b.name == "reconstruction"))
+    code = run(["suite", "--seed", "7"])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1 and report["pass"] is False
+    assert report["residuals"] == {"reconstruction.max_entry_error": "nan"}
+    assert report["result"]["batteries"][0]["residuals"] == {"max_entry_error": "nan"}
+
+
+@pytest.mark.parametrize("residual,code", [(math.nan, 1), (math.inf, 1), (-math.inf, 0)])
+def test_a_non_finite_verb_residual_is_reported_as_json(tmp_path, capsys, monkeypatch,
+                                                        residual, code):
+    path = tmp_path / "f.json"
+    dump_json("frame", matrix_unit_frame(2, 3), str(path))
+    monkeypatch.setattr(frames, "dot_with_residual", lambda left, right, tol: (left, residual))
+    assert run(["frame", "dot", "--left", str(path), "--right", str(path)]) == code
+    report = _strict_json(capsys.readouterr().out)
+    assert report["residuals"] == {"commutation": repr(residual)}
 
 
 def test_hom_intertwiner_verb(tmp_path, capsys):

@@ -19,13 +19,14 @@ from frcalc.suite import BATTERIES, run_battery
 
 apply_frame, kron_stack = linalg.apply_frame, linalg.kron_stack
 centralizer = grassmannian.centralizer
-pi2, smith_normal_form = frames.pi2, abgroup.smith_normal_form
+pi2, eliminate = frames.pi2, abgroup._eliminate
 ev = homspace.ev
 BY_NAME = {battery.name: battery for battery in BATTERIES}
 
 GRAM_CONJ_TERM = "gram -= t + t.conj().T"
-# The Smith normal form's column operation, which carries V in the rows
-# below D, and its row operation, which carries U in the columns right of D.
+# The Smith normal form elimination's column operation, which carries V
+# in the rows below D, and its row operation, which carries U in the
+# columns right of D.
 SNF_COLUMN_OP = "for row in tab:\n                        row[j] += c * row[t]"
 SNF_ROW_OP = "[x + c * y for x, y in zip(row, top)]"
 
@@ -47,25 +48,24 @@ def _full_commutant_without_conj_t():
     return _recompiled(grassmannian, GRAM_CONJ_TERM, "gram -= t")._full_commutant
 
 
-def _snf_with_column_operations_on_d_only():
-    """``abgroup.smith_normal_form`` whose column operations walk only
-    the rows of D, so V takes the swaps but not the reductions."""
+def _eliminate_with_column_operations_on_d_only():
+    """``abgroup._eliminate`` whose column operations walk only the rows
+    of D, so V takes the swaps but not the reductions."""
     return _recompiled(abgroup, SNF_COLUMN_OP,
-                       SNF_COLUMN_OP.replace("in tab:", "in tab[:rows]:")).smith_normal_form
+                       SNF_COLUMN_OP.replace("in tab:", "in tab[:rows]:"))._eliminate
 
 
-def _snf_with_row_operations_on_d_only():
-    """``abgroup.smith_normal_form`` whose row operations update only the
+def _eliminate_with_row_operations_on_d_only():
+    """``abgroup._eliminate`` whose row operations update only the
     columns of D, so U takes the swaps but not the reductions."""
     return _recompiled(abgroup, SNF_ROW_OP,
-                       "[x + c * y for x, y in zip(row, top[:cols])] + row[cols:]").smith_normal_form
+                       "[x + c * y for x, y in zip(row, top[:cols])] + row[cols:]")._eliminate
 
 
-def _snf_with_a_wrong_diagonal(m):
-    u, d, v = smith_normal_form(m)
-    d = [list(row) for row in d]
-    d[0][0] += 1
-    return u, d, v
+def _eliminate_with_a_wrong_diagonal(tab, rows, cols):
+    eliminate(tab, rows, cols)
+    if rows and cols:
+        tab[0][0] += 1
 
 
 def _zero_block(n, win_dom, win_cod):
@@ -115,17 +115,17 @@ MUTANTS = {
                  lambda h, tol=linalg.DEFAULT_TOL: np.eye(h.dst, dtype=complex))],
                ["intertwiner"]),
     "Smith normal form with a wrong diagonal":
-        Mutant([(abgroup, "smith_normal_form", _snf_with_a_wrong_diagonal)],
+        Mutant([(abgroup, "_eliminate", _eliminate_with_a_wrong_diagonal)],
                ["abgroup"], raises=True),
     # Both report rather than raise: U and V stay unimodular, so the
     # unimodularity check passes, and U m V != D counts as snf_failures.
     # A V without the reductions also gives kernel a wrong basis, which
     # coker_ker_failures counts; the battery reads U only in U m V.
     "Smith normal form whose column operations do not carry V":
-        Mutant([(abgroup, "smith_normal_form", _snf_with_column_operations_on_d_only())],
+        Mutant([(abgroup, "_eliminate", _eliminate_with_column_operations_on_d_only())],
                ["abgroup"]),
     "Smith normal form whose row operations do not carry U":
-        Mutant([(abgroup, "smith_normal_form", _snf_with_row_operations_on_d_only())],
+        Mutant([(abgroup, "_eliminate", _eliminate_with_row_operations_on_d_only())],
                ["abgroup"]),
     # dim ker and dim coker change while the index n*(win_dom - win_cod)
     # of the all-zero block stays right.
