@@ -7,7 +7,8 @@ JSON has no NaN or infinity, so the report spells a non-finite float
 as the string "nan", "inf" or "-inf".
 
 Each verb is declared once, in ``VERBS``; the parser, the dispatch and
-``list-ops`` are all derived from that table.
+``list-ops`` are all derived from that table.  Verb bodies return
+residuals and their bounds, which only ``suite.judge`` compares.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import abgroup, catverify, frames, fredholm, generators, grassmannian, homspace
 from .config import UsageError, load_settings
 from .serialize import CODECS, FormatError, decode, dump_json, load_json
-from .suite import run_suite
+from .suite import judge, run_suite
 
 
 class Verb(NamedTuple):
@@ -34,7 +35,8 @@ class Verb(NamedTuple):
     ``serialize.CODECS``, whose flag names a JSON file.  A kind ending in
     ``?`` is optional (None when absent); ``kind=value`` has a default.
     ``out`` names the codec of the ``--out`` payload.  ``body(tol,
-    *decoded flag values)`` returns (pass, residuals, result, payload)."""
+    *decoded flag values)`` returns (residuals, bounds, result, payload)
+    without comparing; a failure that has no residual raises."""
 
     name: str
     target: str | None
@@ -57,24 +59,24 @@ def _flags(spec):
         yield flag, base, required, _TYPES[base](default) if has_default else None
 
 
-def _made(obj):
-    return True, {}, None, obj
+def _made(payload, result=None):
+    return {}, {}, result, payload
 
 
-def _within(tol, check, residual, payload=None):
-    """Pass iff ``residual`` is within the bound of ``check``, which names it."""
-    return residual <= tol.bound(check), {check: residual}, None, payload
+def _within(tol, check, payload=None, result=None, **residuals):
+    """Each of ``residuals`` bounded by the bound of ``check``."""
+    return residuals, dict.fromkeys(residuals, tol.bound(check)), result, payload
 
 
 def _frame_axioms(tol, fr):
     report = frames.verify_frame(fr, tol)
-    return report.pass_, {"axiom_i": report.axiom_i_maxerr, "axiom_ii": report.axiom_ii_maxerr,
-                          "axiom_iii": report.axiom_iii_maxerr}, None, None
+    return _within(tol, "frame_axioms", axiom_i=report.axiom_i_maxerr,
+                   axiom_ii=report.axiom_ii_maxerr, axiom_iii=report.axiom_iii_maxerr)
 
 
 def _dot(tol, left, right):
     fr, residual = frames.dot_with_residual(left, right, tol)
-    return _within(tol, "commutation", residual, fr)
+    return _within(tol, "commutation", fr, commutation=residual)
 
 
 def _random_frame(tol, d, ambient, seed):
@@ -85,36 +87,32 @@ def _random_frame(tol, d, ambient, seed):
 
 def _intertwiner(tol, h):
     u = homspace.intertwiner(h, tol)
-    return _within(tol, "intertwiner", homspace.intertwiner_residual(h, u), u)
-
-
-def _with_dim(ok, residuals, alg):
-    return ok, residuals, {"dim": alg.dim}, alg
+    return _within(tol, "intertwiner", u, intertwiner=homspace.intertwiner_residual(h, u))
 
 
 def _span(tol, gens):
     alg = grassmannian.span_subalgebra(list(gens.basis), gens.ambient, tol)
-    residual = grassmannian.closure_residual(alg, tol)
-    return _with_dim(residual <= tol.bound("in_span"), {"closure": residual}, alg)
+    return _within(tol, "in_span", alg, {"dim": alg.dim},
+                   closure=grassmannian.closure_residual(alg, tol))
 
 
 def _is_k(tol, alg, d):
-    ok = grassmannian.is_k_subalgebra(alg, d, tol)
-    return ok, {}, {"is_k_subalgebra": ok}, None
+    if not grassmannian.is_k_subalgebra(alg, d, tol):
+        raise ValueError(f"not a {d}-subalgebra")
+    return _made(None, {"is_k_subalgebra": True})
 
 
 def _centralizer(tol, alg):
     if not grassmannian.star_closed(list(alg.basis), tol):
         raise ValueError("the basis does not span a *-closed set")
     z = grassmannian.centralizer(alg, tol)
-    defect = grassmannian.commutation_defect(alg, z)
-    return _with_dim(defect <= tol.bound("centralizer"), {"commutation": defect}, z)
+    return _within(tol, "centralizer", z, {"dim": z.dim},
+                   commutation=grassmannian.commutation_defect(alg, z))
 
 
 def _extract(tol, alg, d):
     fr = grassmannian.extract_frame(alg, d, tol)
-    report = frames.verify_frame(fr, tol)  # the rule of ``frame verify``
-    return report.pass_, {"frame_axioms": report.max_error}, None, fr
+    return _within(tol, "frame_axioms", fr, frame_axioms=frames.verify_frame(fr, tol).max_error)
 
 
 def _naturality(tol, bundle, seed):
@@ -127,8 +125,7 @@ def _naturality(tol, bundle, seed):
     else:  # the frame condition of f and g, checked here and not when decoding
         bundle = (*(catverify.make_c_morphism(*parts, tol) for parts in bundle[:2]), *bundle[2:])
     square, witness = catverify.check_naturality(*bundle, tol)
-    bound = tol.bound("naturality")
-    return square <= bound and witness <= bound, {"square": square, "witness": witness}, None, None
+    return _within(tol, "naturality", square=square, witness=witness)
 
 
 def _or_random(fr, d, ambient, seed):
@@ -136,29 +133,30 @@ def _or_random(fr, d, ambient, seed):
 
 
 def _face(chain, fiber=None):
-    return True, {}, {"levels": list(chain.levels)}, chain if fiber is None else (chain, fiber)
+    return _made(chain if fiber is None else (chain, fiber), {"levels": list(chain.levels)})
 
 
-def _index(tol, t, ok=True):
-    return ok, {}, {"index": fredholm.index(t, tol)}, t
+def _index(tol, t):
+    return _made(t, {"index": fredholm.index(t, tol)})
 
 
 def _fred_conj(tol, t, g):
     result = fredholm.conjugate(g, t, tol)
-    return _index(tol, result, fredholm.kernel_cokernel_dims(result, tol)
-                  == fredholm.kernel_cokernel_dims(t, tol))
+    if fredholm.kernel_cokernel_dims(result, tol) != fredholm.kernel_cokernel_dims(t, tol):
+        raise ValueError("conjugation changed the kernel or cokernel dimension")
+    return _index(tol, result)
 
 
 def _snf(tol, m):
     u, d, v = abgroup.smith_normal_form(m)
     diagonal = [row[i] for i, row in enumerate(d) if i < len(row)]
     factors = [x for x in diagonal if x > 1]  # D's diagonal is nonnegative
-    return True, {}, {"diagonal": diagonal, "invariant_factors": factors}, {"u": u, "d": d, "v": v}
+    return _made({"u": u, "d": d, "v": v}, {"diagonal": diagonal, "invariant_factors": factors})
 
 
 def _group(g, **extra):
     factors, rank = g.canonical()
-    return True, {}, {"invariant_factors": factors, "free_rank": rank, **extra}, g
+    return _made(g, {"invariant_factors": factors, "free_rank": rank, **extra})
 
 
 def _colim(tol, chain, invert):
@@ -167,10 +165,11 @@ def _colim(tol, chain, invert):
 
 
 def _suite(tol, seed, scale):
-    report = run_suite(seed=seed, scale=scale)
-    residuals = {f"{battery['name']}.{key}": val
-                 for battery in report["batteries"] for key, val in battery["residuals"].items()}
-    return report["pass"], residuals, {"batteries": report["batteries"]}, None
+    batteries = run_suite(seed=seed, scale=scale)["batteries"]
+    # a battery that raised has no residuals: each of its keys is NaN, which fails
+    keys = [(f"{b['name']}.{key}", b, key) for b in batteries for key in b["thresholds"]]
+    return ({name: b["residuals"].get(key, math.nan) for name, b, key in keys},
+            {name: b["thresholds"][key] for name, b, key in keys}, {"batteries": batteries}, None)
 
 
 _MORPHISM = "--hom hom --src-frame frame --dst-frame frame"
@@ -206,15 +205,14 @@ VERBS = (
     Verb("alg isk", "grassmannian.is_k_subalgebra", "--in alg --d size", None, _is_k),
     Verb("alg extract", "grassmannian.extract_frame", "--in alg --d size", "frame", _extract),
     Verb("alg grmap", "grassmannian.gr_map", "--hom hom --aprime alg --a alg --b alg", "alg",
-         lambda tol, h, a_prime, a, b: _with_dim(True, {}, grassmannian.gr_map(
-             h, a_prime, a, b, tol))),
+         lambda tol, *data: _made(alg := grassmannian.gr_map(*data, tol), {"dim": alg.dim})),
     Verb("alg ztensor", "grassmannian.centralizer_tensor_check",
          "--f hom --g hom --a alg --b alg --phi alg --psi alg", None,
-         lambda tol, *data: _within(tol, "subspace_distance",
-                                    grassmannian.centralizer_tensor_check(*data, tol)[1])),
+         lambda tol, *data: _within(tol, "subspace_distance", subspace_distance=(
+             grassmannian.centralizer_tensor_check(*data, tol)[1]))),
     Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split size?", None,
-         lambda tol, h, src, dst, split: _within(tol, "frame_condition", catverify.is_c_morphism(
-             h, src, dst, split or src.d, tol)[1])),
+         lambda tol, h, src, dst, split: _within(tol, "frame_condition", frame_condition=(
+             catverify.is_c_morphism(h, src, dst, split or src.d, tol)[1]))),
     Verb("cat frmap", "catverify.fr_map", _MORPHISM + " --arg frame", "frame",
          lambda tol, h, src, dst, arg: _made(catverify.fr_map(
              catverify.make_c_morphism(h, src, dst, tol), arg, tol))),
@@ -222,11 +220,11 @@ VERBS = (
          _naturality),
     Verb("cat assoc", "catverify.check_associativity",
          "--a frame? --b frame? --c frame? --seed seed", None,
-         lambda tol, a, b, c, seed: _within(tol, "associativity", catverify.check_associativity(
-             _or_random(a, 2, 2, seed), _or_random(b, 2, 4, seed + 1),
-             _or_random(c, 1, 2, seed + 2)))),
+         lambda tol, a, b, c, seed: _within(tol, "associativity", associativity=(
+             catverify.check_associativity(_or_random(a, 2, 2, seed), _or_random(
+                 b, 2, 4, seed + 1), _or_random(c, 1, 2, seed + 2))))),
     Verb("cat tau", "catverify.check_tau", "--a frame? --b frame? --seed seed", None,
-         lambda tol, a, b, seed: _within(tol, "tau", catverify.check_tau(
+         lambda tol, a, b, seed: _within(tol, "tau", tau=catverify.check_tau(
              _or_random(a, 2, 2, seed), _or_random(b, 2, 6, seed + 1)))),
     Verb("cat nerve-face", "catverify.nerve_face", "--chain chain --i index", "chain",
          lambda tol, chain, i: _face(catverify.nerve_face(i, chain))),
@@ -239,8 +237,8 @@ VERBS = (
          lambda tol, t, h: _index(tol, fredholm.amplify(h, t, tol))),
     Verb("fred localize", "fredholm.localize_index",
          "--stages operators --l size --start-stage index=0", None,
-         lambda tol, stages, l, start: (True, {}, {"index": str(fredholm.localize_index(
-             stages, l, start, tol))}, None)),
+         lambda tol, stages, l, start: _made(None, {"index": str(fredholm.localize_index(
+             stages, l, start, tol))})),
     Verb("ab snf", "abgroup.smith_normal_form", "--in ints", "json", _snf),
     Verb("ab coker", "abgroup.cokernel", "--in grouphom", "group",
          lambda tol, f: _group(abgroup.cokernel(f))),
@@ -252,8 +250,7 @@ VERBS = (
          _colim),
     Verb("suite", "suite.run_suite", "--seed seed --scale float=1.0", None, _suite),
     Verb("list-ops", None, "", None,
-         lambda tol: (True, {}, {"operations": {v.name: v.target for v in VERBS if v.target}},
-                      None)),
+         lambda tol: _made(None, {"operations": {v.name: v.target for v in VERBS if v.target}})),
 )
 
 
@@ -312,7 +309,8 @@ def run(argv) -> int:
         settings = load_settings(args.config)
         values = [_decode(flag, kind, getattr(args, f"arg{i}"), settings)
                   for i, (flag, kind, _, _) in enumerate(_flags(verb.flags))]
-        passed, residuals, result, payload = verb.body(settings.tol, *values)
+        residuals, bounds, result, payload = verb.body(settings.tol, *values)
+        passed, residuals = judge([residuals], bounds)
         if verb.out and args.out:
             dump_json(verb.out, payload, args.out)
             report["artifacts"].append(args.out)
@@ -322,7 +320,7 @@ def run(argv) -> int:
         code, report["error"] = 1, str(exc)
     else:
         code = 0 if passed else 1
-        report.update({"pass": bool(passed), "residuals": residuals})
+        report.update({"pass": passed, "residuals": residuals})
         if result is not None:
             report["result"] = result
     report["elapsed_ms"] = int((time.monotonic() - start) * 1000)

@@ -131,7 +131,7 @@ def dot_with_residual(alpha: Frame, gamma: Frame,
     a, g = alpha.mats.reshape(-1, n, n), gamma.mats.reshape(-1, n, n)
     prod = pair_products(a, g)
     residual = max_abs(prod - pair_products(g, a).swapaxes(0, 1))
-    if residual > tol.bound("commutation"):
+    if not residual <= tol.bound("commutation"):
         raise ValueError("frames do not commute")
     mats = prod.reshape(d1, d1, d2, d2, n, n).transpose(0, 2, 1, 3, 4, 5)
     return Frame(d1 * d2, n, mats.reshape(d1 * d2, d1 * d2, n, n)), residual

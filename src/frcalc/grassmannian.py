@@ -263,8 +263,8 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
     n = a.ambient
     a = Subalgebra(n, tuple(_unit_scaled(a.basis)))
     if d == 1:
-        if a.dim != 1 or (subspace_distance([eye(n)], list(a.basis), tol)
-                          > tol.bound("subspace_distance")):
+        if a.dim != 1 or not (subspace_distance([eye(n)], list(a.basis), tol)
+                              <= tol.bound("subspace_distance")):
             raise ValueError("not a d-subalgebra")
         return Frame(1, n, eye(n).reshape(1, 1, n, n))
     if a.dim != d * d or n % d != 0:
@@ -302,7 +302,7 @@ def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
     fr = Frame(d, n, mats)
     if not verify_frame(fr, tol, "extracted_frame").pass_:
         return None
-    if subspace_distance(fr.as_list(), list(a.basis), tol) > tol.bound("subspace_distance"):
+    if not subspace_distance(fr.as_list(), list(a.basis), tol) <= tol.bound("subspace_distance"):
         return None
     return fr
 
@@ -331,7 +331,7 @@ def _check_d_morphism(f: StarHom, a: Subalgebra, b: Subalgebra, tol: Tolerance):
     if f.src != a.ambient or f.dst != b.ambient:
         raise ValueError("not a D-morphism")
     images = [ev(f, x) for x in a.basis]
-    if _off_span(images, b.basis, b.ambient, tol) > tol.bound("in_span"):
+    if not _off_span(images, b.basis, b.ambient, tol) <= tol.bound("in_span"):
         raise ValueError("not a D-morphism")
     return images
 

@@ -136,7 +136,7 @@ def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         hi1 = h.image_frame.mats[i, 0]
         for s_ in range(l):
             u[:, i * l + s_] = hi1 @ vs[s_]
-    if intertwiner_residual(h, u) > tol.bound("intertwiner_guard") or not is_unitary(u, tol):
+    if not intertwiner_residual(h, u) <= tol.bound("intertwiner_guard") or not is_unitary(u, tol):
         raise ValueError("input not a unital *-homomorphism")
     return u
 

@@ -1,13 +1,12 @@
 """Property batteries over seeded random data, declared once each in
 ``BATTERIES``.  Each battery's ``sample(seed, count)`` is a generator
-that yields one dict of residuals per sample or sub-check, and
-``run_battery`` reduces them by one rule: a float is a residual, whose
-largest value is reported (a NaN propagates and fails), and a bool is a
-violation, whose True values are counted.  The report
-{"name", "pass", "residuals", "thresholds"} holds exactly the keys of
-the battery's thresholds; a yielded key outside them raises.
-``run_suite``, the CLI ``suite`` verb, the acceptance tests and the
-kernel mutation tests all run through ``run_battery``."""
+that yields one dict of residuals per sample or sub-check.  ``judge``,
+the one place where a residual meets its bound, for CLI verbs too,
+keeps the largest float of each key (a NaN propagates and fails) and
+counts its True bools.  The report {"name", "pass", "residuals",
+"thresholds"} holds exactly the keys of the thresholds; a yielded key
+outside them raises.  ``run_suite``, the CLI ``suite`` verb, the
+acceptance tests and the kernel mutation tests run ``run_battery``."""
 
 from __future__ import annotations
 
@@ -286,7 +285,7 @@ def _abgroup(seed, count):
 class Battery(NamedTuple):
     """One seeded battery.  ``sample(seed, count)`` is a generator that
     yields dicts of residuals over ``count`` samples, a key as often as
-    it likes; ``run_battery`` keeps the largest float and counts the True
+    it likes; ``judge`` keeps the largest float and counts the True
     bools of each key, which must be one of ``thresholds`` and at most
     its entry there.  ``criterion`` is the acceptance criterion the
     battery checks (None if no criterion names it) and ``budget_s`` its
@@ -335,34 +334,35 @@ BATTERIES = (
 )
 
 
-def _reduce(samples, thresholds: dict) -> dict:
-    """One residual per key of ``thresholds`` from the yielded dicts: the
-    largest float (a NaN propagates) or the count of True bools; 0.0 for
-    a key never yielded.  A key outside ``thresholds`` raises KeyError."""
+def judge(samples, thresholds: dict):
+    """(pass, residuals): per key of ``thresholds``, the largest yielded
+    float (a NaN propagates) or the count of True bools, 0.0 if never
+    yielded; pass iff each is at most its threshold, which a NaN is not.
+    A key outside ``thresholds`` raises KeyError."""
     values = {key: [] for key in thresholds}
     for sample in samples:
         for key, x in sample.items():
             if key not in values:
-                raise KeyError(f"battery residual {key!r} has no threshold")
+                raise KeyError(f"residual {key!r} has no threshold")
             values[key].append(x)
-    return {key: float(sum(xs)) if xs and isinstance(xs[0], bool)
-            else float(np.max(xs, initial=0.0)) for key, xs in values.items()}
+    residuals = {key: float(sum(xs)) if xs and isinstance(xs[0], bool)
+                 else float(np.max(xs)) if xs else 0.0 for key, xs in values.items()}
+    return all(residuals[k] <= thresholds[k] for k in residuals), residuals
 
 
 def run_battery(battery: Battery, seed, count=None):
     """Report of one battery on ``count`` samples (default
-    ``battery.count``), its yielded residuals reduced by ``_reduce``.  A
+    ``battery.count``), its yielded residuals decided by ``judge``.  A
     battery whose computation raises reports ``pass: False`` with the
     error instead of raising."""
     report = {"name": battery.name, "pass": False, "residuals": {},
               "thresholds": dict(battery.thresholds)}
     try:
-        residuals = _reduce(battery.sample(seed, battery.count if count is None else count),
-                            battery.thresholds)
+        passed, residuals = judge(battery.sample(seed, battery.count if count is None else count),
+                                  battery.thresholds)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return {**report, "error": f"{type(exc).__name__}: {exc}"}
-    ok = all(residuals[k] <= battery.thresholds[k] for k in residuals)
-    return {**report, "pass": bool(ok), "residuals": residuals}
+    return {**report, "pass": passed, "residuals": residuals}
 
 
 def run_suite(seed=7, scale=1.0):

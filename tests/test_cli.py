@@ -601,6 +601,52 @@ def test_fred_verbs(tmp_path, capsys):
     assert report["result"]["index"] == 2
 
 
+def test_alg_isk_of_a_commutative_span_exits_1_with_an_error(tmp_path, capsys):
+    """The diagonal matrices of M_4 span a 4-dimensional algebra that is
+    not an M_2: a failure with no residual, reported as an error."""
+    diag = Subalgebra(4, tuple(np.diag(np.eye(4)[i]).astype(complex) for i in range(4)))
+    alg = _files(tmp_path, alg=("alg", diag))["alg"]
+    code, report = _run(capsys, ["alg", "isk", "--in", alg, "--d", "2"])
+    assert code == 1 and report["pass"] is False
+    assert report["error"] == "not a 2-subalgebra" and report["residuals"] == {}
+    alg = _files(tmp_path, alg=("alg", lambda_map(random_frame(2, 6, 7))))["alg"]
+    code, report = _run(capsys, ["alg", "isk", "--in", alg, "--d", "2"])
+    assert code == 0 and report["result"] == {"is_k_subalgebra": True}
+
+
+def test_fred_conj_that_moves_the_kernel_exits_1_with_an_error(tmp_path, capsys, monkeypatch):
+    from frcalc import fredholm
+    from frcalc.generators import random_fredholm
+
+    paths = _files(tmp_path, t=("operator", random_fredholm(2, 3, 2, 6)),
+                   g=("matrix", np.eye(2, dtype=complex)))
+    argv = ["fred", "conj", "--in", paths["t"], "--unitary", paths["g"]]
+    code, report = _run(capsys, argv)
+    assert code == 0 and report["pass"] is True
+    monkeypatch.setattr(fredholm, "kernel_cokernel_dims", lambda t, tol: (id(t), 0))
+    code, report = _run(capsys, argv)
+    assert code == 1 and report["pass"] is False
+    assert report["error"] == "conjugation changed the kernel or cokernel dimension"
+
+
+def test_a_suite_battery_that_raises_reports_nan_residuals(capsys, monkeypatch):
+    """A battery that raised has no residual: the suite reports each of
+    its keys as NaN, which fails, and keeps the other batteries' values."""
+    def broken(a, b):
+        raise ValueError("broken kernel")
+
+    monkeypatch.setattr(suite, "frames_close", broken)
+    monkeypatch.setattr(suite, "BATTERIES", tuple(b for b in suite.BATTERIES
+                                                  if b.name in ("frame_axioms", "reconstruction")))
+    code = run(["suite", "--seed", "7", "--scale", "0.01"])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1 and report["pass"] is False
+    assert report["residuals"]["reconstruction.max_entry_error"] == "nan"
+    assert 0 <= report["residuals"]["frame_axioms.max_axiom_error"] < 1e-9
+    assert [b["pass"] for b in report["result"]["batteries"]] == [True, False]
+    assert "broken kernel" in report["result"]["batteries"][1]["error"]
+
+
 def test_failed_arithmetic_check_exits_1(tmp_path, capsys, monkeypatch):
     """An ArithmeticError raised by a library check (as by the Smith
     normal form's unimodularity check) is a mathematical failure."""

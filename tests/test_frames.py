@@ -128,6 +128,19 @@ def test_dot_rejects_noncommuting():
             product(a, b)
 
 
+def test_dot_rejects_a_nan_commutator():
+    """At scale 1e200 the products of the matrix units of M_2 in M_4
+    overflow, so the commutator residual is NaN: that is no evidence
+    that the frames commute, and the guard refuses it as it refuses
+    them at scale 1."""
+    f = Frame(2, 4, matrix_unit_frame(2, 2).mats * 1e200)
+    for product in (dot, dot_with_residual):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="commute"):
+            product(f, f)
+        with pytest.raises(ValueError, match="commute"):
+            product(matrix_unit_frame(2, 2), matrix_unit_frame(2, 2))
+
+
 def test_reconstruction_identity():
     beta = random_frame(6, 6, 23)
     for d1 in (2, 3):

@@ -17,7 +17,11 @@ name from ``linalg.BOUNDS``: outside ``linalg.py`` no module reads a
 tolerance's ``abs_eps``, and a small float literal is only the value of
 a named module-level constant.  Every battery of ``suite.BATTERIES``
 samples through a generator function, whose yields ``run_battery``
-reduces in one place."""
+reduces in one place.  And that place, ``suite.judge``, is the only one
+where a residual meets its bound, for batteries and CLI verbs alike:
+``cli.py`` compares nothing with a ``.bound(...)`` and reads no
+``FrameReport.pass_``, and ``suite.py`` compares thresholds only inside
+``judge``."""
 
 import ast
 import inspect
@@ -33,6 +37,7 @@ ROOT = SRC.parent.parent
 IMPORT_CHECKED = ("src", "tests")
 KERNEL_MODULE = "linalg.py"
 BOUNDARY_MODULE, BOUNDARY = "serialize.py", {"decode", "load_json"}
+CLI_MODULE, SUITE_MODULE, JUDGE = "cli.py", "suite.py", "judge"
 BANNED = {"einsum", "kron"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
 WRITERS = {"orjson": {"dumps"}}  # module -> the writers only dump_json may call
@@ -366,3 +371,61 @@ def test_bounds_are_read_from_the_table():
 
 def test_every_battery_samples_through_a_generator():
     assert [b.name for b in BATTERIES if not inspect.isgeneratorfunction(b.sample)] == []
+
+
+def bound_comparisons(source: str):
+    """(top-level function, line) of every comparison that reads a bound:
+    an operand calls a ``.bound`` method, reads a name assigned from such
+    a call, or reads a name or attribute ``thresholds``; the function is
+    None for a comparison outside any."""
+    tree = ast.parse(source)
+
+    def calls_bound(node):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "bound" for n in ast.walk(node))
+
+    bounds = {"thresholds"} | {target.id for node in ast.walk(tree)
+                               if isinstance(node, ast.Assign) and calls_bound(node.value)
+                               for target in node.targets if isinstance(target, ast.Name)}
+
+    def reads_bound(node):
+        return calls_bound(node) or any(
+            isinstance(n, ast.Name) and n.id in bounds
+            or isinstance(n, ast.Attribute) and n.attr == "thresholds" for n in ast.walk(node))
+
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        found += [(name, node.lineno) for node in ast.walk(top) if isinstance(node, ast.Compare)
+                  and any(reads_bound(x) for x in (node.left, *node.comparators))]
+    return found
+
+
+def attribute_reads(source: str, attr: str):
+    """Line of every read of an attribute ``attr``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_judge_guard_sees_comparisons_with_bounds():
+    source = ("def _within(tol, check, r):\n    return r <= tol.bound(check)\n"
+              "def _naturality(tol, sq):\n    bound = tol.bound('naturality')\n"
+              "    return sq <= bound\n"
+              "def run_battery(battery, rs):\n"
+              "    return all(rs[k] <= battery.thresholds[k] for k in rs)\n"
+              "def judge(rs, thresholds):\n    return not rs['x'] <= thresholds['x']\n"
+              "def _decode(value, kind):\n    return value < _LEAST[kind] or kind == 'seed'\n"
+              "ok = report.pass_ and tol.bound('tau') > 0\n")
+    assert bound_comparisons(source) == [("_within", 2), ("_naturality", 5), ("run_battery", 7),
+                                         ("judge", 9), (None, 12)]
+    assert attribute_reads(source, "pass_") == [12]
+    assert attribute_reads("report.pass_ = True\n", "pass_") == []
+
+
+def test_only_judge_compares_a_residual_with_a_bound():
+    cli_source = (SRC / CLI_MODULE).read_text(encoding="utf-8")
+    assert bound_comparisons(cli_source) == []
+    assert attribute_reads(cli_source, "pass_") == []
+    suite_source = (SRC / SUITE_MODULE).read_text(encoding="utf-8")
+    assert {name for name, _ in bound_comparisons(suite_source)} == {JUDGE}
