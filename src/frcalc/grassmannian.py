@@ -23,14 +23,36 @@ Inside all of M_n one spectral path serves ``centralizer`` and
 ``relative_centralizer``.  An X commuting with a *-closed span also
 commutes with a generic hermitian element h = V diag(w) V* of it, so X
 lies in the span of the block matrix units V E_ij V* with i, j in one
-eigenvalue cluster of h.  On these candidates G has a closed form in the
-rotated constraints B_b = V* b V: for p = (i, j) and q = (k, l),
+eigenvalue cluster of h: in the eigenbasis X = diag(X_c) over clusters c.
+One generic element y of the span then links clusters of equal size
+(the eigenspace linking of Murota, Kanno, Kojima & Kojima, "A numerical
+algorithm for block-diagonal decomposition of matrix *-algebras", Japan
+J. Indust. Appl. Math. 27, 2010).  X commutes with y, so
+X_c y[c, d] = y[c, d] X_d, and when the block y[c, d] is s U for a
+unitary U and s > 0, X_d = U* X_c U.  That uses only that X commutes
+with y, so it holds for any *-closed span, algebra or not.  A cluster d
+is linked to an earlier unlinked cluster c when y[c, d] passes both
+tests: s above a floor relative to y (between simple summands the block
+is rounding noise, and the error of U grows as s falls) and
+y[c, d]* y[c, d] = s^2 1 within a tight bound.  d's eigenvectors are
+then turned by U*, the polar factor, so V stays unitary and X_d = X_c.
+The clusters linked to one unlinked cluster form a component, and the
+candidates of a component K are the units E_ij summed over its
+clusters, scaled to norm 1; a cluster with no link is a component of
+its own.  For M_k (x) 1_l the k clusters of size l form one
+component, so l^2 candidates take the place of k l^2.
 
-    G[p, q] = d_ik S1[l, j] + d_jl S2[i, k] - T[p, q] - conj(T[q, p]),
+On the merged candidates G has a closed form in the rotated constraints
+B_b = V* b V: for p = (i, j) in component K and q = (k, l) in L,
 
-with S1 = sum_b B_b B_b*, S2 = sum_b B_b* B_b and
-T[p, q] = sum_b B_b[i, k] conj(B_b[j, l]).  T is built one cluster pair
-at a time, so no intermediate is larger than G or the stack of B_b.
+    G[p, q] = (d_KL (d_ik S1_K[l, j] + d_jl S2_K[i, k])
+               - T[p, q] - conj(T[q, p])) / sqrt(|K| |L|),
+
+with S1_K and S2_K the sums over the clusters of K of the diagonal
+blocks of S1 = sum_b B_b B_b* and S2 = sum_b B_b* B_b, and
+T[p, q] = sum_b sum_{c in K, d in L} B_b[c_i, d_k] conj(B_b[c_j, d_l]).
+T is one stacked product for each pair of components, so no
+intermediate is larger than G or the stack of B_b.
 The cut is valid only for a *-closed span: the commutant of {E_12} in
 M_2 is span{I, E_12}, but a generic hermitian element of its *-closure
 has only the scalars as commutant.  ``relative_centralizer`` therefore
@@ -42,6 +64,8 @@ orthonormal basis of B otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,11 +146,19 @@ def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
     return _off_span(cands, a.basis, a.ambient, tol)
 
 
-def _generic_hermitian(basis, n: int, seed: int) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _generic_coefficients(count: int, seed: int) -> np.ndarray:
+    """``count`` complex Gaussian coefficients drawn from ``seed``, read-only:
+    seeding a generator costs more than a small commutant's products."""
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    m = sum((ci * bi for ci, bi in zip(c, basis)), np.zeros((n, n), dtype=complex))
-    return m + m.conj().T
+    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    c.flags.writeable = False
+    return c
+
+
+def _generic_element(basis, n: int, seed: int) -> np.ndarray:
+    """sum_b c_b basis[b] for the coefficients c of ``seed``."""
+    return (_generic_coefficients(len(basis), seed) @ np.reshape(basis, (-1, n * n))).reshape(n, n)
 
 
 def _eig_clusters(w: np.ndarray):
@@ -166,45 +198,103 @@ def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
     return [cols[:, j].reshape(n, n) for j in range(cols.shape[1])]
 
 
+def _linked_clusters(y, vecs, clusters, tol):
+    """Link the eigenvalue clusters of the eigenbasis ``vecs`` through a
+    generic element y of the span.
+
+    A cluster d is linked to an earlier unlinked cluster c of its size
+    for which, in the eigenbasis, the block B = y[c, d] is s U for a
+    unitary U (B*B = s^2 1 within ``link_unitary``) with s above
+    ``link_floor`` relative to y; of several such c, the one with the
+    largest s, since the rounding error of U is that of B over s.  The
+    columns of d in ``vecs`` are then turned, in place, by U*, so that
+    every commutant element has the same block on c and on d.  U is the
+    polar factor of B: one Newton-Schulz step from B / s, exact to
+    rounding within that bound.  Returns the components: one (clusters,
+    size) index array per unlinked cluster, its own indices first, then
+    those of the clusters linked to it."""
+    y = conjugate(vecs.conj().T, y)
+    floor = (tol.bound("link_floor") * max_abs(y)) ** 2
+    comps = []
+    for size in sorted({len(c) for c in clusters}):
+        members = np.array([c for c in clusters if len(c) == size])
+        if len(members) == 1:
+            comps.append(members)
+            continue
+        blocks = y[members[:, None, :, None], members[None, :, None, :]]
+        bb = blocks.conj().swapaxes(-1, -2) @ blocks
+        s2 = np.trace(bb, axis1=-2, axis2=-1).real / size
+        one = eye(size)
+        spread = np.abs(bb - s2[..., None, None] * one).max(axis=(-2, -1))
+        strength = np.where((s2 > floor) & (spread <= tol.bound("link_unitary") * s2), s2, 0.0)
+        strength = strength.tolist()
+        heads, pairs = {}, []
+        for d in range(len(members)):
+            c = max((c for c in heads if strength[c][d]), key=lambda c: strength[c][d],
+                    default=None)
+            if c is None:
+                heads[d] = [d]
+            else:
+                heads[c].append(d)
+                pairs.append((c, d))
+        if pairs:
+            c, d = np.array(pairs).T
+            s = np.sqrt(s2[c, d])[:, None, None]
+            u = blocks[c, d] / s @ (1.5 * one - 0.5 * bb[c, d] / s ** 2)
+            turned = vecs[:, members[d]].transpose(1, 0, 2) @ u.conj().swapaxes(-1, -2)
+            vecs[:, members[d]] = turned.transpose(1, 0, 2)
+        comps += [members[group] for group in heads.values()]
+    return comps
+
+
 def _full_commutant(mats, n: int, tol: Tolerance):
     """Commutant inside all of M_n of a *-closed span of n x n matrices,
-    through the closed-form Gram of the module docstring.  Returns
-    orthonormal matrices."""
+    through the closed-form Gram on linked clusters of the module
+    docstring.  Returns orthonormal matrices."""
     mats = _unit_scaled(mats).reshape(-1, n, n)
-    w, vecs = np.linalg.eigh(_generic_hermitian(mats, n, _GENERIC_SEED))
+    y = _generic_element(mats, n, _GENERIC_SEED)
+    w, vecs = np.linalg.eigh(y + y.conj().T)
+    comps = _linked_clusters(y, vecs, _eig_clusters(w), tol)
     rot = conjugate(vecs.conj().T, mats)
     m = len(rot)
     flat = rot.transpose(1, 0, 2).reshape(n, m * n)
     s1 = flat @ flat.conj().T
     flat = rot.reshape(m * n, n)
     s2 = flat.conj().T @ flat
-    clusters = _eig_clusters(w)
-    rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
-    cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
-    offsets = np.cumsum([0] + [len(c) ** 2 for c in clusters])
-    t = np.empty((len(rows), len(rows)), dtype=complex)
-    for c, oc in zip(clusters, offsets):
-        for d, od in zip(clusters, offsets):
-            blk = rot[:, c.start:c.stop, d.start:d.stop].reshape(m, len(c) * len(d))
-            prod = (blk.T @ blk.conj()).reshape(len(c), len(d), len(c), len(d))
-            t[oc:oc + len(c) ** 2, od:od + len(d) ** 2] = (
-                prod.transpose(0, 2, 1, 3).reshape(len(c) ** 2, len(d) ** 2))
-    gram = ((rows[:, None] == rows) * s1.T[np.ix_(cols, cols)]
-            + (cols[:, None] == cols) * s2[np.ix_(rows, rows)])
+    offsets = list(accumulate([k.shape[1] ** 2 for k in comps], initial=0))
+    gram = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    t = np.empty_like(gram)
+    for k, ok in zip(comps, offsets):
+        c, diag, i = k.shape[1], (k[:, :, None], k[:, None, :]), np.arange(k.shape[1])
+        # The d terms: entry [(i, j), (k, l)] of a diagonal block, viewed
+        # as [i, j, k, l].
+        block = gram[ok:ok + c * c, ok:ok + c * c].reshape(c, c, c, c)
+        block[i, :, i, :] = s1[diag].sum(0).T / len(k)
+        block[:, i, :, i] += s2[diag].sum(0) / len(k)
+        for l, ol in zip(comps, offsets):
+            d = l.shape[1]
+            blk = rot[:, k[:, :, None, None], l[None, None]].transpose(0, 1, 3, 2, 4)
+            blk = blk.reshape(-1, c * d)
+            prod = (blk.T @ blk.conj()).reshape(c, d, c, d) / np.sqrt(len(k) * len(l))
+            t[ok:ok + c * c, ol:ol + d * d] = prod.transpose(0, 2, 1, 3).reshape(c * c, d * d)
     gram -= t + t.conj().T
-    y = _gram_kernel(gram, tol)
-    coeffs = np.zeros((y.shape[1], n, n), dtype=complex)
-    coeffs[:, rows, cols] = y.T
+    y = _gram_kernel(gram, tol).T
+    coeffs = np.zeros((len(y), n, n), dtype=complex)
+    for k, ok in zip(comps, offsets):
+        c = k.shape[1]
+        coeffs[:, k[:, :, None], k[:, None]] = (y[:, None, ok:ok + c * c].reshape(-1, 1, c, c)
+                                                / np.sqrt(len(k)))
     return list(conjugate(vecs, coeffs))
 
 
 def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the adjoint of every matrix lies in the span of all of
-    them, judged on the stack scaled by ``_unit_scaled``."""
+    them: the adjoints of the stack scaled by ``_unit_scaled`` are
+    projected onto the span of the stack as given, the same span, so an
+    orthonormal basis needs no SVD."""
     if not mats:
         return True
-    mats = _unit_scaled(mats)
-    adj = mats.conj().transpose(0, 2, 1)
+    adj = _unit_scaled(mats).conj().transpose(0, 2, 1)
     return _off_span(adj, mats, adj.shape[-1], tol) <= tol.bound("in_span")
 
 
@@ -279,15 +369,13 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
 
 def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
     n = a.ambient
-    x = _generic_hermitian(a.basis, n, seed)
-    w, vecs = np.linalg.eigh(x)
+    x = _generic_element(a.basis, n, seed)
+    w, vecs = np.linalg.eigh(x + x.conj().T)
     clusters = _eig_clusters(w)
     if len(clusters) != d or any(len(c) != mult for c in clusters):
         return None
     projections = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
-    rng = np.random.default_rng(seed + 1)
-    cy = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-    y = sum(ci * bi for ci, bi in zip(cy, a.basis))
+    y = _generic_element(a.basis, n, seed + 1)
     iso = [projections[0]]
     for i in range(1, d):
         wmat = projections[i] @ y @ projections[0]

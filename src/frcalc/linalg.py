@@ -9,6 +9,14 @@ Every contraction over stacks of matrices and every Kronecker product
 in the package goes through the four kernels below (``pair_products``,
 ``apply_frame``, ``conjugate``, ``kron_stack``); each is a reshape or
 broadcast plus ``@`` or an elementwise product.
+
+``orthonormal_cols`` gives the orthonormal basis of a span on which
+``orthonormal_span``, ``subspace_distance`` and the grassmannian
+projections work.  A stack whose Gram matrix is the identity within the
+``orthonormal`` bound of ``BOUNDS``, as the bases the package makes are
+(to about 1e-14), is its own basis; any other stack takes the SVD and
+the ``svd_rank`` cut.  So projecting onto the span of a subalgebra or a
+centralizer costs one Gram product, not an SVD.
 """
 
 from __future__ import annotations
@@ -38,6 +46,9 @@ BOUNDS = {
     "coset_deviation": (1e-7, None),  # battery 3
     "functoriality": (1e-8, None),  # fr_functoriality battery
     "exact": (0.0, None),  # batteries: failure counts, residuals of exact identities
+    "orthonormal": (1e-12, None),  # orthonormal_cols: a stack whose Gram is 1 needs no SVD
+    "link_floor": (0.1, None),  # grassmannian: a cluster-link block's s, relative to the element
+    "link_unitary": (1e-10, None),  # grassmannian: a cluster-link block's B*B - s^2 1, over s^2
 }
 
 
@@ -169,12 +180,21 @@ def subspace_distance(basis_a, basis_b, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def orthonormal_cols(mats, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis, as columns, of the span of the vectorized
-    matrices.  A non-finite entry raises ValueError before the SVD, which
-    may never return on a matrix that holds an inf."""
+    matrices: the columns themselves when their Gram matrix is the
+    identity within the ``orthonormal`` bound, else the left singular
+    vectors above the ``svd_rank`` cut.  A non-finite entry raises
+    ValueError before the SVD, which may never return on a matrix that
+    holds an inf."""
     if not mats:
         return np.zeros((0, 0), dtype=complex)
     cols = vectorize(mats)
     if not np.isfinite(cols).all():
         raise ValueError("cannot span matrices with a non-finite entry")
+    bound = tol.bound("orthonormal")
+    # No entry of an orthonormal column exceeds 1, and the Gram of such
+    # columns cannot overflow.
+    if (max_abs(cols) <= 1.0 + bound
+            and max_abs(cols.conj().T @ cols - eye(cols.shape[1])) <= bound):
+        return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, :svd_rank(s, tol)]

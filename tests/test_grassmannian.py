@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frcalc import linalg
 from frcalc.frames import conjugate_frame, matrix_unit_frame, random_frame
 from frcalc.grassmannian import (
     Subalgebra,
@@ -198,6 +199,39 @@ def _diagonal_span(labels, seed):
     return Subalgebra(n, tuple(b / np.sqrt(np.trace(b).real) for b in blocks)), blocks
 
 
+def _units(k, l):
+    """The matrix units of M_k (x) 1_l."""
+    return [np.kron(e, np.eye(l)) for e in np.eye(k * k).reshape(-1, k, k)]
+
+
+def _block_sum(summands, seed):
+    """u (S_1 + ... + S_r) u* for spanning sets S_i of the summands, with
+    a Haar unitary u: its orthonormal span and its spanning set."""
+    n = sum(mats[0].shape[0] for mats in summands)
+    u = random_unitary(n, seed)
+    gens, start = [], 0
+    for mats in summands:
+        size = mats[0].shape[0]
+        for x in mats:
+            g = np.zeros((n, n), dtype=complex)
+            g[start:start + size, start:start + size] = x
+            gens.append(u @ g @ u.conj().T)
+        start += size
+    return Subalgebra(n, tuple(orthonormal_span(gens))), gens
+
+
+_PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+# Three anticommuting hermitian 4 x 4 matrices: their span is *-closed
+# but not an algebra.
+_GAMMAS = [np.kron(_PAULI[0], p) for p in _PAULI]
+
+
+def _gamma_span(m, seed):
+    u = random_unitary(4, seed)
+    gens = [np.kron(u @ g @ u.conj().T, np.eye(m)) for g in _GAMMAS]
+    return Subalgebra(4 * m, tuple(orthonormal_span(gens))), gens
+
+
 # (span, generators of the same *-algebra) for each kind of subalgebra.
 STAR_SUBALGEBRAS = {
     "V (M_k (x) 1_l) V*, k l <= 16": st.builds(
@@ -208,6 +242,19 @@ STAR_SUBALGEBRAS = {
     "scalars": st.builds(lambda n, c: (Subalgebra(n, (c * np.eye(n),)), [np.eye(n)]),
                          st.integers(1, 16), st.sampled_from([1.0, -0.25, 1j / 3])),
     "empty basis": st.integers(1, 16).map(lambda n: (Subalgebra(n, ()), [])),
+    # Equal-size clusters in different summands, which must stay unlinked.
+    "two conjugated M_k (x) 1_l summands with one l": st.builds(
+        lambda kkl, seed: _block_sum([_units(kkl[0], kkl[2]), _units(kkl[1], kkl[2])], seed),
+        st.sampled_from([(k1, k2, l) for k1 in range(1, 8) for k2 in range(1, 8)
+                         for l in range(1, 9) if (k1 + k2) * l <= 16]), _SEED),
+    # The cluster of C 1_m has no partner.
+    "M_k (x) 1_l + C 1_m": st.builds(
+        lambda klm, seed: _block_sum([_units(klm[0], klm[1]), [np.eye(klm[2])]], seed),
+        st.sampled_from([(k, l, m) for k in range(1, 8) for l in range(1, 8)
+                         for m in range(1, 9) if k * l + m <= 16]), _SEED),
+    # A *-closed span that is not an algebra: its clusters of size 2m are
+    # not linked, their link block being far from a multiple of a unitary.
+    "u (g1, g2, g3) u* (x) 1_m": st.builds(_gamma_span, st.integers(1, 4), _SEED),
 }
 
 
@@ -223,6 +270,22 @@ def test_centralizer_matches_direct_gram_reference(kind, data):
     q = vectorize(list(z.basis))
     assert max_abs(q.conj().T @ q - np.eye(z.dim)) <= 1e-12
     assert commutation_defect(a, z) <= 1e-13
+
+
+@pytest.mark.parametrize("a, gens", [
+    _block_sum([_units(2, 3), _units(3, 3)], 5),
+    _block_sum([_units(1, 4), _units(2, 4)], 6),
+    _block_sum([_units(2, 1), _units(3, 1)], 7),
+], ids=["M_2 (x) 1_3 + M_3 (x) 1_3", "C 1_4 + M_2 (x) 1_4", "M_2 + M_3"])
+def test_linking_every_pair_of_equal_size_clusters_gives_a_wrong_commutant(a, gens, monkeypatch):
+    """With no floor and no unitary test, equal-size clusters of different
+    summands are linked through a block of rounding noise, and the merged
+    candidates miss part of the commutant."""
+    dim = len(_reference_commutant(gens, a.ambient))
+    assert centralizer(a).dim == dim
+    monkeypatch.setitem(linalg.BOUNDS, "link_floor", (0.0, None))
+    monkeypatch.setitem(linalg.BOUNDS, "link_unitary", (np.inf, None))
+    assert centralizer(a).dim < dim
 
 
 def _loop_commutation_defect(a, z):

@@ -12,6 +12,7 @@ from frcalc.fredholm import amplify
 from frcalc.frames import (Frame, dot, dot_with_residual, pi1, pi2, random_frame,
                            tensor_frame, verify_frame)
 from frcalc.generators import random_fredholm
+from frcalc.grassmannian import lambda_map
 from frcalc.homspace import (block_scalar_deviation, compose_plain, intertwiner, iota,
                              push_frame, random_hom)
 from frcalc.linalg import (
@@ -27,6 +28,7 @@ from frcalc.linalg import (
     random_unitary,
     subspace_distance,
     svd_rank,
+    vectorize,
 )
 
 
@@ -71,6 +73,36 @@ def test_orthonormal_cols_refuses_a_non_finite_entry(x):
     e[0, 0], e[0, 1] = 1.0, x
     with pytest.raises(ValueError, match="non-finite"):
         orthonormal_cols([e, np.eye(2)], DEFAULT_TOL)
+
+
+def _svd_cols(mats):
+    """``orthonormal_cols`` through its SVD alone: the left singular
+    vectors above the ``svd_rank`` cut."""
+    u, s, _ = np.linalg.svd(vectorize(mats), full_matrices=False)
+    return u[:, :svd_rank(s, DEFAULT_TOL)]
+
+
+def test_orthonormal_cols_returns_an_orthonormal_stack_as_it_is(monkeypatch):
+    basis = list(lambda_map(random_frame(3, 6, 4)).basis)
+    gram = vectorize(basis).conj().T @ vectorize(basis)
+    assert 0 < max_abs(gram - np.eye(9)) <= linalg.BOUNDS["orthonormal"][0]
+    monkeypatch.setattr(np.linalg, "svd", None)
+    assert np.array_equal(orthonormal_cols(basis, DEFAULT_TOL), vectorize(basis))
+
+
+@pytest.mark.parametrize("change", ["off by 1e-10", "dependent", "scaled by 2"])
+def test_orthonormal_cols_takes_the_svd_of_any_other_stack(change):
+    basis = list(lambda_map(random_frame(3, 6, 4)).basis)
+    if change == "off by 1e-10":
+        basis[0] = basis[0] + 1e-10 * basis[1]
+    elif change == "dependent":
+        basis.append(basis[0] + basis[1])
+    else:
+        basis = [2 * b for b in basis]
+    q = orthonormal_cols(basis, DEFAULT_TOL)
+    assert np.array_equal(q, _svd_cols(basis))
+    assert q.shape[1] == 9
+    assert subspace_distance([c.reshape(6, 6) for c in q.T], basis) <= 1e-14
 
 
 _INF_IN_A_BASIS = """
