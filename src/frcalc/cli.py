@@ -91,7 +91,7 @@ def _intertwiner(tol, h):
 
 
 def _span(tol, gens):
-    alg = grassmannian.span_subalgebra(list(gens.basis), gens.ambient, tol)
+    alg = grassmannian.span_subalgebra(gens.basis, gens.ambient, tol)
     return _within(tol, "in_span", alg, {"dim": alg.dim},
                    closure=grassmannian.closure_residual(alg, tol))
 
@@ -103,7 +103,7 @@ def _is_k(tol, alg, d):
 
 
 def _centralizer(tol, alg):
-    if not grassmannian.star_closed(list(alg.basis), tol):
+    if not grassmannian.star_closed(alg.basis, tol):
         raise ValueError("the basis does not span a *-closed set")
     z = grassmannian.centralizer(alg, tol)
     return _within(tol, "centralizer", z, {"dim": z.dim},

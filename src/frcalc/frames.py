@@ -46,10 +46,6 @@ class Frame:
         if self.mats.shape != (self.d, self.d, self.ambient, self.ambient):
             raise ValueError("frame matrix array has wrong shape")
 
-    def as_list(self):
-        """Row-major (i, j) list of the d^2 matrices."""
-        return [self.mats[i, j] for i in range(self.d) for j in range(self.d)]
-
 
 @dataclass(frozen=True)
 class FrameReport:

@@ -1,7 +1,9 @@
 """Unital *-subalgebras of M_N: spans, centralizers, frame extraction.
 
-A Subalgebra is stored as an orthonormal (Hilbert-Schmidt) spanning set
-in ambient coordinates.
+A Subalgebra holds an orthonormal (Hilbert-Schmidt) spanning set in
+ambient coordinates as a (dim, n, n) stack, the one layout of a family
+of matrices (see ``linalg``).  Every function here takes stacks, and
+``linalg.vectorize`` is the only step from a stack to columns.
 
 ``span_subalgebra`` grows the unital *-algebra of its generators by
 spinning, as in Parker's MeatAxe: the multipliers are an orthonormal
@@ -72,6 +74,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_stack,
     conjugate,
     eye,
     kron_stack,
@@ -94,8 +97,13 @@ _EIG_GAP = 1e-7
 
 @dataclass(frozen=True)
 class Subalgebra:
+    """A span in M_ambient; ``basis`` is a (dim, ambient, ambient) stack (``as_stack``)."""
+
     ambient: int
-    basis: tuple
+    basis: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", as_stack(self.basis, self.ambient))
 
     @property
     def dim(self) -> int:
@@ -108,15 +116,12 @@ def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalge
     previous round added by an orthonormal basis of
     span(gens, gens*, 1), and the loop stops in the first round that
     adds none."""
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    for g in gens:
-        if g.shape != (ambient, ambient):
-            raise ValueError("generators must be square of the ambient size")
     n = ambient
-    q = orthonormal_cols(gens + [g.conj().T for g in gens] + [eye(n)], tol)
+    gens = as_stack(gens, n)
+    q = orthonormal_cols(np.concatenate([gens, gens.conj().swapaxes(1, 2), eye(n)[None]]), tol)
     mults = new = q.T.reshape(-1, n, n)
     while len(new):
-        products = pair_products(new, mults).reshape(-1, n * n).T
+        products = vectorize(pair_products(new, mults).reshape(-1, n, n))
         u, s, _ = np.linalg.svd(np.concatenate([q, products], axis=1), full_matrices=False)
         grown = u[:, :svd_rank(s, tol)]
         # Outside span(q) the grown span leaves singular values near 1,
@@ -125,25 +130,23 @@ def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalge
         added = v[:, :max(grown.shape[1] - q.shape[1], 0)]
         q = np.concatenate([q, added], axis=1)
         new = added.T.reshape(-1, n, n)
-    return Subalgebra(ambient, tuple(q.T.reshape(-1, n, n)))
+    return Subalgebra(ambient, q.T.reshape(-1, n, n))
 
 
-def _off_span(mats, basis, n: int, tol: Tolerance) -> float:
-    """Largest entry of the part of the vectorized ``mats`` that lies
-    outside span(basis): one residual C - Q(Q* C) over all of them."""
-    if not len(mats):
-        return 0.0
-    c = np.asarray(mats, dtype=complex).reshape(-1, n * n).T
-    q = orthonormal_cols(list(basis), tol) if len(basis) else np.zeros((n * n, 0))
+def _off_span(mats, basis, tol: Tolerance) -> float:
+    """Largest entry of the part of the stack ``mats`` that lies outside
+    span(basis): one residual C - Q(Q* C) over all of them."""
+    c = vectorize(mats)
+    q = orthonormal_cols(basis, tol)
     return max_abs(c - q @ (q.conj().T @ c))
 
 
 def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
     """Worst distance of a basis product or adjoint from the span."""
-    x = np.asarray(a.basis, dtype=complex).reshape(-1, a.ambient, a.ambient)
+    x = a.basis
     cands = np.concatenate([pair_products(x, x).reshape(-1, a.ambient, a.ambient),
                             x.conj().transpose(0, 2, 1)])
-    return _off_span(cands, a.basis, a.ambient, tol)
+    return _off_span(cands, x, tol)
 
 
 @lru_cache(maxsize=256)
@@ -158,7 +161,7 @@ def _generic_coefficients(count: int, seed: int) -> np.ndarray:
 
 def _generic_element(basis, n: int, seed: int) -> np.ndarray:
     """sum_b c_b basis[b] for the coefficients c of ``seed``."""
-    return (_generic_coefficients(len(basis), seed) @ np.reshape(basis, (-1, n * n))).reshape(n, n)
+    return (vectorize(basis) @ _generic_coefficients(len(basis), seed)).reshape(n, n)
 
 
 def _eig_clusters(w: np.ndarray):
@@ -183,19 +186,18 @@ def _gram_kernel(gram: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
-    """Kernel of X -> ([X, b])_b restricted to span(q_cols) (orthonormal
-    columns of vectorized candidates).  Returns orthonormal matrices."""
+    """Kernel of X -> ([X, b])_b, b in the stack ``constraints``, on span(q_cols)
+    (orthonormal columns of vectorized candidates), as an orthonormal stack."""
     qdim = q_cols.shape[1]
-    if qdim == 0:
-        return []
     qmats = q_cols.T.reshape(qdim, n, n)
+    if qdim == 0:
+        return qmats
     gram = np.zeros((qdim, qdim), dtype=complex)
-    for b in _unit_scaled(constraints).reshape(-1, n, n):
+    for b in _unit_scaled(constraints):
         comm = qmats @ b - b @ qmats
         g = comm.reshape(qdim, -1)
         gram += g.conj() @ g.T
-    cols = q_cols @ _gram_kernel(gram, tol)
-    return [cols[:, j].reshape(n, n) for j in range(cols.shape[1])]
+    return (q_cols @ _gram_kernel(gram, tol)).T.reshape(-1, n, n)
 
 
 def _linked_clusters(y, vecs, clusters, tol):
@@ -250,8 +252,8 @@ def _linked_clusters(y, vecs, clusters, tol):
 def _full_commutant(mats, n: int, tol: Tolerance):
     """Commutant inside all of M_n of a *-closed span of n x n matrices,
     through the closed-form Gram on linked clusters of the module
-    docstring.  Returns orthonormal matrices."""
-    mats = _unit_scaled(mats).reshape(-1, n, n)
+    docstring.  Returns a stack of orthonormal matrices."""
+    mats = _unit_scaled(mats)
     y = _generic_element(mats, n, _GENERIC_SEED)
     w, vecs = np.linalg.eigh(y + y.conj().T)
     comps = _linked_clusters(y, vecs, _eig_clusters(w), tol)
@@ -284,18 +286,16 @@ def _full_commutant(mats, n: int, tol: Tolerance):
         c = k.shape[1]
         coeffs[:, k[:, :, None], k[:, None]] = (y[:, None, ok:ok + c * c].reshape(-1, 1, c, c)
                                                 / np.sqrt(len(k)))
-    return list(conjugate(vecs, coeffs))
+    return conjugate(vecs, coeffs)
 
 
 def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the adjoint of every matrix lies in the span of all of
-    them: the adjoints of the stack scaled by ``_unit_scaled`` are
-    projected onto the span of the stack as given, the same span, so an
-    orthonormal basis needs no SVD."""
-    if not mats:
-        return True
+    """True when the adjoint of every matrix of a stack lies in the span
+    of all of them: the adjoints of the stack scaled by ``_unit_scaled``
+    are projected onto the span of the stack as given, the same span, so
+    an orthonormal basis needs no SVD."""
     adj = _unit_scaled(mats).conj().transpose(0, 2, 1)
-    return _off_span(adj, mats, adj.shape[-1], tol) <= tol.bound("in_span")
+    return _off_span(adj, mats, tol) <= tol.bound("in_span")
 
 
 def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
@@ -305,8 +305,8 @@ def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
     n = b.ambient
     if b.dim != n * n:
         return False
-    q = vectorize(list(b.basis))
-    x = np.random.default_rng(_GENERIC_SEED).standard_normal(n * n)
+    q = vectorize(b.basis)
+    x = _generic_coefficients(n * n, _GENERIC_SEED).real
     return max_abs(x - q @ (q.conj().T @ x)) <= tol.bound("in_span") * max_abs(x)
 
 
@@ -314,31 +314,27 @@ def centralizer(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
     """Commutant of the subalgebra inside the full ambient algebra.  The
     span of ``a.basis`` must be *-closed, as a subalgebra's is; a basis
     from outside the package is checked with ``star_closed`` first."""
-    return Subalgebra(a.ambient, tuple(_full_commutant(a.basis, a.ambient, tol)))
+    return Subalgebra(a.ambient, _full_commutant(a.basis, a.ambient, tol))
 
 
 def relative_centralizer(a_mats, b: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
-    """Z_B(A): elements of B commuting with every matrix in a_mats.
+    """Z_B(A): elements of B commuting with every matrix of the stack a_mats.
 
     When B's basis is an orthonormal basis of all of M_n and span(a_mats)
     is *-closed, this is the spectral commutant of ``centralizer``;
     otherwise the kernel is solved on an orthonormal basis of B."""
-    a_mats = list(a_mats)
+    a_mats = as_stack(a_mats, b.ambient)
     if _is_full_algebra(b, tol) and star_closed(a_mats, tol):
         kernel = _full_commutant(a_mats, b.ambient, tol)
     else:
-        q = orthonormal_cols(list(b.basis), tol)
-        kernel = _joint_commutant(q, a_mats, b.ambient, tol)
-    return Subalgebra(b.ambient, tuple(kernel))
+        kernel = _joint_commutant(orthonormal_cols(b.basis, tol), a_mats, b.ambient, tol)
+    return Subalgebra(b.ambient, kernel)
 
 
 def commutation_defect(a: Subalgebra, z: Subalgebra) -> float:
     """Largest entry of [x, y] over the basis elements x of a and y of z;
     0 when either basis is empty."""
-    if not a.dim or not z.dim:
-        return 0.0
-    x, y = np.asarray(a.basis), np.asarray(z.basis)
-    return max_abs(pair_products(x, y) - pair_products(y, x).swapaxes(0, 1))
+    return max_abs(pair_products(a.basis, z.basis) - pair_products(z.basis, a.basis).swapaxes(0, 1))
 
 
 def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
@@ -351,13 +347,13 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
     draws are retried with a fresh internal seed up to 5 times.
     """
     n = a.ambient
-    a = Subalgebra(n, tuple(_unit_scaled(a.basis)))
+    a = Subalgebra(n, _unit_scaled(a.basis))
     if d == 1:
-        if a.dim != 1 or not (subspace_distance([eye(n)], list(a.basis), tol)
+        if a.dim != 1 or not (subspace_distance(eye(n)[None], a.basis, tol)
                               <= tol.bound("subspace_distance")):
             raise ValueError("not a d-subalgebra")
         return Frame(1, n, eye(n).reshape(1, 1, n, n))
-    if a.dim != d * d or n % d != 0:
+    if d < 1 or a.dim != d * d or n % d != 0:
         raise ValueError("not a d-subalgebra")
     mult = n // d
     for attempt in range(5):
@@ -383,26 +379,22 @@ def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
         if svd_rank(s, tol) < mult:
             return None
         iso.append(u[:, :mult] @ vh[:mult, :])
-    mats = np.zeros((d, d, n, n), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            mats[i, j] = iso[i] @ iso[j].conj().T
-    fr = Frame(d, n, mats)
+    iso = np.array(iso)
+    fr = Frame(d, n, pair_products(iso, iso.conj().swapaxes(1, 2)))
     if not verify_frame(fr, tol, "extracted_frame").pass_:
         return None
-    if not subspace_distance(fr.as_list(), list(a.basis), tol) <= tol.bound("subspace_distance"):
+    if not (subspace_distance(fr.mats.reshape(-1, n, n), a.basis, tol)
+            <= tol.bound("subspace_distance")):
         return None
     return fr
 
 
 def is_k_subalgebra(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the span is a unital *-subalgebra isomorphic to M_d:
-    dimension d^2, scalar center, and a matrix-unit system exists."""
-    if a.dim != d * d:
-        return False
-    center = relative_centralizer(list(a.basis), a, tol)
-    if center.dim != 1:
-        return False
+    """True iff the span is a unital *-subalgebra isomorphic to M_d: iff
+    ``extract_frame`` succeeds, for it returns only a frame within the
+    ``extracted_frame`` bound of the axioms whose span is within the
+    ``subspace_distance`` bound of span(a), of dimension d^2.  That span
+    is an M_d, so its centre is the scalars and needs no solve."""
     try:
         extract_frame(a, d, tol)
     except ValueError:
@@ -412,14 +404,15 @@ def is_k_subalgebra(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> bool
 
 def lambda_map(alpha: Frame, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
     """Subalgebra spanned by a frame."""
-    return Subalgebra(alpha.ambient, tuple(orthonormal_span(alpha.as_list(), tol)))
+    n = alpha.ambient
+    return Subalgebra(n, orthonormal_span(alpha.mats.reshape(-1, n, n), tol))
 
 
 def _check_d_morphism(f: StarHom, a: Subalgebra, b: Subalgebra, tol: Tolerance):
     if f.src != a.ambient or f.dst != b.ambient:
         raise ValueError("not a D-morphism")
-    images = [ev(f, x) for x in a.basis]
-    if not _off_span(images, b.basis, b.ambient, tol) <= tol.bound("in_span"):
+    images = as_stack([ev(f, x) for x in a.basis], f.dst)
+    if not _off_span(images, b.basis, tol) <= tol.bound("in_span"):
         raise ValueError("not a D-morphism")
     return images
 
@@ -432,20 +425,18 @@ def gr_map(f: StarHom, a_prime: Subalgebra, a: Subalgebra, b: Subalgebra,
         raise ValueError("not a D-morphism")
     images_a = _check_d_morphism(f, a, b, tol)
     c = relative_centralizer(images_a, b, tol)
-    images_prime = [ev(f, x) for x in a_prime.basis]
-    return span_subalgebra(images_prime + list(c.basis), b.ambient, tol)
+    images_prime = as_stack([ev(f, x) for x in a_prime.basis], f.dst)
+    return span_subalgebra(np.concatenate([images_prime, c.basis]), b.ambient, tol)
 
 
-def _kron_pairs(xs, ys, nx: int, ny: int) -> np.ndarray:
-    """kron(x, y) for every x in xs and y in ys, x-major, as a stack."""
-    x = np.asarray(xs, dtype=complex).reshape(-1, 1, nx, nx)
-    y = np.asarray(ys, dtype=complex).reshape(1, -1, ny, ny)
-    return kron_stack(x, y).reshape(-1, nx * ny, nx * ny)
+def _kron_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """kron(x, y) for every x of the stack xs and y of ys, x-major, as a stack."""
+    out = kron_stack(xs[:, None], ys[None])
+    return out.reshape((-1,) + out.shape[-2:])
 
 
 def tensor_subalgebra(a: Subalgebra, b: Subalgebra) -> Subalgebra:
-    mats = _kron_pairs(a.basis, b.basis, a.ambient, b.ambient)
-    return Subalgebra(a.ambient * b.ambient, tuple(mats))
+    return Subalgebra(a.ambient * b.ambient, _kron_pairs(a.basis, b.basis))
 
 
 def centralizer_tensor_check(f: StarHom, g: StarHom, a: Subalgebra, b: Subalgebra,
@@ -458,11 +449,10 @@ def centralizer_tensor_check(f: StarHom, g: StarHom, a: Subalgebra, b: Subalgebr
     images_a = _check_d_morphism(f, a, b, tol)
     images_phi = _check_d_morphism(g, phi, psi, tol)
     big = tensor_subalgebra(b, psi)
-    tensored_images = list(_kron_pairs(images_a, images_phi, f.dst, g.dst))
-    left = relative_centralizer(tensored_images, big, tol)
+    left = relative_centralizer(_kron_pairs(images_a, images_phi), big, tol)
     right = tensor_subalgebra(
         relative_centralizer(images_a, b, tol),
         relative_centralizer(images_phi, psi, tol),
     )
-    dist = subspace_distance(list(left.basis), list(right.basis), tol)
+    dist = subspace_distance(left.basis, right.basis, tol)
     return dist <= tol.bound("subspace_distance"), dist

@@ -10,17 +10,21 @@ in the package goes through the four kernels below (``pair_products``,
 ``apply_frame``, ``conjugate``, ``kron_stack``); each is a reshape or
 broadcast plus ``@`` or an elementwise product.
 
-``orthonormal_cols`` gives the orthonormal basis of a span on which
-``orthonormal_span``, ``subspace_distance`` and the grassmannian
-projections work.  A stack whose Gram matrix is the identity within the
-``orthonormal`` bound of ``BOUNDS``, as the bases the package makes are
-(to about 1e-14), is its own basis; any other stack takes the SVD and
+A family of n x n matrices has one layout, a complex (count, n, n)
+stack (``as_stack``), and ``vectorize``, one reshape, is the only step
+from a stack to (n*n, count) columns.  ``orthonormal_cols`` gives the
+orthonormal basis of a span on which ``orthonormal_span``,
+``subspace_distance`` and the grassmannian projections work, all of
+which take stacks.  A stack whose Gram matrix is the identity within
+the ``orthonormal`` bound of ``BOUNDS``, as the bases the package makes
+are (to about 1e-14), is its own basis; any other takes the SVD and
 the ``svd_rank`` cut.  So projecting onto the span of a subalgebra or a
 centralizer costs one Gram product, not an SVD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,45 +152,52 @@ def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return u.shape == (n, n) and max_abs(u @ u.conj().T - eye(n)) <= tol.bound("unitary")
 
 
+def as_stack(mats, n: int) -> np.ndarray:
+    """A (count, n, n) array or any iterable of n x n matrices as a complex
+    (count, n, n) stack, () as (0, n, n).  Any other shape raises
+    ValueError: it is never reshaped into n x n matrices."""
+    x = np.asarray(mats if isinstance(mats, np.ndarray) else list(mats), dtype=complex)
+    if x.shape == (0,):
+        x = x.reshape(0, n, n)
+    if x.ndim != 3 or x.shape[1:] != (n, n):
+        raise ValueError(f"a family of {n}x{n} matrices cannot have shape {x.shape}")
+    return x
+
+
 def vectorize(mats) -> np.ndarray:
-    """Stack matrices as columns of an (n*n, count) array."""
-    return np.stack([np.asarray(m, dtype=complex).reshape(-1) for m in mats], axis=1)
+    """The (n*n, count) columns of a (count, n, n) stack, one reshape; an
+    empty stack keeps its count axis, as (n*n, 0)."""
+    x = np.asarray(mats, dtype=complex)
+    return x.reshape(x.shape[0], math.prod(x.shape[1:])).T
 
 
-def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL):
-    """Orthonormal (Hilbert-Schmidt) basis of the span of the given matrices."""
-    if not mats:
-        return []
-    n = mats[0].shape[0]
-    q = orthonormal_cols(mats, tol)
-    return [q[:, j].reshape(n, n) for j in range(q.shape[1])]
+def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of the span of a stack of
+    matrices, as a (dim, n, n) stack; an orthonormal stack comes back as
+    a view of itself."""
+    x = np.asarray(mats, dtype=complex)
+    return orthonormal_cols(x, tol).T.reshape((-1,) + x.shape[1:])
 
 
 def subspace_distance(basis_a, basis_b, tol: Tolerance = DEFAULT_TOL) -> float:
     """Operator-norm distance between the orthogonal projections onto
-    the spans of two matrix families (basis-independent)."""
+    the spans of two stacks of matrices (basis-independent)."""
     qa = orthonormal_cols(basis_a, tol)
     qb = orthonormal_cols(basis_b, tol)
-    if qa.shape[1] == 0 and qb.shape[1] == 0:
-        return 0.0
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return 1.0
+    if not qa.shape[1] or not qb.shape[1]:  # the zero subspace is at distance 1 from any other
+        return float(qa.shape[1] != qb.shape[1])
     ra = qa - qb @ (qb.conj().T @ qa)
     rb = qb - qa @ (qa.conj().T @ qb)
-    sa = np.linalg.svd(ra, compute_uv=False)
-    sb = np.linalg.svd(rb, compute_uv=False)
-    return float(max(sa[0] if len(sa) else 0.0, sb[0] if len(sb) else 0.0))
+    return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
 
 
 def orthonormal_cols(mats, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis, as columns, of the span of the vectorized
-    matrices: the columns themselves when their Gram matrix is the
+    """Orthonormal basis, as columns, of the span of a stack of matrices:
+    its ``vectorize`` columns themselves when their Gram matrix is the
     identity within the ``orthonormal`` bound, else the left singular
     vectors above the ``svd_rank`` cut.  A non-finite entry raises
     ValueError before the SVD, which may never return on a matrix that
     holds an inf."""
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
     cols = vectorize(mats)
     if not np.isfinite(cols).all():
         raise ValueError("cannot span matrices with a non-finite entry")

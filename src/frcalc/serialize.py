@@ -163,7 +163,7 @@ def _canonical_basis(a: Subalgebra) -> np.ndarray:
     under rounding).  The stack is a view of Q's transpose, not
     C-contiguous."""
     n = a.ambient
-    q0 = orthonormal_cols(list(a.basis), DEFAULT_TOL) if a.basis else np.zeros((n * n, 0))
+    q0 = orthonormal_cols(a.basis, DEFAULT_TOL)
     ref = np.random.default_rng(_CANONICAL_SEED).standard_normal((n * n, q0.shape[1]))
     q, r = np.linalg.qr(q0 @ (q0.conj().T @ ref))
     d = np.diagonal(r)
@@ -177,8 +177,7 @@ def subalgebra_to_json(a: Subalgebra) -> dict:
 
 def subalgebra_from_json(obj) -> Subalgebra:
     ambient = _int(obj["ambient"], 1, "ambient")
-    basis = _matrices_from_json(_list(obj["basis"], "basis"), ambient, ambient)
-    return Subalgebra(ambient, tuple(basis))
+    return Subalgebra(ambient, _matrices_from_json(_list(obj["basis"], "basis"), ambient, ambient))
 
 
 def fredholm_to_json(t: DeskFredholm) -> dict:

@@ -67,7 +67,7 @@ def _centralizer(seed, count):
         z = centralizer(a)
         zz = centralizer(z)
         yield {"wrong_dimension_count": z.dim != l * l,
-               "double_centralizer_distance": subspace_distance(list(zz.basis), list(a.basis))}
+               "double_centralizer_distance": subspace_distance(zz.basis, a.basis)}
 
 
 _NAT_CONFIGS = [

@@ -49,7 +49,7 @@ def _all_products_span(gens, n):
     gens = list(gens) + [g.conj().T for g in gens]
     basis = orthonormal_span(gens + [np.eye(n, dtype=complex)])
     while True:
-        grown = orthonormal_span(basis + [x @ g for x in basis for g in gens])
+        grown = orthonormal_span(np.concatenate([basis, [x @ g for x in basis for g in gens]]))
         if len(grown) == len(basis):
             return grown
         basis = grown
@@ -141,12 +141,12 @@ def test_double_centralizer_returns_original():
 def test_relative_centralizer_of_factor():
     # inside M_2 (x) M_3, the commutant of M_2 (x) 1 within the whole
     # algebra is 1 (x) M_3
-    a_mats = [np.kron(e, np.eye(3)) for e in matrix_unit_frame(2, 1).as_list()]
+    a_mats = [np.kron(e, np.eye(3)) for e in matrix_unit_frame(2, 1).mats.reshape(-1, 2, 2)]
     full = Subalgebra(6, tuple(np.eye(6)[:, [i]] @ np.eye(6)[[j], :]
                                for i in range(6) for j in range(6)))
     z = relative_centralizer(a_mats, full)
     assert z.dim == 9
-    expected = [np.kron(np.eye(2), e) for e in matrix_unit_frame(3, 1).as_list()]
+    expected = [np.kron(np.eye(2), e) for e in matrix_unit_frame(3, 1).mats.reshape(-1, 3, 3)]
     assert subspace_distance(list(z.basis), expected) < 1e-10
 
 
@@ -317,7 +317,7 @@ def test_extract_frame_roundtrip():
     alg = lambda_map(fr)
     extracted = extract_frame(alg, 2)
     # same span, valid frame
-    assert subspace_distance(extracted.as_list(), list(alg.basis)) < 1e-8
+    assert subspace_distance(extracted.mats.reshape(-1, 6, 6), list(alg.basis)) < 1e-8
     from frcalc.frames import verify_frame
     assert verify_frame(extracted, ).max_error < 1e-9
 
@@ -340,6 +340,73 @@ def test_is_k_subalgebra():
     assert is_k_subalgebra(Subalgebra(2, (np.eye(2, dtype=complex),)), 1)
 
 
+def _centre_and_extraction(a, d):
+    """The earlier form of ``is_k_subalgebra``: dimension d^2, a centre
+    of dimension 1 solved as the relative centralizer of a in itself,
+    and a successful ``extract_frame``."""
+    if a.dim != d * d or relative_centralizer(a.basis, a).dim != 1:
+        return False
+    try:
+        extract_frame(a, d)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_k_cases(seed):
+    """Frame spans of M_d in M_dl, the same spans asked for degree d + 1
+    and with noise of 1e-10 to 1e-3, random spans of dimension d^2, and
+    commutative diagonal spans of dimension d^2."""
+    rng = np.random.default_rng(seed)
+    for d, l in ((1, 3), (2, 2), (2, 3), (3, 2), (4, 2)):
+        n = d * l
+        a = lambda_map(random_frame(d, n, seed + 10 * d + l))
+        yield a, d
+        yield a, d + 1
+        for eps in (1e-10, 1e-7, 1e-5, 1e-3):
+            noise = rng.standard_normal(a.basis.shape) + 1j * rng.standard_normal(a.basis.shape)
+            yield Subalgebra(n, a.basis + eps * noise), d
+        r = rng.standard_normal((d * d, n, n)) + 1j * rng.standard_normal((d * d, n, n))
+        yield Subalgebra(n, orthonormal_span(r)), d
+        diag = np.zeros((d * d, n, n), dtype=complex)
+        for i, block in enumerate(np.array_split(np.arange(n), d * d)):
+            diag[i, block, block] = 1.0
+        yield Subalgebra(n, diag), d
+
+
+def test_is_k_subalgebra_agrees_with_the_centre_and_extraction_predicate():
+    """Extraction alone decides: a frame it returns spans an M_d, whose
+    centre is the scalars, so the centre solve never changed the answer.
+    The empty span asked for degree 0 is a case of its own."""
+    cases = [(Subalgebra(2, ()), 0)] + [c for seed in range(4) for c in _is_k_cases(seed)]
+    answers = [(is_k_subalgebra(a, d), _centre_and_extraction(a, d)) for a, d in cases]
+    assert [new for new, _ in answers] == [old for _, old in answers]
+    assert {new for new, _ in answers} == {True, False}
+
+
+def test_subalgebra_holds_a_stack_and_refuses_another_shape():
+    """Four 3 x 12 matrices were read as 6 x 6 ones by ``centralizer``,
+    which returned a 9-dimensional commutant of them."""
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="6x6"):
+        Subalgebra(6, tuple(rng.standard_normal((4, 3, 12))))
+    with pytest.raises(ValueError):
+        Subalgebra(6, rng.standard_normal((36, 6)))
+    assert Subalgebra(6, ()).basis.shape == (0, 6, 6)
+    a = Subalgebra(6, [np.eye(6), np.ones((6, 6))])
+    assert a.basis.shape == (2, 6, 6) and a.basis.dtype == complex
+    assert np.array_equal(Subalgebra(6, (m for m in a.basis)).basis, a.basis)
+    assert span_subalgebra((g for g in [np.diag([1.0, 2.0])]), 2).dim == 2
+
+
+def test_star_closed_takes_a_stack():
+    e12 = np.zeros((2, 2), dtype=complex)
+    e12[0, 1] = 1.0
+    for mats in ([e12], [e12, e12.T], list(lambda_map(random_frame(2, 4, 3)).basis)):
+        assert star_closed(np.array(mats)) == star_closed(mats)
+    assert star_closed(np.zeros((0, 3, 3), dtype=complex))
+
+
 @pytest.mark.parametrize("c", [1e-200, 1e-8, 1e-7, 0.5, 1.0, 1e7, 1e200])
 def test_centralizers_and_extraction_ignore_the_input_scale(c):
     """A basis scaled by c spans the same algebra: the commutant of
@@ -350,7 +417,7 @@ def test_centralizers_and_extraction_ignore_the_input_scale(c):
     assert centralizer(scaled).dim == 9
     assert is_k_subalgebra(scaled, 2)
     extracted = extract_frame(scaled, 2)
-    assert subspace_distance(extracted.as_list(), list(a.basis)) < 1e-8
+    assert subspace_distance(extracted.mats.reshape(-1, 6, 6), list(a.basis)) < 1e-8
     e11 = np.zeros((4, 4), dtype=complex)
     e11[0, 0] = c
     assert centralizer(Subalgebra(4, (c * np.eye(4, dtype=complex), e11))).dim == 10

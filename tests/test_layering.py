@@ -21,7 +21,9 @@ reduces in one place.  And that place, ``suite.judge``, is the only one
 where a residual meets its bound, for batteries and CLI verbs alike:
 ``cli.py`` compares nothing with a ``.bound(...)`` and reads no
 ``FrameReport.pass_``, and ``suite.py`` compares thresholds only inside
-``judge``."""
+``judge``.  A subalgebra's ``basis`` is already a (dim, n, n) stack, the
+one layout of a family of matrices, so no call in the package wraps a
+``.basis`` in ``list``, ``tuple`` or ``np.asarray``."""
 
 import ast
 import inspect
@@ -429,3 +431,44 @@ def test_only_judge_compares_a_residual_with_a_bound():
     assert attribute_reads(cli_source, "pass_") == []
     suite_source = (SRC / SUITE_MODULE).read_text(encoding="utf-8")
     assert {name for name, _ in bound_comparisons(suite_source)} == {JUDGE}
+
+
+CONVERTERS = {"list", "tuple"}  # builtins that copy a basis out of its stack
+NUMPY_CONVERTERS = {"asarray"}  # numpy functions that do
+
+
+def basis_conversions(source: str):
+    """(line, converter) of every call of ``list``, ``tuple`` or numpy's
+    ``asarray`` (``np.asarray``, ``numpy.asarray``) whose first argument
+    is a ``.basis`` attribute."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "basis"):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in CONVERTERS:
+            found.append((node.lineno, f.id))
+        elif (isinstance(f, ast.Attribute) and f.attr in NUMPY_CONVERTERS
+              and isinstance(f.value, ast.Name) and f.value.id in aliases):
+            found.append((node.lineno, f.attr))
+    return found
+
+
+def test_basis_guard_sees_conversions():
+    source = ("import numpy as np\nimport numpy\n"
+              "x = list(a.basis)\ny = tuple(z.basis)\nw = np.asarray(b.basis, dtype=complex)\n"
+              "v = numpy.asarray(c.basis)\n"
+              "ok = [a.basis, len(a.basis), list(basis), np.concatenate([a.basis]),\n"
+              "      other.asarray(a.basis)]\n")
+    assert basis_conversions(source) == [(3, "list"), (4, "tuple"), (5, "asarray"),
+                                         (6, "asarray")]
+
+
+def test_no_basis_is_converted_out_of_its_stack():
+    found = {p.name: basis_conversions(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}

@@ -65,6 +65,29 @@ def test_orthonormal_span_dimension():
 
 
 
+def test_span_functions_take_a_stack_as_they_take_its_list():
+    m = np.random.default_rng(3).standard_normal((3, 3))
+    cases = [([m, 2 * m, m + 1j * m, np.eye(3)], [np.eye(3), m.T]),
+             (list(lambda_map(random_frame(3, 6, 4)).basis),
+              list(lambda_map(random_frame(2, 6, 1)).basis))]
+    for mats, other in cases:
+        stack = np.array(mats)
+        assert np.array_equal(orthonormal_cols(stack, DEFAULT_TOL),
+                              orthonormal_cols(mats, DEFAULT_TOL))
+        span = orthonormal_span(stack)
+        assert span.shape[1:] == stack.shape[1:] and np.array_equal(span, orthonormal_span(mats))
+        assert subspace_distance(stack, np.array(other)) == subspace_distance(mats, other)
+
+
+def test_an_empty_stack_spans_the_zero_subspace():
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    assert vectorize(empty).shape == (16, 0)
+    assert orthonormal_cols(empty, DEFAULT_TOL).shape == (16, 0)
+    assert orthonormal_span(empty).shape == (0, 4, 4)
+    assert subspace_distance(empty, empty) == 0.0
+    assert subspace_distance(empty, np.eye(4)[None]) == 1.0
+
+
 @pytest.mark.parametrize("x", [np.inf, np.nan])
 def test_orthonormal_cols_refuses_a_non_finite_entry(x):
     """[E_11 + x E_12, I]: an inf gave an empty basis and a NaN a raw

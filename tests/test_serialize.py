@@ -214,7 +214,8 @@ def _list_matrix(m):
 
 
 def _list_frame(fr):
-    return {"d": fr.d, "ambient": fr.ambient, "mats": [_list_matrix(m) for m in fr.as_list()]}
+    mats = fr.mats.reshape(-1, fr.ambient, fr.ambient)
+    return {"d": fr.d, "ambient": fr.ambient, "mats": [_list_matrix(m) for m in mats]}
 
 
 def _list_hom(h):
