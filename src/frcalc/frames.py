@@ -32,9 +32,10 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """Ordered frame: mats has shape (d, d, ambient, ambient)."""
+    """Ordered frame: mats has shape (d, d, ambient, ambient).  Equality
+    and hashing are by identity."""
 
     d: int
     ambient: int

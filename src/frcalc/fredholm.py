@@ -18,8 +18,11 @@ from .linalg import DEFAULT_TOL, Tolerance, eye, is_unitary, kron_stack, svd_ran
 from .homspace import StarHom, intertwiner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeskFredholm:
+    """``finite_part (+) identity``, as in the module docstring.
+    Equality and hashing are by identity."""
+
     n: int
     win_dom: int
     win_cod: int

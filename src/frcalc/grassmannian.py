@@ -10,13 +10,20 @@ spinning, as in Parker's MeatAxe: the multipliers are an orthonormal
 basis M of span(gens, gens*, 1), which is also the starting basis Q.
 Each round multiplies only the directions added in the previous round
 by M; older directions were multiplied before, so their products lie in
-span(Q) already.  The new dimension r is the ``svd_rank`` of the stacked
-[Q | products], the only rank rule, and the r - dim(Q) added directions
-are the top left singular vectors of that grown basis with span(Q)
-projected out.  The loop stops in the first round that adds none; then
-span(Q) is closed under right multiplication by M and contains 1, so it
-is the algebra.  Every product column has Hilbert-Schmidt norm at most
-1, so the rank rule sees all of Q whatever the generators' scale.
+span(Q) already.  The products P are projected off span(Q), as the
+residual R = P - Q(Q* P) of two products, since Q is orthonormal.  If
+the Frobenius norm of R is at most ``rank_cutoff``, so is its largest
+singular value, and the loop stops without an SVD: span(Q) is closed
+under right multiplication by M and contains 1, so it is the algebra.
+Otherwise the added directions are the left singular vectors of R above
+``svd_rank``'s cut at the unit scale: Q's columns have norm 1 and every
+product column has Hilbert-Schmidt norm at most 1, whatever the
+generators' scale.  A weak direction, with singular value s, still
+carries a component of order eps/s along span(Q), so the kept vectors
+are projected off span(Q) once more and orthonormalized by QR before
+they join Q ("twice is enough": Giraud, Langou & Rozloznik, Comput.
+Math. Appl. 50, 2005).  Each round that adds directions takes one SVD,
+and the round that closes takes none.
 
 Centralizers are joint commutant kernels: the
 kernel of the Gram matrix G of X -> ([X, b])_b on a candidate subspace.
@@ -95,9 +102,10 @@ _GENERIC_SEED = 0x51DE
 _EIG_GAP = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subalgebra:
-    """A span in M_ambient; ``basis`` is a (dim, ambient, ambient) stack (``as_stack``)."""
+    """A span in M_ambient; ``basis`` is a (dim, ambient, ambient) stack
+    (``as_stack``).  Equality and hashing are by identity."""
 
     ambient: int
     basis: np.ndarray
@@ -114,20 +122,23 @@ def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalge
     """Unital *-closure of the generators by the spinning loop of the
     module docstring: each round multiplies only the directions the
     previous round added by an orthonormal basis of
-    span(gens, gens*, 1), and the loop stops in the first round that
-    adds none."""
+    span(gens, gens*, 1) and projects the products off the span so far.
+    The loop stops when that residual's Frobenius norm is at most
+    ``rank_cutoff``; a round that goes on keeps the left singular
+    vectors of the residual above ``rank_cutoff`` (unit scale) and
+    projects them off the span once more before appending them."""
     n = ambient
     gens = as_stack(gens, n)
     q = orthonormal_cols(np.concatenate([gens, gens.conj().swapaxes(1, 2), eye(n)[None]]), tol)
     mults = new = q.T.reshape(-1, n, n)
     while len(new):
-        products = vectorize(pair_products(new, mults).reshape(-1, n, n))
-        u, s, _ = np.linalg.svd(np.concatenate([q, products], axis=1), full_matrices=False)
-        grown = u[:, :svd_rank(s, tol)]
-        # Outside span(q) the grown span leaves singular values near 1,
-        # inside it near 0: the top ones are the added directions.
-        v, _, _ = np.linalg.svd(grown - q @ (q.conj().T @ grown), full_matrices=False)
-        added = v[:, :max(grown.shape[1] - q.shape[1], 0)]
+        off = vectorize(pair_products(new, mults).reshape(-1, n, n))
+        off -= q @ (q.conj().T @ off)
+        if np.linalg.norm(off) <= tol.rank_cutoff:
+            break
+        u, s, _ = np.linalg.svd(off, full_matrices=False)
+        added = u[:, :svd_rank(s, tol, scale=1.0)]
+        added, _ = np.linalg.qr(added - q @ (q.conj().T @ added))
         q = np.concatenate([q, added], axis=1)
         new = added.T.reshape(-1, n, n)
     return Subalgebra(ambient, q.T.reshape(-1, n, n))

@@ -123,13 +123,13 @@ def max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def svd_rank(s: np.ndarray, tol: Tolerance) -> int:
+def svd_rank(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int:
     """Number of singular values (sorted descending, as numpy returns
-    them) above ``rank_cutoff`` times the largest; 0 when there are none
-    or all vanish."""
-    if len(s) == 0 or s[0] == 0.0:
+    them) above ``rank_cutoff`` times ``scale``, by default the largest;
+    0 when there are none or all vanish."""
+    if len(s) == 0:
         return 0
-    return int(np.sum(s > tol.rank_cutoff * s[0]))
+    return int(np.sum(s > tol.rank_cutoff * (s[0] if scale is None else scale)))
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -202,3 +202,13 @@ def test_shuffle_permutation_swaps_kron_factors():
     s = shuffle_permutation(2, 3)
     assert max_abs(s @ s.conj().T - np.eye(6)) == 0.0
     assert max_abs(s @ np.kron(x, y) @ s.conj().T - np.kron(y, x)) < 1e-13
+
+
+def test_frames_compare_and_hash_by_identity():
+    # Two frames with equal fields are distinct objects: == must answer
+    # rather than compare the ndarray fields.
+    a, b = matrix_unit_frame(2, 1), matrix_unit_frame(2, 1)
+    assert not a == b
+    assert a != b
+    assert a == a
+    assert hash(a) != hash(b) and hash(a) == hash(a)

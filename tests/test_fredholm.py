@@ -90,3 +90,11 @@ def test_localize_index_inconsistent_raises():
     t2 = random_fredholm(2, 4, 2, 15)
     with pytest.raises(ValueError, match="inconsistent"):
         localize_index([t1, t2], 3)
+
+
+def test_fredholm_windows_compare_and_hash_by_identity():
+    a, b = DeskFredholm(1, 3, 2, _shift_block(3, 2)), DeskFredholm(1, 3, 2, _shift_block(3, 2))
+    assert not a == b
+    assert a != b
+    assert a == a
+    assert hash(a) != hash(b) and hash(a) == hash(a)

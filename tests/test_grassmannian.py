@@ -22,7 +22,14 @@ from frcalc.grassmannian import (
 )
 from frcalc.generators import MorphismConfig, random_d_morphism
 from frcalc.homspace import basepoint_hom, ev
-from frcalc.linalg import max_abs, orthonormal_span, random_unitary, subspace_distance, vectorize
+from frcalc.linalg import (
+    max_abs,
+    orthonormal_span,
+    pair_products,
+    random_unitary,
+    subspace_distance,
+    vectorize,
+)
 
 _SEED = st.integers(0, 2**32 - 1)
 
@@ -111,6 +118,83 @@ def test_span_of_the_nilpotent_shift_and_its_adjoint():
     alg = span_subalgebra([shift], 6)
     assert alg.dim == 36
     assert closure_residual(alg) <= 1e-10
+
+
+# Diagonal generators plus delta at one off-diagonal entry, with the
+# dimension of the algebra they generate: diag(1, 1, 2, 2) + delta E_34
+# gives C (+) M_2 and diag(1, 2, 3, 4) + delta E_12 gives M_2 (+) C (+) C.
+# The added directions have singular values of order delta in the
+# spinning residual.  They are kept out of SPAN_INPUTS for two reasons.
+# The closure residual of such a span grows as delta falls (about 4e-9
+# at 1e-7), so only delta >= 1e-5 is held to the 1e-10 closure bound.
+# And _all_products_span finds a spurious sixth direction for the first
+# family: the first SVD leaves rounding noise in entries that are zero
+# in every generator, and dividing by the small singular values lifts it
+# to 1e-9, so the dimension is checked against the closed form instead.
+WEAK_SPAN_INPUTS = [(base, entry, delta, dim)
+                    for base, entry, dim in (((1, 1, 2, 2), (2, 3), 5),
+                                             ((1, 2, 3, 4), (0, 1), 6))
+                    for delta in (1e-5, 1e-6, 1e-7)]
+
+
+@pytest.mark.parametrize("base, entry, delta, dim", WEAK_SPAN_INPUTS)
+def test_weak_directions_stay_orthonormal(base, entry, delta, dim):
+    n = len(base)
+    g = np.diag(base).astype(complex)
+    g[entry] += delta
+    alg = span_subalgebra([g], n)
+    assert alg.dim == dim
+    # Within the orthonormal bound, so later projections skip their SVD.
+    q = vectorize(alg.basis)
+    assert max_abs(q.conj().T @ q - np.eye(alg.dim)) <= linalg.DEFAULT_TOL.bound("orthonormal")
+    if delta >= 1e-5:
+        assert closure_residual(alg) <= 1e-10
+
+
+def _svd_counter(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _rounds_that_add(gens, n):
+    """Rounds of spinning that add directions: word length grows by one
+    per round, so this counts the word lengths past 1 that enlarge the
+    span of the words in gens, gens* and 1."""
+    mults = orthonormal_span(np.concatenate([gens, gens.conj().swapaxes(1, 2), np.eye(n)[None]]))
+    basis, rounds = mults, 0
+    while True:
+        grown = orthonormal_span(np.concatenate(
+            [basis, pair_products(basis, mults).reshape(-1, n, n)]))
+        if len(grown) == len(basis):
+            return rounds
+        basis, rounds = grown, rounds + 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_span_that_is_already_the_algebra_takes_one_svd(monkeypatch, seed):
+    gens = lambda_map(random_frame(2, 6, seed)).basis
+    calls = _svd_counter(monkeypatch)
+    alg = span_subalgebra(gens, 6)
+    # Only orthonormal_cols of [gens, gens*, 1]; the closing round takes none.
+    assert calls == [(36, 9)]
+    assert alg.dim == 4
+
+
+def test_each_round_that_adds_directions_takes_one_svd(monkeypatch):
+    shift = np.diag(np.ones(5), 1).astype(complex)[None]
+    rounds = _rounds_that_add(shift, 6)
+    assert rounds > 1
+    calls = _svd_counter(monkeypatch)
+    alg = span_subalgebra(shift, 6)
+    assert len(calls) == 1 + rounds
+    assert alg.dim == 36
 
 
 def test_lambda_map_dimension():
@@ -475,3 +559,11 @@ def test_centralizer_tensor_identity():
     gm = random_d_morphism(MorphismConfig(1, 1, 3, 1), 14)
     ok, dist = centralizer_tensor_check(fm.f, gm.f, fm.a, fm.b, gm.a, gm.b)
     assert ok and dist < 1e-10
+
+
+def test_subalgebras_compare_and_hash_by_identity():
+    a, b = Subalgebra(2, [np.eye(2)]), Subalgebra(2, [np.eye(2)])
+    assert not a == b
+    assert a != b
+    assert a == a
+    assert hash(a) != hash(b) and hash(a) == hash(a)
