@@ -39,17 +39,21 @@ algorithm for block-diagonal decomposition of matrix *-algebras", Japan
 J. Indust. Appl. Math. 27, 2010).  X commutes with y, so
 X_c y[c, d] = y[c, d] X_d, and when the block y[c, d] is s U for a
 unitary U and s > 0, X_d = U* X_c U.  That uses only that X commutes
-with y, so it holds for any *-closed span, algebra or not.  A cluster d
-is linked to an earlier unlinked cluster c when y[c, d] passes both
-tests: s above a floor relative to y (between simple summands the block
-is rounding noise, and the error of U grows as s falls) and
-y[c, d]* y[c, d] = s^2 1 within a tight bound.  d's eigenvectors are
-then turned by U*, the polar factor, so V stays unitary and X_d = X_c.
-The clusters linked to one unlinked cluster form a component, and the
-candidates of a component K are the units E_ij summed over its
-clusters, scaled to norm 1; a cluster with no link is a component of
-its own.  For M_k (x) 1_l the k clusters of size l form one
-component, so l^2 candidates take the place of k l^2.
+with y, so it holds for any *-closed span, algebra or not.  The block
+y[c, d] links c to d when it passes both tests: s above a floor
+relative to y (between simple summands the block is rounding noise, and
+the error of U grows as s falls) and y[c, d]* y[c, d] = s^2 1 within a
+tight bound.  The links form a maximum-strength spanning forest, grown
+by Prim: each cluster joins through its strongest link to any cluster
+already placed, so one weak block does not split a component.  The
+joining cluster d's eigenvectors are turned by W_d = U* W_c, the polar
+factor composed with the turn of the cluster c it joins (a root's is
+1), so V stays unitary and X_d = X_c along the whole tree.  The
+clusters of one tree form a component, and the candidates of a
+component K are the units E_ij summed over its clusters, scaled to
+norm 1; a cluster with no link is a component of its own.  For
+M_k (x) 1_l the k clusters of size l form one component, so l^2
+candidates take the place of k l^2.
 
 On the merged candidates G has a closed form in the rotated constraints
 B_b = V* b V: for p = (i, j) in component K and q = (k, l) in L,
@@ -61,13 +65,26 @@ with S1_K and S2_K the sums over the clusters of K of the diagonal
 blocks of S1 = sum_b B_b B_b* and S2 = sum_b B_b* B_b, and
 T[p, q] = sum_b sum_{c in K, d in L} B_b[c_i, d_k] conj(B_b[c_j, d_l]).
 T is one stacked product for each pair of components, so no
-intermediate is larger than G or the stack of B_b.
-The cut is valid only for a *-closed span: the commutant of {E_12} in
-M_2 is span{I, E_12}, but a generic hermitian element of its *-closure
-has only the scalars as commutant.  ``relative_centralizer`` therefore
+intermediate is larger than G or the stack of B_b.  The kernel of G is
+its eigenvectors below a cut relative to its largest eigenvalue (at
+least 1).  The Frobenius norm bounds every eigenvalue, so when it is
+within the cut every candidate is kept and no eigensolve is taken: the
+same decision.  That is the usual case: when the span is an algebra and
+the clusters of each simple summand form one component, the candidates
+are the commutant and G is zero to rounding (6e-15 to 1.2e-14 against a
+cut of 1e-12 for M_2 (x) 1_12 in M_24).
+The spectral path is valid only for a *-closed span: the commutant of
+{E_12} in M_2 is span{I, E_12}, but a generic hermitian element of its
+*-closure has only the scalars as commutant.  ``relative_centralizer`` therefore
 takes this path only when the adjoints of its matrices lie in their
 span and B's basis is an orthonormal basis of M_n, and solves on an
 orthonormal basis of B otherwise.
+
+``extract_frame`` reads a frame off the same linked eigenbasis.  In
+M_d (x) 1_m, up to a unitary, the generic hermitian element has d
+clusters of size m, which form one component, and its turned
+eigenvectors are V_c = v_c (x) W for one W up to phases, so
+e_ij = V_i V_j* is a system of matrix units spanning the algebra.
 """
 
 from __future__ import annotations
@@ -190,10 +207,16 @@ def _unit_scaled(mats) -> np.ndarray:
 
 
 def _gram_kernel(gram: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal columns spanning the numerical kernel of a Gram matrix."""
+    """Orthonormal columns spanning the numerical kernel of a Gram matrix:
+    the eigenvectors whose eigenvalues are at most 1e4 rank_cutoff^2
+    times the largest, or times 1 if that is smaller.  The Frobenius norm
+    bounds every eigenvalue, so a Gram within that cut keeps every
+    candidate, and takes no eigensolve."""
+    cut = 1e4 * tol.rank_cutoff**2
+    if np.linalg.norm(gram) <= cut:
+        return eye(len(gram))
     w, v = np.linalg.eigh(gram)
-    scale = max(1.0, float(w[-1]))
-    return v[:, w <= 1e4 * tol.rank_cutoff**2 * scale]
+    return v[:, w <= cut * max(1.0, float(w[-1]))]
 
 
 def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
@@ -211,21 +234,55 @@ def _joint_commutant(q_cols: np.ndarray, constraints, n: int, tol: Tolerance):
     return (q_cols @ _gram_kernel(gram, tol)).T.reshape(-1, n, n)
 
 
+def _spanning_forest(strength: np.ndarray):
+    """Maximum-strength spanning forest of a link graph, grown by Prim
+    from each node not yet placed, in order: the edges (c, d) with c
+    placed before d, in the order the nodes d were placed, and the nodes
+    of each tree, its root first.  strength[c, d] > 0 is a link."""
+    m = len(strength)
+    placed = np.zeros(m, dtype=bool)
+    edges, trees = [], []
+    for root in range(m):
+        if placed[root]:
+            continue
+        placed[root] = True
+        tree, best, via = [root], strength[root].copy(), np.full(m, root)
+        while True:
+            reach = np.where(placed, 0.0, best)
+            d = int(np.argmax(reach))
+            if not reach[d] > 0:
+                break
+            placed[d] = True
+            tree.append(d)
+            edges.append((int(via[d]), d))
+            stronger = strength[d] > best
+            best[stronger], via[stronger] = strength[d][stronger], d
+        trees.append(tree)
+    return edges, trees
+
+
 def _linked_clusters(y, vecs, clusters, tol):
     """Link the eigenvalue clusters of the eigenbasis ``vecs`` through a
-    generic element y of the span.
+    generic element y of the span, along a maximum-strength spanning
+    forest.
 
-    A cluster d is linked to an earlier unlinked cluster c of its size
-    for which, in the eigenbasis, the block B = y[c, d] is s U for a
-    unitary U (B*B = s^2 1 within ``link_unitary``) with s above
-    ``link_floor`` relative to y; of several such c, the one with the
-    largest s, since the rounding error of U is that of B over s.  The
-    columns of d in ``vecs`` are then turned, in place, by U*, so that
-    every commutant element has the same block on c and on d.  U is the
-    polar factor of B: one Newton-Schulz step from B / s, exact to
-    rounding within that bound.  Returns the components: one (clusters,
-    size) index array per unlinked cluster, its own indices first, then
-    those of the clusters linked to it."""
+    Clusters c and d of one size are linked when, in the eigenbasis, the
+    block B = y[c, d] is s U for a unitary U (B*B = s^2 1 within
+    ``link_unitary``) with s above ``link_floor`` relative to y; the
+    link's strength is s^2, since the rounding error of U is that of B
+    over s.  Each cluster joins its tree through its strongest link to a
+    cluster already placed (``_spanning_forest``), so a cluster whose
+    link to the root is weak still joins through another member.  The
+    block the other way is no second chance: y + y* is diagonal in its
+    eigenbasis, so y[d, c] = -y[c, d]*, of the same s.  The
+    columns of d in ``vecs`` are then turned, in place, by W_d = U* W_c,
+    with W_c the turn of c and that of a root 1: in the turned basis
+    y[c, d] is s 1, so every commutant element has the same block on
+    every cluster of a tree.  U is the polar factor of B: one
+    Newton-Schulz step from B / s, exact to rounding within that bound.
+    Returns the components: one (clusters, size) index array per tree,
+    its root's indices first, then those of the clusters in the order
+    they joined."""
     y = conjugate(vecs.conj().T, y)
     floor = (tol.bound("link_floor") * max_abs(y)) ** 2
     comps = []
@@ -240,24 +297,27 @@ def _linked_clusters(y, vecs, clusters, tol):
         one = eye(size)
         spread = np.abs(bb - s2[..., None, None] * one).max(axis=(-2, -1))
         strength = np.where((s2 > floor) & (spread <= tol.bound("link_unitary") * s2), s2, 0.0)
-        strength = strength.tolist()
-        heads, pairs = {}, []
-        for d in range(len(members)):
-            c = max((c for c in heads if strength[c][d]), key=lambda c: strength[c][d],
-                    default=None)
-            if c is None:
-                heads[d] = [d]
-            else:
-                heads[c].append(d)
-                pairs.append((c, d))
-        if pairs:
-            c, d = np.array(pairs).T
+        edges, trees = _spanning_forest(strength)
+        if edges:
+            c, d = np.array(edges).T
             s = np.sqrt(s2[c, d])[:, None, None]
             u = blocks[c, d] / s @ (1.5 * one - 0.5 * bb[c, d] / s ** 2)
-            turned = vecs[:, members[d]].transpose(1, 0, 2) @ u.conj().swapaxes(-1, -2)
+            turns = np.tile(one, (len(members), 1, 1))
+            for ci, di, ui in zip(c, d, u):
+                turns[di] = ui.conj().T @ turns[ci]
+            turned = vecs[:, members[d]].transpose(1, 0, 2) @ turns[d]
             vecs[:, members[d]] = turned.transpose(1, 0, 2)
-        comps += [members[group] for group in heads.values()]
+        comps += [members[tree] for tree in trees]
     return comps
+
+
+def _generic_eigenbasis(mats, n: int, seed: int):
+    """The generic element y of ``seed`` of the unit-scaled stack ``mats``,
+    and the eigenbasis and eigenvalue clusters of y + y*, which
+    ``_linked_clusters`` links."""
+    y = _generic_element(mats, n, seed)
+    w, vecs = np.linalg.eigh(y + y.conj().T)
+    return y, vecs, _eig_clusters(w)
 
 
 def _full_commutant(mats, n: int, tol: Tolerance):
@@ -265,9 +325,8 @@ def _full_commutant(mats, n: int, tol: Tolerance):
     through the closed-form Gram on linked clusters of the module
     docstring.  Returns a stack of orthonormal matrices."""
     mats = _unit_scaled(mats)
-    y = _generic_element(mats, n, _GENERIC_SEED)
-    w, vecs = np.linalg.eigh(y + y.conj().T)
-    comps = _linked_clusters(y, vecs, _eig_clusters(w), tol)
+    y, vecs, clusters = _generic_eigenbasis(mats, n, _GENERIC_SEED)
+    comps = _linked_clusters(y, vecs, clusters, tol)
     rot = conjugate(vecs.conj().T, mats)
     m = len(rot)
     flat = rot.transpose(1, 0, 2).reshape(n, m * n)
@@ -349,55 +408,42 @@ def commutation_defect(a: Subalgebra, z: Subalgebra) -> float:
 
 
 def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
-    """Frame spanning a subalgebra isomorphic to M_d.
+    """Frame spanning a subalgebra isomorphic to M_d, read off the
+    linked eigenbasis that the commutant takes.
 
-    A generic hermitian element of the algebra is spectrally decomposed;
-    its eigenprojections give d minimal equivalent projections p_i, and
-    partial isometries p_i y p_1 (polar part, for generic y in the
-    algebra) connect them into a full matrix-unit system.  Degenerate
-    draws are retried with a fresh internal seed up to 5 times.
-    """
+    In an M_d (x) 1_m the eigenvalue clusters of a generic hermitian
+    element are d clusters of size m = n/d, and linking turns their
+    eigenvectors V_c into one component, V_c = v_c (x) W up to the
+    ambient unitary, so e_ij = V_i V_j* is a system of matrix units.
+    It is returned if it passes ``verify_frame`` at the
+    ``extracted_frame`` bound and, scaled by sqrt(d/n) to orthonormal, is
+    within the ``subspace_distance`` bound of span(a).  A draw whose
+    clusters are not one such component (a degenerate draw, or a link
+    below ``link_floor``) is retried with a fresh internal seed up to 5
+    times."""
     n = a.ambient
-    a = Subalgebra(n, _unit_scaled(a.basis))
     if d == 1:
-        if a.dim != 1 or not (subspace_distance(eye(n)[None], a.basis, tol)
+        if a.dim != 1 or not (subspace_distance(eye(n)[None] / np.sqrt(n), a.basis, tol)
                               <= tol.bound("subspace_distance")):
             raise ValueError("not a d-subalgebra")
         return Frame(1, n, eye(n).reshape(1, 1, n, n))
     if d < 1 or a.dim != d * d or n % d != 0:
         raise ValueError("not a d-subalgebra")
-    mult = n // d
+    mats = _unit_scaled(a.basis)
     for attempt in range(5):
-        fr = _try_extract(a, d, mult, _GENERIC_SEED + 7 * attempt, tol)
-        if fr is not None:
+        y, vecs, clusters = _generic_eigenbasis(mats, n, _GENERIC_SEED + 7 * attempt)
+        if len(clusters) != d or any(len(c) != n // d for c in clusters):
+            continue
+        comps = _linked_clusters(y, vecs, clusters, tol)
+        if len(comps) != 1:
+            continue
+        v = vecs[:, comps[0]].transpose(1, 0, 2)
+        fr = Frame(d, n, pair_products(v, v.conj().swapaxes(1, 2)))
+        if (verify_frame(fr, tol, "extracted_frame").pass_
+                and subspace_distance(fr.mats.reshape(-1, n, n) * np.sqrt(d / n), a.basis, tol)
+                <= tol.bound("subspace_distance")):
             return fr
     raise ValueError("not a d-subalgebra")
-
-
-def _try_extract(a: Subalgebra, d: int, mult: int, seed: int, tol: Tolerance):
-    n = a.ambient
-    x = _generic_element(a.basis, n, seed)
-    w, vecs = np.linalg.eigh(x + x.conj().T)
-    clusters = _eig_clusters(w)
-    if len(clusters) != d or any(len(c) != mult for c in clusters):
-        return None
-    projections = [vecs[:, c] @ vecs[:, c].conj().T for c in clusters]
-    y = _generic_element(a.basis, n, seed + 1)
-    iso = [projections[0]]
-    for i in range(1, d):
-        wmat = projections[i] @ y @ projections[0]
-        u, s, vh = np.linalg.svd(wmat)
-        if svd_rank(s, tol) < mult:
-            return None
-        iso.append(u[:, :mult] @ vh[:mult, :])
-    iso = np.array(iso)
-    fr = Frame(d, n, pair_products(iso, iso.conj().swapaxes(1, 2)))
-    if not verify_frame(fr, tol, "extracted_frame").pass_:
-        return None
-    if not (subspace_distance(fr.mats.reshape(-1, n, n), a.basis, tol)
-            <= tol.bound("subspace_distance")):
-        return None
-    return fr
 
 
 def is_k_subalgebra(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from frcalc import linalg
-from frcalc.frames import conjugate_frame, matrix_unit_frame, random_frame
+from frcalc.frames import conjugate_frame, matrix_unit_frame, random_frame, verify_frame
 from frcalc.grassmannian import (
+    _GENERIC_SEED,
     Subalgebra,
     centralizer,
     centralizer_tensor_check,
@@ -19,6 +23,9 @@ from frcalc.grassmannian import (
     span_subalgebra,
     star_closed,
     tensor_subalgebra,
+    _generic_eigenbasis,
+    _linked_clusters,
+    _unit_scaled,
 )
 from frcalc.generators import MorphismConfig, random_d_morphism
 from frcalc.homspace import basepoint_hom, ev
@@ -52,7 +59,10 @@ def test_span_of_diagonal_matrix():
 def _all_products_span(gens, n):
     """The closure loop that multiplies the whole basis by every
     generator and adjoint in each round and takes the SVD of the whole
-    stack again, until the dimension stops growing."""
+    stack again, until the dimension stops growing.  Its cut is relative
+    to the largest singular value of the unnormalized stack, so it can
+    keep a spurious direction where the generators have weak ones; the
+    exact ``_exact_span_dim`` decides those."""
     gens = list(gens) + [g.conj().T for g in gens]
     basis = orthonormal_span(gens + [np.eye(n, dtype=complex)])
     while True:
@@ -120,21 +130,45 @@ def test_span_of_the_nilpotent_shift_and_its_adjoint():
     assert closure_residual(alg) <= 1e-10
 
 
+def _exact_span_dim(gens, n):
+    """Dimension of the unital *-algebra that the n x n sympy matrices
+    ``gens`` generate, spun over Q(i): each round multiplies an echelon
+    basis by every generator and adjoint, and exact row reduction of the
+    words decides the dimension, with no cut."""
+    mults = [DomainMatrix.from_Matrix(m).convert_to(QQ_I) for g in gens for m in (g, g.H)]
+    words, dim = [DomainMatrix.eye(n, QQ_I)] + mults, -1
+    while True:
+        rows = DomainMatrix([sum(w.to_list(), []) for w in words], (len(words), n * n), QQ_I)
+        echelon, pivots = rows.rref()
+        if len(pivots) == dim:
+            return dim
+        dim = len(pivots)
+        basis = [DomainMatrix([row[i * n:(i + 1) * n] for i in range(n)], (n, n), QQ_I)
+                 for row in echelon.to_list()[:dim]]
+        words = basis + [x * m for x in basis for m in mults]
+
+
+def _weak_span_input(base, entry, delta):
+    """diag(base) + delta E_entry and the exact dimension of the algebra
+    it generates, with delta rational."""
+    g = sympy.diag(*base)
+    g[entry] += delta
+    return base, entry, float(delta), _exact_span_dim([g], len(base))
+
+
 # Diagonal generators plus delta at one off-diagonal entry, with the
-# dimension of the algebra they generate: diag(1, 1, 2, 2) + delta E_34
-# gives C (+) M_2 and diag(1, 2, 3, 4) + delta E_12 gives M_2 (+) C (+) C.
+# dimension of the algebra they generate, taken by the exact reference:
+# diag(1, 1, 2, 2) + delta E_34 generates C (+) M_2, of dimension 5, and
+# diag(1, 2, 3, 4) + delta E_12 generates M_2 (+) C (+) C, of dimension 6.
 # The added directions have singular values of order delta in the
-# spinning residual.  They are kept out of SPAN_INPUTS for two reasons.
-# The closure residual of such a span grows as delta falls (about 4e-9
-# at 1e-7), so only delta >= 1e-5 is held to the 1e-10 closure bound.
-# And _all_products_span finds a spurious sixth direction for the first
-# family: the first SVD leaves rounding noise in entries that are zero
-# in every generator, and dividing by the small singular values lifts it
-# to 1e-9, so the dimension is checked against the closed form instead.
-WEAK_SPAN_INPUTS = [(base, entry, delta, dim)
-                    for base, entry, dim in (((1, 1, 2, 2), (2, 3), 5),
-                                             ((1, 2, 3, 4), (0, 1), 6))
-                    for delta in (1e-5, 1e-6, 1e-7)]
+# spinning residual.  The closure residual of such a span grows as delta
+# falls (about 4e-9 at 1e-7), so only delta >= 1e-5 is held to the 1e-10
+# closure bound, and they are kept out of SPAN_INPUTS, whose test holds
+# every input to it.  The float loop _all_products_span is no reference
+# here: it returns 6 for the first family at each delta.
+WEAK_SPAN_INPUTS = [_weak_span_input(base, entry, sympy.Rational(1, 10**e))
+                    for base, entry in (((1, 1, 2, 2), (2, 3)), ((1, 2, 3, 4), (0, 1)))
+                    for e in (5, 6, 7)]
 
 
 @pytest.mark.parametrize("base, entry, delta, dim", WEAK_SPAN_INPUTS)
@@ -151,16 +185,21 @@ def test_weak_directions_stay_orthonormal(base, entry, delta, dim):
         assert closure_residual(alg) <= 1e-10
 
 
-def _svd_counter(monkeypatch):
+def _call_counter(monkeypatch, name):
+    """The shapes of the first argument of every call of np.linalg.<name>."""
     calls = []
-    svd = np.linalg.svd
+    solver = getattr(np.linalg, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+        return solver(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def _svd_counter(monkeypatch):
+    return _call_counter(monkeypatch, "svd")
 
 
 def _rounds_that_add(gens, n):
@@ -404,6 +443,84 @@ def test_extract_frame_roundtrip():
     assert subspace_distance(extracted.mats.reshape(-1, 6, 6), list(alg.basis)) < 1e-8
     from frcalc.frames import verify_frame
     assert verify_frame(extracted, ).max_error < 1e-9
+
+
+# (k, n) for the spans lambda(alpha) of random frames of M_k (x) 1_l in M_n.
+_LINK_GRID = [(2, 24), (3, 24), (4, 24), (3, 9), (5, 20), (6, 12)]
+
+
+def _components(a, seed=_GENERIC_SEED):
+    """The components of the linked eigenbasis that the commutant and
+    extraction take for the draw of ``seed``."""
+    y, vecs, clusters = _generic_eigenbasis(_unit_scaled(a.basis), a.ambient, seed)
+    return _linked_clusters(y, vecs, clusters, linalg.DEFAULT_TOL)
+
+
+def test_frame_spans_link_into_one_component():
+    """The k clusters of M_k (x) 1_l form one component in 239 of these
+    240 spans; linking each cluster only to an unlinked head did in 179.
+    The exception, k = 2 at seed 20, has one link block, below the
+    floor."""
+    single = [len(_components(lambda_map(random_frame(k, n, seed)))) == 1
+              for k, n in _LINK_GRID for seed in range(40)]
+    assert sum(single) >= 235
+
+
+@pytest.mark.parametrize("k, seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
+def test_the_commutant_of_a_frame_span_takes_one_eigensolve(monkeypatch, k, seed):
+    """One component of k clusters gives l^2 candidates, which are the
+    commutant: the Gram is zero to rounding and takes no eigensolve, so
+    the generic element's is the only one."""
+    a = lambda_map(random_frame(k, 24, seed))
+    calls = _call_counter(monkeypatch, "eigh")
+    z = centralizer(a)
+    assert calls == [(24, 24)]
+    assert z.dim == (24 // k) ** 2
+    assert commutation_defect(a, z) <= 1e-13
+
+
+# M_2 (x) 1_2 in M_4 whose first draw links its two clusters below the
+# floor; the next draw links them.
+_WEAK_LINK = lambda_map(random_frame(2, 4, 54))
+
+
+def test_a_gram_above_the_cut_takes_the_eigensolve(monkeypatch):
+    """Two components give 8 candidates for a 4-dimensional commutant,
+    and the gamma span's unlinked clusters more than its commutant: the
+    Gram is far above the cut, and its eigensolve keeps the commutant."""
+    assert len(_components(_WEAK_LINK)) == 2
+    gamma, gamma_gens = _gamma_span(2, 5)
+    for a, gens in ((_WEAK_LINK, _WEAK_LINK.basis), (gamma, gamma_gens)):
+        calls = _call_counter(monkeypatch, "eigh")
+        z = centralizer(a)
+        monkeypatch.undo()
+        assert len(calls) == 2 and calls[0] == (a.ambient, a.ambient)
+        ref = _reference_commutant(gens, a.ambient)
+        assert z.dim == len(ref)
+        assert subspace_distance(z.basis, ref) <= 1e-12
+
+
+def test_a_sub_floor_link_on_the_first_draw_extracts_with_the_next(monkeypatch):
+    assert len(_components(_WEAK_LINK)) == 2
+    assert len(_components(_WEAK_LINK, _GENERIC_SEED + 7)) == 1
+    calls = _call_counter(monkeypatch, "eigh")
+    fr = extract_frame(_WEAK_LINK, 2)
+    assert calls == [(4, 4)] * 2
+    assert verify_frame(fr, check="extracted_frame").pass_
+    assert subspace_distance(fr.mats.reshape(-1, 4, 4) / np.sqrt(2), _WEAK_LINK.basis) <= 1e-12
+
+
+@pytest.mark.parametrize("k, n, seed", [(2, 24, 0), (3, 24, 1), (4, 24, 2), (3, 6, 3)])
+def test_extract_frame_on_an_orthonormal_frame_span_takes_no_svd(monkeypatch, k, n, seed):
+    """The frame is read off the linked eigenbasis, and both the frame
+    scaled to orthonormal and the span as given are their own bases in
+    the span check."""
+    a = lambda_map(random_frame(k, n, seed))
+    calls = _svd_counter(monkeypatch)
+    fr = extract_frame(a, k)
+    assert calls == []
+    assert verify_frame(fr).max_error <= 1e-13
+    assert subspace_distance(fr.mats.reshape(-1, n, n) * np.sqrt(k / n), a.basis) <= 1e-13
 
 
 def test_extract_frame_rejects_wrong_degree():

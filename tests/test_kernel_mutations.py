@@ -24,6 +24,8 @@ ev = homspace.ev
 BY_NAME = {battery.name: battery for battery in BATTERIES}
 
 GRAM_CONJ_TERM = "gram -= t + t.conj().T"
+# The turn of a linked cluster, W_d = U* W_c.
+LINK_TURN = "turns[di] = ui.conj().T @ turns[ci]"
 # The Smith normal form elimination's column operation, which carries V
 # in the rows below D, and its row operation, which carries U in the
 # columns right of D.
@@ -46,6 +48,13 @@ def _full_commutant_without_conj_t():
     """``grassmannian._full_commutant`` with the conj(T[q, p]) term
     dropped from its closed-form Gram."""
     return _recompiled(grassmannian, GRAM_CONJ_TERM, "gram -= t")._full_commutant
+
+
+def _linked_clusters_turning_by_u():
+    """``grassmannian._linked_clusters`` that turns a linked cluster by U
+    instead of U*, so the blocks it equates are not those of the
+    commutant."""
+    return _recompiled(grassmannian, LINK_TURN, "turns[di] = ui @ turns[ci]")._linked_clusters
 
 
 def _eliminate_with_column_operations_on_d_only():
@@ -101,6 +110,15 @@ MUTANTS = {
                ["coherence_diagrams"]),
     "commutant Gram without the conj(T[q, p]) term":
         Mutant([(grassmannian, "_full_commutant", _full_commutant_without_conj_t())],
+               ["centralizer", "centralizer_tensor"]),
+    # Every span of the centralizer battery links into one component,
+    # whose candidates are the commutant, so only the relative
+    # centralizers of centralizer_tensor can see a kernel that keeps them.
+    "Gram kernel that keeps every candidate":
+        Mutant([(grassmannian, "_gram_kernel", lambda gram, tol: linalg.eye(len(gram)))],
+               ["centralizer_tensor"]),
+    "cluster linking that turns by U instead of U*":
+        Mutant([(grassmannian, "_linked_clusters", _linked_clusters_turning_by_u())],
                ["centralizer", "centralizer_tensor"]),
     "centralizer that drops its last basis element":
         Mutant([(grassmannian, "centralizer",
