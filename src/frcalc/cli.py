@@ -69,7 +69,7 @@ def _within(tol, check, payload=None, result=None, **residuals):
 
 
 def _frame_axioms(tol, fr):
-    report = frames.verify_frame(fr, tol)
+    report = frames.verify_frame(fr)
     return _within(tol, "frame_axioms", axiom_i=report.axiom_i_maxerr,
                    axiom_ii=report.axiom_ii_maxerr, axiom_iii=report.axiom_iii_maxerr)
 
@@ -112,7 +112,7 @@ def _centralizer(tol, alg):
 
 def _extract(tol, alg, d):
     fr = grassmannian.extract_frame(alg, d, tol)
-    return _within(tol, "frame_axioms", fr, frame_axioms=frames.verify_frame(fr, tol).max_error)
+    return _within(tol, "frame_axioms", fr, frame_axioms=frames.verify_frame(fr).max_error)
 
 
 def _naturality(tol, bundle, seed):

@@ -85,6 +85,11 @@ M_d (x) 1_m, up to a unitary, the generic hermitian element has d
 clusters of size m, which form one component, and its turned
 eigenvectors are V_c = v_c (x) W for one W up to phases, so
 e_ij = V_i V_j* is a system of matrix units spanning the algebra.
+There every eigenvalue has multiplicity m, or a multiple of m where a
+degenerate draw merges clusters, so one draw with more than d clusters,
+or with a cluster whose size is not a multiple of m, rejects the span;
+a merged draw or a link below the floor is drawn again.  For d = 1 that leaves
+one cluster, all of C^n, and the frame {1}.
 """
 
 from __future__ import annotations
@@ -288,9 +293,6 @@ def _linked_clusters(y, vecs, clusters, tol):
     comps = []
     for size in sorted({len(c) for c in clusters}):
         members = np.array([c for c in clusters if len(c) == size])
-        if len(members) == 1:
-            comps.append(members)
-            continue
         blocks = y[members[:, None, :, None], members[None, :, None, :]]
         bb = blocks.conj().swapaxes(-1, -2) @ blocks
         s2 = np.trace(bb, axis1=-2, axis2=-1).real / size
@@ -411,35 +413,30 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
     """Frame spanning a subalgebra isomorphic to M_d, read off the
     linked eigenbasis that the commutant takes.
 
-    In an M_d (x) 1_m the eigenvalue clusters of a generic hermitian
-    element are d clusters of size m = n/d, and linking turns their
-    eigenvectors V_c into one component, V_c = v_c (x) W up to the
-    ambient unitary, so e_ij = V_i V_j* is a system of matrix units.
-    It is returned if it passes ``verify_frame`` at the
-    ``extracted_frame`` bound and, scaled by sqrt(d/n) to orthonormal, is
-    within the ``subspace_distance`` bound of span(a).  A draw whose
-    clusters are not one such component (a degenerate draw, or a link
-    below ``link_floor``) is retried with a fresh internal seed up to 5
-    times."""
+    Each draw is judged by one rule (module docstring).  More than d
+    clusters, or a cluster whose size is not a multiple of n/d, raises
+    at once.  Fewer than d clusters, or more than one component, is
+    retried with a fresh internal seed, up to 5 draws in all.
+    Otherwise e_ij = V_i V_j* is returned if its ``verify_frame``
+    residuals are within the ``extracted_frame`` bound and, scaled by
+    sqrt(d/n) to orthonormal, it is within the ``subspace_distance``
+    bound of span(a)."""
     n = a.ambient
-    if d == 1:
-        if a.dim != 1 or not (subspace_distance(eye(n)[None] / np.sqrt(n), a.basis, tol)
-                              <= tol.bound("subspace_distance")):
-            raise ValueError("not a d-subalgebra")
-        return Frame(1, n, eye(n).reshape(1, 1, n, n))
     if d < 1 or a.dim != d * d or n % d != 0:
         raise ValueError("not a d-subalgebra")
     mats = _unit_scaled(a.basis)
     for attempt in range(5):
         y, vecs, clusters = _generic_eigenbasis(mats, n, _GENERIC_SEED + 7 * attempt)
-        if len(clusters) != d or any(len(c) != n // d for c in clusters):
+        if len(clusters) > d or any(len(c) % (n // d) for c in clusters):
+            raise ValueError("not a d-subalgebra")
+        if len(clusters) < d:
             continue
         comps = _linked_clusters(y, vecs, clusters, tol)
         if len(comps) != 1:
             continue
         v = vecs[:, comps[0]].transpose(1, 0, 2)
         fr = Frame(d, n, pair_products(v, v.conj().swapaxes(1, 2)))
-        if (verify_frame(fr, tol, "extracted_frame").pass_
+        if (verify_frame(fr).max_error <= tol.bound("extracted_frame")
                 and subspace_distance(fr.mats.reshape(-1, n, n) * np.sqrt(d / n), a.basis, tol)
                 <= tol.bound("subspace_distance")):
             return fr
@@ -451,7 +448,9 @@ def is_k_subalgebra(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> bool
     ``extract_frame`` succeeds, for it returns only a frame within the
     ``extracted_frame`` bound of the axioms whose span is within the
     ``subspace_distance`` bound of span(a), of dimension d^2.  That span
-    is an M_d, so its centre is the scalars and needs no solve."""
+    is an M_d, so its centre is the scalars and needs no solve.  A span
+    whose first draw has more than d clusters is refused after that one
+    eigensolve."""
     try:
         extract_frame(a, d, tol)
     except ValueError:

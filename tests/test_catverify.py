@@ -25,7 +25,7 @@ from frcalc.frames import (
 )
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
 from frcalc.homspace import compose_plain, ev, identity_hom, random_hom
-from frcalc.linalg import max_abs
+from frcalc.linalg import DEFAULT_TOL, max_abs
 
 
 def test_is_c_morphism_positive_and_negative():
@@ -50,7 +50,7 @@ def test_fr_map_frame_condition():
     # the induced map of any valid morphism datum sends frames to frames
     data = random_c_morphism(MorphismConfig(2, 1, 2, 2), 3)
     out = fr_map(data, random_source_frame(MorphismConfig(2, 1, 2, 2), 4))
-    assert verify_frame(out).pass_
+    assert verify_frame(out).max_error <= DEFAULT_TOL.bound("frame_axioms")
     # and the source frame itself maps to the target frame
     assert frames_close(fr_map(data, data.src_frame), data.dst_frame) < 1e-12
 

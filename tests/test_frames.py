@@ -18,7 +18,7 @@ from frcalc.frames import (
     trivial_frame,
     verify_frame,
 )
-from frcalc.linalg import max_abs, random_unitary
+from frcalc.linalg import DEFAULT_TOL, max_abs, random_unitary
 
 
 def test_basepoint_frame_passes_exactly():
@@ -40,19 +40,19 @@ def test_basepoint_entries_are_shifted_identities():
 def test_frame_report_max_error_keeps_a_nan_of_any_axiom(axiom):
     errors = [0.0, 0.0, 0.0]
     errors[axiom] = np.nan
-    assert np.isnan(FrameReport(*errors, False).max_error)
+    assert np.isnan(FrameReport(*errors).max_error)
 
 
 def test_random_frame_passes_axioms():
     for seed in range(5):
         report = verify_frame(random_frame(2, 6, seed))
-        assert report.pass_, report
+        assert report.max_error <= DEFAULT_TOL.bound("frame_axioms"), report
 
 
 def test_verify_rejects_scaled_frame():
     fr = matrix_unit_frame(2, 2)
     report = verify_frame(Frame(2, 4, 0.5 * fr.mats))
-    assert not report.pass_
+    assert not report.max_error <= DEFAULT_TOL.bound("frame_axioms")
 
 
 def _pi1_oracle(beta, d1):
@@ -164,7 +164,7 @@ def test_tensor_frame_against_kron_oracle():
 
 def test_tensor_of_frames_is_frame():
     t = tensor_frame(random_frame(2, 2, 6), random_frame(3, 3, 7))
-    assert verify_frame(t).pass_
+    assert verify_frame(t).max_error <= DEFAULT_TOL.bound("frame_axioms")
 
 
 def test_unit_frame_tensor_is_identity_embedding():

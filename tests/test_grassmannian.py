@@ -30,6 +30,7 @@ from frcalc.grassmannian import (
 from frcalc.generators import MorphismConfig, random_d_morphism
 from frcalc.homspace import basepoint_hom, ev
 from frcalc.linalg import (
+    conjugate,
     max_abs,
     orthonormal_span,
     pair_products,
@@ -506,7 +507,7 @@ def test_a_sub_floor_link_on_the_first_draw_extracts_with_the_next(monkeypatch):
     calls = _call_counter(monkeypatch, "eigh")
     fr = extract_frame(_WEAK_LINK, 2)
     assert calls == [(4, 4)] * 2
-    assert verify_frame(fr, check="extracted_frame").pass_
+    assert verify_frame(fr).max_error <= linalg.DEFAULT_TOL.bound("extracted_frame")
     assert subspace_distance(fr.mats.reshape(-1, 4, 4) / np.sqrt(2), _WEAK_LINK.basis) <= 1e-12
 
 
@@ -521,6 +522,38 @@ def test_extract_frame_on_an_orthonormal_frame_span_takes_no_svd(monkeypatch, k,
     assert calls == []
     assert verify_frame(fr).max_error <= 1e-13
     assert subspace_distance(fr.mats.reshape(-1, n, n) * np.sqrt(k / n), a.basis) <= 1e-13
+
+
+def _block_diagonal_span(k, n, seed):
+    """The commutative span of the projections onto k^2 blocks of
+    coordinates of C^n, conjugated by a random unitary, normalized."""
+    basis = np.zeros((k * k, n, n), dtype=complex)
+    for i, block in enumerate(np.array_split(np.arange(n), k * k)):
+        basis[i, block, block] = 1 / np.sqrt(len(block))
+    return Subalgebra(n, conjugate(random_unitary(n, seed), basis))
+
+
+_E11 = Subalgebra(2, np.diag([1.0, 0.0])[None])
+
+
+@pytest.mark.parametrize("a, d", [(_block_diagonal_span(k, 24, k), k) for k in (2, 3, 4)]
+                         + [(_E11, 1)], ids=["k2", "k3", "k4", "e11"])
+def test_a_draw_with_more_than_d_clusters_refuses_after_one_eigensolve(monkeypatch, a, d):
+    """Every eigenvalue of a generic element of an M_d (x) 1_m has
+    multiplicity a multiple of m, so the k^2 clusters of the block
+    projections, and the two of E_11, rule the span out on the first
+    draw."""
+    calls = _call_counter(monkeypatch, "eigh")
+    assert not is_k_subalgebra(a, d)
+    assert calls == [(a.ambient, a.ambient)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_extract_frame_of_the_scalars_is_the_identity(n):
+    """d = 1 takes the same path as any d: one cluster, the frame {V V*}."""
+    fr = extract_frame(Subalgebra(n, np.eye(n)[None]), 1)
+    assert fr.mats.shape == (1, 1, n, n)
+    assert max_abs(fr.mats[0, 0] - np.eye(n)) <= 1e-14
 
 
 def test_extract_frame_rejects_wrong_degree():

@@ -20,8 +20,11 @@ samples through a generator function, whose yields ``run_battery``
 reduces in one place.  And that place, ``suite.judge``, is the only one
 where a residual meets its bound, for batteries and CLI verbs alike:
 ``cli.py`` compares nothing with a ``.bound(...)`` and reads no
-``FrameReport.pass_``, and ``suite.py`` compares thresholds only inside
-``judge``.  A subalgebra's ``basis`` is already a (dim, n, n) stack, the
+``pass_`` flag, ``suite.py`` compares thresholds only inside ``judge``,
+and ``frames.verify_frame`` returns residuals without judging them: in
+``frames.py`` only the builder guard ``dot_with_residual``, which
+refuses to build a product of frames that do not commute, compares a
+residual with a bound.  A subalgebra's ``basis`` is already a (dim, n, n) stack, the
 one layout of a family of matrices, so no call in the package wraps a
 ``.basis`` in ``list``, ``tuple`` or ``np.asarray``."""
 
@@ -40,6 +43,7 @@ IMPORT_CHECKED = ("src", "tests")
 KERNEL_MODULE = "linalg.py"
 BOUNDARY_MODULE, BOUNDARY = "serialize.py", {"decode", "load_json"}
 CLI_MODULE, SUITE_MODULE, JUDGE = "cli.py", "suite.py", "judge"
+FRAMES_MODULE, FRAME_GUARDS = "frames.py", {"dot_with_residual"}
 BANNED = {"einsum", "kron"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
 WRITERS = {"orjson": {"dumps"}}  # module -> the writers only dump_json may call
@@ -431,6 +435,8 @@ def test_only_judge_compares_a_residual_with_a_bound():
     assert attribute_reads(cli_source, "pass_") == []
     suite_source = (SRC / SUITE_MODULE).read_text(encoding="utf-8")
     assert {name for name, _ in bound_comparisons(suite_source)} == {JUDGE}
+    frames_source = (SRC / FRAMES_MODULE).read_text(encoding="utf-8")
+    assert {name for name, _ in bound_comparisons(frames_source)} == FRAME_GUARDS
 
 
 CONVERTERS = {"list", "tuple"}  # builtins that copy a basis out of its stack
