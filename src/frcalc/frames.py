@@ -77,13 +77,16 @@ def verify_frame(candidate: Frame) -> FrameReport:
     nothing: a caller compares ``max_error`` with its own bound."""
     stack, d, n = candidate.mats, candidate.d, candidate.ambient
 
-    # (i): alpha[i,j] alpha[r,s] = delta_{j,r} alpha[i,s], all d^4 pairs;
-    # the j = r products have alpha[i,s] subtracted in place.
+    # (i): alpha[i,j] alpha[r,s] = delta_{j,r} alpha[i,s], all d^4 pairs, one left
+    # factor alpha[i,j] = seq[p] at a time, so that d^2 products (the size of the
+    # frame) are held at once; the r = j products have alpha[i,s] subtracted.
     seq = stack.reshape(d * d, n, n)
-    prod = pair_products(seq, seq).reshape(d, d, d, d, n, n)
-    diag = np.arange(d)
-    prod[:, diag, diag] -= stack[:, None]
-    err_i = max_abs(prod)
+    errs = []
+    for p in range(d * d):
+        prod = pair_products(seq[p:p + 1], seq).reshape(d, d, n, n)
+        prod[p % d] -= stack[p // d]
+        errs.append(max_abs(prod))
+    err_i = max_abs(np.array(errs))
 
     err_ii = max_abs(np.trace(stack) - eye(n))
 

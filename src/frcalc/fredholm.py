@@ -5,6 +5,10 @@ the domain window carries ``win_dom`` copies of C^n and the codomain
 window ``win_cod`` copies, so kernel and cokernel live entirely in the
 windows and the index is computable by numerical rank.  Window vectors
 are indexed component-major: position (i, slot) -> i * win + slot.
+
+Conjugation by g and amplification by an embedding h: M_n -> M_N are
+one action, h (Ad g for conjugation) applied entrywise to the window
+blocks T_{i,j}: (h (x) id)(T) = sum_{i,j} h(e_{i,j}) (x) T_{i,j}.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, eye, is_unitary, kron_stack, svd_rank
-from .homspace import StarHom, intertwiner
+from .linalg import DEFAULT_TOL, Tolerance, conjugate as conjugate_stack, svd_rank
+from .frames import conjugate_frame, trivial_frame, verify_frame
+from .homspace import StarHom, ev
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,31 +62,30 @@ def index(t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> int:
     return dim_ker - dim_coker
 
 
+def _entrywise(act, t: DeskFredholm) -> DeskFredholm:
+    """(h (x) id)(T) for h: M_n -> M_m given as ``act`` on a stack (..., n, n):
+    the blocks T_{i,j} as one (win_cod, win_dom, n, n) stack, through ``act``."""
+    n, w_cod, w_dom = t.n, t.win_cod, t.win_dom
+    image = act(t.finite_part.reshape(n, w_cod, n, w_dom).transpose(1, 3, 0, 2))
+    m = image.shape[-1]
+    return DeskFredholm(m, w_dom, w_cod, image.transpose(2, 0, 3, 1).reshape(m * w_cod, m * w_dom))
+
+
 def conjugate(g: np.ndarray, t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> DeskFredholm:
-    """Conjugation action by a unitary scalar part g, acting as g (x) Id."""
-    if g.shape != (t.n, t.n) or not is_unitary(g, tol):
-        raise ValueError("conjugator must be an n x n unitary")
-    fp = kron_stack(g, eye(t.win_cod)) @ t.finite_part @ kron_stack(g.conj().T, eye(t.win_dom))
-    return DeskFredholm(t.n, t.win_dom, t.win_cod, fp)
+    """Conjugation by a unitary g, acting as g (x) Id: Ad g entrywise, as
+    g T_{i,j} g* on each block (Ad g's frame would have n^4 entries)."""
+    conjugate_frame(g, trivial_frame(t.n), tol)  # checks g's shape and unitarity
+    return _entrywise(lambda blocks: conjugate_stack(g, blocks), t)
 
 
 def amplify(h: StarHom, t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> DeskFredholm:
-    """Apply a unital embedding entrywise to the operator model.
-
-    With U the intertwiner of h this sends the window block to
-    (U (x) E) (T (x) E_l, reindexed) (U* (x) E); the index multiplies by
-    l = h.dst / h.src.
-    """
+    """Apply a unital *-homomorphism h: M_n -> M_nl entrywise, which multiplies
+    dim ker and dim coker by l; h must meet the frame axioms (``frame_axioms``)."""
     if h.src != t.n:
         raise ValueError("hom source must match the operator's algebra size")
-    l = h.mult
-    n2 = t.n * l
-    # Block (i, j) of T, a win_cod x win_dom matrix, becomes E_l (x) T_ij.
-    blocks = t.finite_part.reshape(t.n, t.win_cod, t.n, t.win_dom).transpose(0, 2, 1, 3)
-    amp = kron_stack(eye(l), blocks).transpose(0, 2, 1, 3).reshape(n2 * t.win_cod, n2 * t.win_dom)
-    u = intertwiner(h, tol)
-    fp_new = kron_stack(u, eye(t.win_cod)) @ amp @ kron_stack(u.conj().T, eye(t.win_dom))
-    return DeskFredholm(n2, t.win_dom, t.win_cod, fp_new)
+    if not verify_frame(h.image_frame).max_error <= tol.bound("frame_axioms"):
+        raise ValueError("input not a unital *-homomorphism")
+    return _entrywise(lambda blocks: ev(h, blocks), t)
 
 
 def localize_index(stages, l: int, start_stage: int = 0,

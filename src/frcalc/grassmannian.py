@@ -467,7 +467,7 @@ def lambda_map(alpha: Frame, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
 def _check_d_morphism(f: StarHom, a: Subalgebra, b: Subalgebra, tol: Tolerance):
     if f.src != a.ambient or f.dst != b.ambient:
         raise ValueError("not a D-morphism")
-    images = as_stack([ev(f, x) for x in a.basis], f.dst)
+    images = ev(f, a.basis)
     if not _off_span(images, b.basis, tol) <= tol.bound("in_span"):
         raise ValueError("not a D-morphism")
     return images
@@ -481,7 +481,7 @@ def gr_map(f: StarHom, a_prime: Subalgebra, a: Subalgebra, b: Subalgebra,
         raise ValueError("not a D-morphism")
     images_a = _check_d_morphism(f, a, b, tol)
     c = relative_centralizer(images_a, b, tol)
-    images_prime = as_stack([ev(f, x) for x in a_prime.basis], f.dst)
+    images_prime = ev(f, a_prime.basis)
     return span_subalgebra(np.concatenate([images_prime, c.basis]), b.ambient, tol)
 
 

@@ -20,9 +20,8 @@ from .linalg import (
     is_unitary,
     kron_stack,
     max_abs,
-    random_unitary,
 )
-from .frames import Frame, conjugate_frame, matrix_unit_frame, tensor_frame
+from .frames import Frame, matrix_unit_frame, random_frame, tensor_frame
 
 _PHASE_PIVOT = 1e-6  # the first entry this large of a basis vector fixes its phase
 
@@ -42,8 +41,6 @@ class StarHom:
     @property
     def mult(self) -> int:
         """Multiplicity l = dst / src of the embedding."""
-        if self.dst % self.src != 0:
-            raise ValueError("source size does not divide target size")
         return self.dst // self.src
 
 
@@ -58,15 +55,15 @@ def identity_hom(n: int) -> StarHom:
 
 
 def random_hom(src: int, l: int, seed: int) -> StarHom:
-    """Seeded random unital embedding: X -> V (X (x) E_l) V*."""
-    v = random_unitary(src * l, seed)
-    return StarHom(src, src * l, conjugate_frame(v, matrix_unit_frame(src, l)))
+    """Seeded random unital embedding X -> V (X (x) E_l) V*, as ``random_frame`` draws V."""
+    return StarHom(src, src * l, random_frame(src, src * l, seed))
 
 
 def ev(h: StarHom, t: np.ndarray) -> np.ndarray:
-    """h(T) = sum_{i,j} T[i,j] h(e_{i,j})."""
+    """h(T) = sum_{i,j} T[i,j] h(e_{i,j}) of one src x src matrix, bitwise the
+    defining sum, or of each matrix of a stack (..., src, src) in one product."""
     t = np.asarray(t, dtype=complex)
-    if t.shape != (h.src, h.src):
+    if t.ndim < 2 or t.shape[-2:] != (h.src, h.src):
         raise ValueError(f"argument must be {h.src}x{h.src}")
     return apply_frame(t, h.image_frame.mats)
 
@@ -117,25 +114,15 @@ def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     phase-normalized (first significant entry of h(e_{11}) v_s real
     positive) so the output is deterministic.
     """
-    k, n = h.src, h.dst
-    if n % k != 0:
-        raise ValueError("input not a unital *-homomorphism")
-    l = n // k
-    p1 = h.image_frame.mats[0, 0]
-    w, s, _ = np.linalg.svd(p1)
+    n, l = h.dst, h.mult
+    mats = h.image_frame.mats
+    w, s, _ = np.linalg.svd(mats[0, 0])
     if int(np.sum(s > 0.5)) != l:
         raise ValueError("input not a unital *-homomorphism")
-    vs = []
-    for col in range(l):
-        v = w[:, col]
-        idx = int(np.argmax(np.abs(v) > _PHASE_PIVOT))
-        phase = v[idx] / abs(v[idx])
-        vs.append(v / phase)
-    u = np.zeros((n, n), dtype=complex)
-    for i in range(k):
-        hi1 = h.image_frame.mats[i, 0]
-        for s_ in range(l):
-            u[:, i * l + s_] = hi1 @ vs[s_]
+    v = w[:, :l]
+    pivot = v[np.argmax(np.abs(v) > _PHASE_PIVOT, axis=0), np.arange(l)]
+    v = v / (pivot / np.abs(pivot))
+    u = (mats[:, 0] @ v).transpose(1, 0, 2).reshape(n, n)
     if not intertwiner_residual(h, u) <= tol.bound("intertwiner_guard") or not is_unitary(u, tol):
         raise ValueError("input not a unital *-homomorphism")
     return u

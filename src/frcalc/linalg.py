@@ -33,7 +33,7 @@ import numpy as np
 # The bound of every named pass/fail check, read by ``Tolerance.bound``: (factor, field)
 # is factor * tol.<field>, which the config moves, and (bound, None) one that no config moves.
 BOUNDS = {
-    "frame_axioms": (1.0, "abs_eps"),  # frame verify, alg extract; battery 1
+    "frame_axioms": (1.0, "abs_eps"),  # frame verify, alg extract, fred amplify; battery 1
     "commutation": (1e3, "abs_eps"),  # frames.dot, frame dot
     "frame_condition": (1e3, "abs_eps"),  # catverify.is_c_morphism, cat check-morphism
     "in_span": (1e3, "abs_eps"),  # off-span residuals: alg span, star_closed, D-morphisms

@@ -601,6 +601,28 @@ def test_fred_verbs(tmp_path, capsys):
     assert report["result"]["index"] == 2
 
 
+def test_fred_amplify_of_a_non_hom_exits_1_with_an_error(tmp_path, capsys):
+    """0.3 times the matrix units has the shape of a hom but fails the
+    frame axioms, so it is refused with one JSON line."""
+    from frcalc.generators import random_fredholm
+
+    bad = homspace.StarHom(2, 6, Frame(2, 6, 0.3 * matrix_unit_frame(2, 3).mats))
+    paths = _files(tmp_path, t=("operator", random_fredholm(2, 3, 2, 6)), h=("hom", bad))
+    code = run(["fred", "amplify", "--in", paths["t"], "--hom", paths["h"]])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["pass"] is False and report["error"] == "input not a unital *-homomorphism"
+    # a hom off the axioms by 2e-9 is refused at the default abs_eps only
+    off = _files(tmp_path, off=("hom", homspace.StarHom(2, 6, _off_frame())))["off"]
+    argv = ["fred", "amplify", "--in", paths["t"], "--hom", off]
+    config = tmp_path / "loose.toml"
+    config.write_text("abs_eps = 1e-6\n")
+    assert _run(capsys, argv)[0] == 1
+    code, report = _run(capsys, ["--config", str(config), *argv])
+    assert code == 0 and report["result"]["index"] == 6
+
+
 def test_alg_isk_of_a_commutative_span_exits_1_with_an_error(tmp_path, capsys):
     """The diagonal matrices of M_4 span a 4-dimensional algebra that is
     not an M_2: a failure with no residual, reported as an error."""

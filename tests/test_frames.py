@@ -55,6 +55,17 @@ def test_verify_rejects_scaled_frame():
     assert not report.max_error <= DEFAULT_TOL.bound("frame_axioms")
 
 
+def test_axiom_i_sees_every_left_factor():
+    """Only alpha[2,2] is off, by 1.5: alpha[2,2]^2 - alpha[2,2] = 0.75,
+    a product whose left factor is the last one taken.  A NaN entry
+    gives a NaN."""
+    mats = matrix_unit_frame(3, 2).mats.copy()
+    mats[2, 2] *= 1.5
+    assert verify_frame(Frame(3, 6, mats)).axiom_i_maxerr == pytest.approx(0.75)
+    mats[2, 2, 5, 5] = np.nan
+    assert np.isnan(verify_frame(Frame(3, 6, mats)).axiom_i_maxerr)
+
+
 def _pi1_oracle(beta, d1):
     # independent loop-based block sum
     d2 = beta.d // d1

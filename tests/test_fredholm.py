@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from frcalc.frames import Frame, matrix_unit_frame
 from frcalc.fredholm import DeskFredholm, amplify, conjugate, index, localize_index
 from frcalc.generators import random_fredholm
-from frcalc.homspace import random_hom
+from frcalc.homspace import StarHom, random_hom
 from frcalc.linalg import DEFAULT_TOL, random_unitary, svd_rank
 
 
@@ -73,6 +74,25 @@ def test_amplify_preserves_kernel_dimension_scaling():
     h = random_hom(2, 2, 11)
     amped = amplify(h, t)
     assert _rank(amped.finite_part) == 2 * rank
+
+
+def test_amplify_rejects_a_non_hom():
+    # 0.3 times the matrix units: the right shapes, but no frame
+    bad = StarHom(2, 6, Frame(2, 6, 0.3 * matrix_unit_frame(2, 3).mats))
+    with pytest.raises(ValueError, match="homomorphism"):
+        amplify(bad, random_fredholm(2, 3, 1, 8))
+
+
+@pytest.mark.parametrize("win_dom, win_cod", [(0, 2), (3, 0), (0, 0)])
+def test_empty_windows_keep_their_shape_and_index(win_dom, win_cod):
+    n, l = 2, 3
+    t = random_fredholm(n, win_dom, win_cod, 16)
+    assert index(t) == n * (win_dom - win_cod)
+    cases = [(conjugate(random_unitary(n, 17), t), n), (amplify(random_hom(n, l, 18), t), n * l)]
+    for moved, m in cases:
+        assert (moved.n, moved.win_dom, moved.win_cod) == (m, win_dom, win_cod)
+        assert moved.finite_part.shape == (m * win_cod, m * win_dom)
+        assert index(moved) == m * (win_dom - win_cod)
 
 
 def test_localize_index_consistency():

@@ -28,6 +28,17 @@ def test_ev_matches_manual_sum():
     assert max_abs(ev(h, t) - manual) == 0.0
 
 
+def test_ev_of_a_stack_is_ev_of_each_matrix():
+    h = random_hom(2, 3, 2)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 5, 2, 2)) + 1j * rng.standard_normal((4, 5, 2, 2))
+    each = np.array([[ev(h, x) for x in row] for row in stack])
+    assert ev(h, stack).shape == (4, 5, 6, 6)
+    assert max_abs(ev(h, stack) - each) < 1e-15
+    with pytest.raises(ValueError, match="2x2"):
+        ev(h, np.ones(4))
+
+
 def test_ev_is_multiplicative_and_unital():
     h = random_hom(3, 2, 2)
     rng = np.random.default_rng(0)

@@ -2,7 +2,9 @@
 package's contraction kernels, may use numpy's ``einsum`` or ``kron``:
 every other module contracts through those kernels.  Every public
 function or method of the package is named somewhere in the source or,
-by its frcalc name, in the benchmark, so no public API is dead.  And the
+by its frcalc name, in the benchmark, so no public API is dead, and
+every function that ``perfbench/tracer.py`` wraps by name is a public
+top-level function of its frcalc module.  And the
 package holds no ``assert`` statement: ``python -O`` strips them, so
 runtime checks are written as ``if ...: raise``.  No module of the
 package or the tests imports a name it does not use.  ``serialize``
@@ -177,6 +179,37 @@ def test_every_public_function_is_named_somewhere():
             for line, name in public_definitions(path.read_text(encoding="utf-8"))
             if name not in used]
     assert dead == []
+
+
+def traced_functions(source: str):
+    """The ``FUNCTIONS`` table of a tracer source, module -> names, read
+    with ``ast`` and not by importing it; {} when it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def public_functions(source: str):
+    """Names of the public top-level functions of a module."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_traced_function_is_a_public_top_level_function():
+    """A renamed or privatised kernel shows here, and not as a KeyError
+    in ``Tracer.metrics`` of a traced benchmark run."""
+    assert public_functions("def f(): pass\ndef _g(): pass\n"
+                            "class C:\n    def h(self): pass\n") == {"f"}
+    table = traced_functions((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    assert table
+    sources = {module: SRC / f"{module}.py" for module in table}
+    missing = [f"{module}.{name}" for module, names in table.items() for name in names
+               if not sources[module].exists()
+               or name not in public_functions(sources[module].read_text(encoding="utf-8"))]
+    assert missing == []
 
 
 def assert_lines(source: str):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frcalc import linalg
+from frcalc import fredholm, linalg
 from frcalc.fredholm import amplify
 from frcalc.frames import (Frame, dot, dot_with_residual, pi1, pi2, random_frame,
                            tensor_frame, verify_frame)
@@ -308,6 +308,15 @@ def test_amplify_matches_block_loop(n, l, win_dom, win_cod, seed):
     u = intertwiner(h)
     want = np.kron(u, np.eye(win_cod)) @ amp @ np.kron(u.conj().T, np.eye(win_dom))
     assert max_abs(amplify(h, t).finite_part - want) < 1e-13
+
+
+@EXAMPLES
+@given(SIZE, st.integers(1, 3), st.integers(1, 3), SEED)
+def test_conjugate_matches_kron_sandwich(n, win_dom, win_cod, seed):
+    t = random_fredholm(n, win_dom, win_cod, seed)
+    g = random_unitary(n, seed + 1)
+    want = np.kron(g, np.eye(win_cod)) @ t.finite_part @ np.kron(g.conj().T, np.eye(win_dom))
+    assert max_abs(fredholm.conjugate(g, t).finite_part - want) < 1e-13
 
 
 @EXAMPLES
