@@ -15,15 +15,30 @@ residual R = P - Q(Q* P) of two products, since Q is orthonormal.  If
 the Frobenius norm of R is at most ``rank_cutoff``, so is its largest
 singular value, and the loop stops without an SVD: span(Q) is closed
 under right multiplication by M and contains 1, so it is the algebra.
-Otherwise the added directions are the left singular vectors of R above
+Otherwise the round ranks a checked sketch of R, the randomized range
+finder of Halko, Martinsson & Tropp ("Finding structure with
+randomness", SIAM Review 53, 2011): U is the QR basis of R Omega for a
+fixed seeded complex Gaussian P x k matrix Omega, k starts at 2m + 8
+for the m directions the round multiplies, and it doubles until
+||R - U(U* R)||_F is at most 1e-3 rank_cutoff.  The residual's rank is
+the number of directions the round adds, usually far below its P
+columns, so the first width or the second passes.  At k = P the sketch
+spans every column of R, and at k = n^2 U is unitary, so the doubling
+ends.  The singular values of U* R are those of R within the part that
+U misses (Weyl), so one SVD of the k x P matrix U* R makes the rank
+decision of an SVD of R, save for a singular value within 1e-3
+rank_cutoff of the cut, and U misses less of R than one direction the
+cut drops.  The added
+directions are U times the left singular vectors of U* R above
 ``svd_rank``'s cut at the unit scale: Q's columns have norm 1 and every
 product column has Hilbert-Schmidt norm at most 1, whatever the
 generators' scale.  A weak direction, with singular value s, still
 carries a component of order eps/s along span(Q), so the kept vectors
 are projected off span(Q) once more and orthonormalized by QR before
 they join Q ("twice is enough": Giraud, Langou & Rozloznik, Comput.
-Math. Appl. 50, 2005).  Each round that adds directions takes one SVD,
-and the round that closes takes none.
+Math. Appl. 50, 2005).  Each round that adds directions ranks its sketch
+with one SVD of k <= min(P, n^2) rows, and the round that closes takes
+none.
 
 Centralizers are joint commutant kernels: the
 kernel of the Gram matrix G of X -> ([X, b])_b on a candidate subspace.
@@ -122,6 +137,8 @@ from .homspace import StarHom, ev
 # is deterministic without threading a seed through the public API.
 _GENERIC_SEED = 0x51DE
 _EIG_GAP = 1e-7
+# How much of a spinning residual, relative to rank_cutoff, its range sketch may miss.
+_SKETCH_FRACTION = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +163,10 @@ def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalge
     previous round added by an orthonormal basis of
     span(gens, gens*, 1) and projects the products off the span so far.
     The loop stops when that residual's Frobenius norm is at most
-    ``rank_cutoff``; a round that goes on keeps the left singular
-    vectors of the residual above ``rank_cutoff`` (unit scale) and
-    projects them off the span once more before appending them."""
+    ``rank_cutoff``; a round that goes on ranks a checked range sketch
+    of the residual with one SVD of the k x P product U* R and keeps U
+    times its left singular vectors above ``rank_cutoff`` (unit scale),
+    projected off the span once more before they are appended."""
     n = ambient
     gens = as_stack(gens, n)
     q = orthonormal_cols(np.concatenate([gens, gens.conj().swapaxes(1, 2), eye(n)[None]]), tol)
@@ -158,12 +176,31 @@ def span_subalgebra(gens, ambient: int, tol: Tolerance = DEFAULT_TOL) -> Subalge
         off -= q @ (q.conj().T @ off)
         if np.linalg.norm(off) <= tol.rank_cutoff:
             break
-        u, s, _ = np.linalg.svd(off, full_matrices=False)
-        added = u[:, :svd_rank(s, tol, scale=1.0)]
+        basis, coords = _range_sketch(off, 2 * len(new) + 8, tol)
+        u, s, _ = np.linalg.svd(coords, full_matrices=False)
+        added = basis @ u[:, :svd_rank(s, tol, scale=1.0)]
         added, _ = np.linalg.qr(added - q @ (q.conj().T @ added))
         q = np.concatenate([q, added], axis=1)
         new = added.T.reshape(-1, n, n)
     return Subalgebra(ambient, q.T.reshape(-1, n, n))
+
+
+def _range_sketch(r: np.ndarray, width: int, tol: Tolerance):
+    """Orthonormal columns U holding the columns of r to within
+    ``_SKETCH_FRACTION`` times ``rank_cutoff`` in Frobenius norm, and U* r:
+    U is the QR basis of r Omega for a cached complex Gaussian Omega with
+    ``width`` columns, and the width doubles until U passes that check or
+    reaches the column count of r (U then spans every column) or its row
+    count (U is unitary), where it is taken unchecked."""
+    rows, p = r.shape
+    full = min(p, rows)
+    k = min(width, full)
+    while True:
+        u, _ = np.linalg.qr(r @ _generic_coefficients(p * k, _GENERIC_SEED).reshape(p, k))
+        coords = u.conj().T @ r
+        if k == full or np.linalg.norm(r - u @ coords) <= _SKETCH_FRACTION * tol.rank_cutoff:
+            return u, coords
+        k = min(2 * k, full)
 
 
 def _off_span(mats, basis, tol: Tolerance) -> float:

@@ -23,6 +23,7 @@ from frcalc.grassmannian import (
     span_subalgebra,
     star_closed,
     tensor_subalgebra,
+    _generic_coefficients,
     _generic_eigenbasis,
     _linked_clusters,
     _unit_scaled,
@@ -235,6 +236,49 @@ def test_each_round_that_adds_directions_takes_one_svd(monkeypatch):
     alg = span_subalgebra(shift, 6)
     assert len(calls) == 1 + rounds
     assert alg.dim == 36
+    # Each round ranks a sketch of its residual, never the n^2-row residual.
+    assert all(rows < 36 for rows, _ in calls[1:])
+
+
+def _block_diagonal_generators(seed):
+    """Three generators in M_4 (+) M_4 inside M_8 with entries in
+    {-1, 0, 1} + i {-1, 0, 1}, as numpy and as sympy matrices."""
+    ints = np.random.default_rng(seed).integers(-1, 2, (2, 2, 3, 4, 4))
+    gens = np.zeros((3, 8, 8), dtype=complex)
+    gens[:, :4, :4] = ints[0, 0] + 1j * ints[1, 0]
+    gens[:, 4:, 4:] = ints[0, 1] + 1j * ints[1, 1]
+    exact = [sympy.Matrix(8, 8, lambda i, j: int(g.real[i, j]) + int(g.imag[i, j]) * sympy.I)
+             for g in gens]
+    return gens, exact
+
+
+def test_a_residual_above_the_sketch_width_doubles_it(monkeypatch):
+    """The 7 multipliers give 49 products whose residual has rank 25, more
+    than the starting width 2 * 7 + 8 = 22: the sketch doubles to 44
+    columns, which hold the residual, and the round is ranked from a 44-row
+    SVD."""
+    gens, exact = _block_diagonal_generators(0)
+    qrs = _call_counter(monkeypatch, "qr")
+    svds = _svd_counter(monkeypatch)
+    alg = span_subalgebra(gens, 8)
+    monkeypatch.undo()
+    assert qrs[:2] == [(64, 22), (64, 44)]
+    assert svds[1] == (44, 49)
+    assert alg.dim == _exact_span_dim(exact, 8)
+    q = vectorize(alg.basis)
+    assert max_abs(q.conj().T @ q - np.eye(alg.dim)) <= linalg.DEFAULT_TOL.bound("orthonormal")
+    assert closure_residual(alg) <= 1e-10
+
+
+def test_span_is_bitwise_deterministic_and_reuses_its_draws():
+    """The sketch matrix is a fixed cached draw: a second span of the same
+    generators draws nothing new and returns the same bits."""
+    gens, _ = _block_diagonal_generators(0)
+    first = span_subalgebra(gens, 8)
+    misses = _generic_coefficients.cache_info().misses
+    second = span_subalgebra(gens, 8)
+    assert _generic_coefficients.cache_info().misses == misses
+    assert first.basis.tobytes() == second.basis.tobytes()
 
 
 def test_lambda_map_dimension():
