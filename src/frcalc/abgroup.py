@@ -8,9 +8,10 @@ top-left block of a list-of-lists tableau, and each row or column
 operation on D carries whatever the tableau stores beside it in the same
 pass.  Each caller builds only the tableau it reads: ``smith_normal_form``
 builds [[D, U], [V, 0]] (U, which `ab snf` writes, witnesses U m V = D),
-kernels and lattice membership build [[D], [V]], and invariant factors
-build [[D]].  The pivots depend on D alone, so D and V agree entry for
-entry across the three shapes.
+kernels out of groups with relations and lattice membership build
+[[D], [V]], and invariant factors build [[D]]; kernels out of free groups
+read two ranks from [[D]] tableaux.  The pivots depend on D alone, so D
+and V agree entry for entry across the three shapes.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ def smith_normal_form(m):
     then one list comprehension over a whole row, which carries U, and a
     column operation on D one loop over the rows, which carries V; U and
     V are sliced out at the end, and a determinant checks both on every
-    call.  Callers that read less build less: kernels and lattice
-    membership reduce [[D], [V]], invariant factors [[D]] alone, with
-    the same pivots, so their D and V are the ones returned here.
+    call.  Callers that read less build less: integer kernels and
+    lattice membership reduce [[D], [V]], invariant factors [[D]] alone,
+    with the same pivots, so their D and V are the ones returned here.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -149,11 +150,12 @@ def smith_normal_form(m):
     return u, d, v
 
 
-def _diagonal_and_v_columns(m):
+def _diagonal_and_v_columns(m, cols):
     """The diagonal of D (zero past the rank, one entry per column) and
-    the columns of V of the Smith normal form of m, reduced on the
-    tableau [[D], [V]]; V is checked unimodular and not kept."""
-    rows, cols = len(m), len(m[0])
+    the columns of V of the Smith normal form of m, which has ``cols``
+    columns, reduced on the tableau [[D], [V]]; V is checked unimodular
+    and not kept."""
+    rows = len(m)
     tab = [list(row) for row in m] + [[int(i == j) for j in range(cols)] for i in range(cols)]
     _eliminate(tab, rows, cols)
     v = tab[rows:]
@@ -162,12 +164,10 @@ def _diagonal_and_v_columns(m):
     return [tab[j][j] if j < rows else 0 for j in range(cols)], list(zip(*v))
 
 
-def invariant_factors(m):
+def invariant_factors(m, cols):
     """Nontrivial invariant factors (> 1) and the free rank of the
-    cokernel of the relation matrix."""
-    cols = len(m[0]) if m else 0
-    if not m:
-        return [], cols
+    cokernel of the relation matrix m, which has ``cols`` columns even
+    when it has no rows."""
     d = [list(row) for row in m]
     _eliminate(d, len(d), cols)
     nonzero = [abs(d[i][i]) for i in range(min(len(d), cols)) if d[i][i]]
@@ -205,7 +205,7 @@ class AbGroupPresentation:
         """(invariant factors d_1 | d_2 | ..., free rank)."""
         if not self.rels:
             return [], self.gens
-        return invariant_factors([list(r) for r in self.rels])
+        return invariant_factors(self.rels, self.gens)
 
     @staticmethod
     def diagonal(factors, free_rank):
@@ -222,12 +222,13 @@ class AbGroupPresentation:
         return not factors and free_rank == 0
 
 
-def _relation_lattice_contains(rels, vecs):
+def _relation_lattice_contains(rels, cols, vecs):
     """Whether every vector of vecs lies in the integer row span of
-    rels; one Smith normal form of rels serves them all."""
+    rels, which has ``cols`` columns; one Smith normal form of rels
+    serves them all."""
     if not rels:
         return all(x == 0 for vec in vecs for x in vec)
-    diag, columns = _diagonal_and_v_columns(rels)
+    diag, columns = _diagonal_and_v_columns(rels, cols)
     # vec in rowspan(M) iff vec*V has coordinates divisible by the
     # diagonal (and zero beyond the rank).
     for vec in vecs:
@@ -238,13 +239,10 @@ def _relation_lattice_contains(rels, vecs):
     return True
 
 
-def integer_kernel(m):
-    """Basis (as rows) of {x : m x = 0} over the integers."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    diag, columns = _diagonal_and_v_columns(m)
+def integer_kernel(m, cols):
+    """Basis (as rows) of {x in Z^cols : m x = 0}; m has ``cols``
+    columns even when it has no rows."""
+    diag, columns = _diagonal_and_v_columns(m, cols)
     return [list(column) for dj, column in zip(diag, columns) if dj == 0]
 
 
@@ -269,7 +267,7 @@ class GroupHom:
     def is_well_defined(self):
         images = [[sum(self.matrix[i][j] * rel[j] for j in range(self.src.gens))
                    for i in range(self.dst.gens)] for rel in self.src.rels]
-        return not images or _relation_lattice_contains(self.dst.rels, images)
+        return not images or _relation_lattice_contains(self.dst.rels, self.dst.gens, images)
 
 
 def _require_well_defined(f: GroupHom):
@@ -282,11 +280,14 @@ def cokernel(f: GroupHom) -> AbGroupPresentation:
     return _cokernel(f)
 
 
+def _cokernel_relations(f: GroupHom):
+    """The target's relations B stacked on M^T, the images of the source
+    generators: a relation matrix of the cokernel."""
+    return [*f.dst.rels, *zip(*f.matrix)]
+
+
 def _cokernel(f: GroupHom) -> AbGroupPresentation:
-    rels = [list(r) for r in f.dst.rels]
-    for j in range(f.src.gens):
-        rels.append([f.matrix[i][j] for i in range(f.dst.gens)])
-    return AbGroupPresentation.from_rows(f.dst.gens, rels).canonical_presentation()
+    return AbGroupPresentation.diagonal(*invariant_factors(_cokernel_relations(f), f.dst.gens))
 
 
 def kernel(f: GroupHom) -> AbGroupPresentation:
@@ -296,12 +297,18 @@ def kernel(f: GroupHom) -> AbGroupPresentation:
 
 def _kernel(f: GroupHom) -> AbGroupPresentation:
     g, h = f.src.gens, f.dst.gens
+    if not f.src.rels:
+        # The kernel is a subgroup of Z^g, hence free, and exactness of
+        # 0 -> ker (x) Q -> Q^g -> dst (x) Q -> coker (x) Q -> 0 gives
+        # its rank from the free ranks of the target and the cokernel.
+        return AbGroupPresentation.free(
+            g - f.dst.canonical()[1] + invariant_factors(_cokernel_relations(f), h)[1])
     n_rels = len(f.dst.rels)
     # Solutions of M x = R^T y: integer kernel of [M | -R^T], x part.
     combined = [[f.matrix[i][j] for j in range(g)] +
                 [-f.dst.rels[r][i] for r in range(n_rels)]
                 for i in range(h)]
-    solutions = integer_kernel(combined)
+    solutions = integer_kernel(combined, g + n_rels)
     lattice_gens = [row[:g] for row in solutions]  # generating set of K
     if not lattice_gens:
         return AbGroupPresentation.free(0)
@@ -312,7 +319,7 @@ def _kernel(f: GroupHom) -> AbGroupPresentation:
     combined2 = [[lattice_gens[t][j] for t in range(p)] +
                  [-f.src.rels[r][j] for r in range(n_src_rels)]
                  for j in range(g)]
-    rel_solutions = integer_kernel(combined2)
+    rel_solutions = integer_kernel(combined2, p + n_src_rels)
     rels = [row[:p] for row in rel_solutions]
     return AbGroupPresentation.from_rows(p, rels).canonical_presentation()
 

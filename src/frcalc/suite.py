@@ -263,8 +263,10 @@ def _abgroup(seed, count):
                                 or [x for x in diag if x] != _gcd_minors_factors(m))}
 
     z, z12 = AbGroupPresentation.free(1), AbGroupPresentation.cyclic(12)
+    z2 = AbGroupPresentation.cyclic(2)
     coker_ker = [cokernel(GroupHom.from_rows(z, z, [[2]])).canonical() == ([2], 0),
                  kernel(GroupHom.from_rows(z, z, [[2]])).is_trivial(),
+                 kernel(GroupHom.from_rows(z, z2, [[1]])).canonical() == ([], 1),
                  cokernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0),
                  kernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0)]
     yield {"coker_ker_failures": not all(coker_ker)}

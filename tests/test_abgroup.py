@@ -122,7 +122,7 @@ def test_every_tableau_shape_gives_the_same_d_and_v():
         _, d, v = smith_normal_form(m)
         assert _eliminated(m, with_v=True) == (d, v)
         assert _eliminated(m, with_v=False) == (d, [])
-        diag, columns = abgroup._diagonal_and_v_columns(m)
+        diag, columns = abgroup._diagonal_and_v_columns(m, c)
         assert diag == [d[j][j] if j < r else 0 for j in range(c)]
         assert columns == list(zip(*v))
 
@@ -134,8 +134,8 @@ def test_every_built_transform_is_checked_unimodular(monkeypatch):
     with pytest.raises(ArithmeticError, match="unimodular"):
         smith_normal_form([[2, 4], [6, 8]])
     with pytest.raises(ArithmeticError, match="unimodular"):
-        integer_kernel([[2, 4], [6, 8]])
-    assert invariant_factors([[2, 4], [6, 8]]) == ([2, 4], 0)
+        integer_kernel([[2, 4], [6, 8]], 2)
+    assert invariant_factors([[2, 4], [6, 8]], 2) == ([2, 4], 0)
 
 
 def _check_snf_against_sympy(m, u, d, v):
@@ -209,14 +209,14 @@ def test_snf_against_gcd_minors_oracle():
 
 
 def test_invariant_factors_drop_units():
-    factors, rank = invariant_factors([[1, 0, 0], [0, 2, 0]])
+    factors, rank = invariant_factors([[1, 0, 0], [0, 2, 0]], 3)
     assert factors == [2]
     assert rank == 1
 
 
 def test_integer_kernel_oracle():
     m = [[1, 2, 3], [2, 4, 6]]
-    basis = integer_kernel(m)
+    basis = integer_kernel(m, 3)
     assert len(basis) == 2
     for row in basis:
         assert all(sum(m[i][j] * row[j] for j in range(3)) == 0 for i in range(2))
@@ -347,6 +347,66 @@ def test_kernel_of_injection_trivial():
     f = GroupHom.from_rows(z, z, [[5]])
     assert kernel(f).is_trivial()
     assert cokernel(f).canonical() == ([5], 0)
+
+
+def _with_a_zero_relation(gens):
+    """Z^gens presented with one zero relation row, which sends its
+    kernels down the two-stage path for sources with relations."""
+    return AbGroupPresentation.from_rows(gens, [[0] * gens])
+
+
+_Z0 = AbGroupPresentation.free(0)
+_Z_MOD_3_RELS = AbGroupPresentation.from_rows(1, [[-2], [1], [2]])
+_Z2_MOD_2_RELS = AbGroupPresentation.from_rows(2, [[2, 0], [4, 0]])
+ZERO_WIDTH_KERNELS = {
+    # (source, target, matrix, canonical form of the kernel)
+    "0 -> Z/<-2, 1, 2>": (_Z0, _Z_MOD_3_RELS, [[]], ([], 0)),
+    "0 -> Z^2/<(2, 0), (4, 0)>": (_Z0, _Z2_MOD_2_RELS, [[], []], ([], 0)),
+    "Z^3 -> 0": (AbGroupPresentation.free(3), _Z0, [], ([], 3)),
+    "Z/4 + Z -> 0": (AbGroupPresentation.from_rows(2, [[4, 0]]), _Z0, [], ([4], 1)),
+    "0 with a zero relation -> Z/<-2, 1, 2>":
+        (_with_a_zero_relation(0), _Z_MOD_3_RELS, [[]], ([], 0)),
+    "0 with a zero relation -> Z^2/<(2, 0), (4, 0)>":
+        (_with_a_zero_relation(0), _Z2_MOD_2_RELS, [[], []], ([], 0)),
+    "Z^3 with a zero relation -> 0": (_with_a_zero_relation(3), _Z0, [], ([], 3)),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_WIDTH_KERNELS)
+def test_kernels_at_zero_width(name):
+    """A map out of or into a group of no generators: the kernel is 0
+    out of Z^0 and the whole source into 0, on both kernel paths."""
+    src, dst, matrix, want = ZERO_WIDTH_KERNELS[name]
+    assert kernel(GroupHom.from_rows(src, dst, matrix)).canonical() == want
+
+
+def test_integer_kernel_and_invariant_factors_take_the_width():
+    """A matrix with no rows still has its columns: its kernel is all of
+    Z^cols and its cokernel free of rank cols."""
+    assert integer_kernel([], 2) == [[1, 0], [0, 1]]
+    assert invariant_factors([], 3) == ([], 3)
+    assert integer_kernel([[], []], 0) == []
+
+
+def _rank(rows, cols):
+    return Matrix(len(rows), cols, [x for row in rows for x in row]).rank()
+
+
+def test_free_source_kernels_agree_with_the_two_stage_path_and_the_ranks():
+    """Out of Z^g (g = 0-4) into Z^h/B (h = 1-4, 0-3 relations, entries
+    in [-9, 9]) the kernel read from two ranks equals the kernel of the
+    same map out of Z^g with a zero relation, and is free of rank
+    g + rank B - rank [B; M^T] (sympy's ranks)."""
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        g, h, n = (int(x) for x in rng.integers((0, 1, 0), (5, 5, 4)))
+        rels = rng.integers(-9, 10, (n, h)).tolist()
+        matrix = rng.integers(-9, 10, (h, g)).tolist()
+        dst = AbGroupPresentation.from_rows(h, rels)
+        ker = kernel(GroupHom.from_rows(AbGroupPresentation.free(g), dst, matrix))
+        assert ker == kernel(GroupHom.from_rows(_with_a_zero_relation(g), dst, matrix))
+        images = [list(column) for column in zip(*matrix)]
+        assert ker == AbGroupPresentation.free(g + _rank(rels, h) - _rank(rels + images, h))
 
 
 def test_localize_strips_l_primary():

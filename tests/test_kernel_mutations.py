@@ -19,7 +19,7 @@ from frcalc.suite import BATTERIES, run_battery
 
 apply_frame, kron_stack = linalg.apply_frame, linalg.kron_stack
 centralizer = grassmannian.centralizer
-pi2, eliminate = frames.pi2, abgroup._eliminate
+pi2, eliminate, kernel_ = frames.pi2, abgroup._eliminate, abgroup._kernel
 ev = homspace.ev
 BY_NAME = {battery.name: battery for battery in BATTERIES}
 
@@ -75,6 +75,14 @@ def _eliminate_with_a_wrong_diagonal(tab, rows, cols):
     eliminate(tab, rows, cols)
     if rows and cols:
         tab[0][0] += 1
+
+
+def _kernel_ignoring_target_relations(f):
+    """``abgroup._kernel`` that takes a map out of a free group as a map
+    into the target's generators alone, of kernel rank g - rank M^T."""
+    if not f.src.rels:
+        f = abgroup.GroupHom(f.src, abgroup.AbGroupPresentation.free(f.dst.gens), f.matrix)
+    return kernel_(f)
 
 
 def _zero_block(n, win_dom, win_cod):
@@ -137,14 +145,19 @@ MUTANTS = {
                ["abgroup"], raises=True),
     # Both report rather than raise: U and V stay unimodular, so the
     # unimodularity check passes, and U m V != D counts as snf_failures.
-    # A V without the reductions also gives kernel a wrong basis, which
-    # coker_ker_failures counts; the battery reads U only in U m V.
+    # A V without the reductions also gives the kernel out of Z/12 a
+    # wrong basis, which coker_ker_failures counts; the battery reads U
+    # only in U m V.
     "Smith normal form whose column operations do not carry V":
         Mutant([(abgroup, "_eliminate", _eliminate_with_column_operations_on_d_only())],
                ["abgroup"]),
     "Smith normal form whose row operations do not carry U":
         Mutant([(abgroup, "_eliminate", _eliminate_with_row_operations_on_d_only())],
                ["abgroup"]),
+    # Only kernel(Z -> Z/2, x -> x), which is Z, maps a free group into
+    # a group with relations.
+    "free-source kernel that ignores the target's relations":
+        Mutant([(abgroup, "_kernel", _kernel_ignoring_target_relations)], ["abgroup"]),
     # dim ker and dim coker change while the index n*(win_dom - win_cod)
     # of the all-zero block stays right.
     "conjugate and amplify that return all-zero blocks":
