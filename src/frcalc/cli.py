@@ -110,6 +110,25 @@ def _centralizer(tol, alg):
                    commutation=grassmannian.commutation_defect(alg, z))
 
 
+def _algebras(tol, **algs):
+    """Raise unless each named input spans a unital *-algebra."""
+    for flag, alg in algs.items():
+        if not grassmannian.spans_algebra(alg.basis, tol):
+            raise ValueError(f"--{flag} does not span a unital *-algebra")
+
+
+def _grmap(tol, f, a_prime, a, b):
+    _algebras(tol, aprime=a_prime, a=a, b=b)
+    alg = grassmannian.gr_map(f, a_prime, a, b, tol)
+    return _made(alg, {"dim": alg.dim})
+
+
+def _ztensor(tol, f, g, a, b, phi, psi):
+    _algebras(tol, a=a, b=b, phi=phi, psi=psi)
+    return _within(tol, "subspace_distance", subspace_distance=(
+        grassmannian.centralizer_tensor_check(f, g, a, b, phi, psi, tol)[1]))
+
+
 def _extract(tol, alg, d):
     fr = grassmannian.extract_frame(alg, d, tol)
     return _within(tol, "frame_axioms", fr, frame_axioms=frames.verify_frame(fr).max_error)
@@ -205,11 +224,9 @@ VERBS = (
     Verb("alg isk", "grassmannian.is_k_subalgebra", "--in alg --d size", None, _is_k),
     Verb("alg extract", "grassmannian.extract_frame", "--in alg --d size", "frame", _extract),
     Verb("alg grmap", "grassmannian.gr_map", "--hom hom --aprime alg --a alg --b alg", "alg",
-         lambda tol, *data: _made(alg := grassmannian.gr_map(*data, tol), {"dim": alg.dim})),
+         _grmap),
     Verb("alg ztensor", "grassmannian.centralizer_tensor_check",
-         "--f hom --g hom --a alg --b alg --phi alg --psi alg", None,
-         lambda tol, *data: _within(tol, "subspace_distance", subspace_distance=(
-             grassmannian.centralizer_tensor_check(*data, tol)[1]))),
+         "--f hom --g hom --a alg --b alg --phi alg --psi alg", None, _ztensor),
     Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split size?", None,
          lambda tol, h, src, dst, split: _within(tol, "frame_condition", frame_condition=(
              catverify.is_c_morphism(h, src, dst, split or src.d, tol)[1]))),

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, conjugate as conjugate_stack, svd_rank
-from .frames import conjugate_frame, trivial_frame, verify_frame
+from .linalg import DEFAULT_TOL, Tolerance, conjugate as conjugate_stack, is_unitary, svd_rank
+from .frames import verify_frame
 from .homspace import StarHom, ev
 
 
@@ -74,7 +74,8 @@ def _entrywise(act, t: DeskFredholm) -> DeskFredholm:
 def conjugate(g: np.ndarray, t: DeskFredholm, tol: Tolerance = DEFAULT_TOL) -> DeskFredholm:
     """Conjugation by a unitary g, acting as g (x) Id: Ad g entrywise, as
     g T_{i,j} g* on each block (Ad g's frame would have n^4 entries)."""
-    conjugate_frame(g, trivial_frame(t.n), tol)  # checks g's shape and unitarity
+    if g.shape != (t.n, t.n) or not is_unitary(g, tol):
+        raise ValueError("conjugator must be a unitary of the operator's algebra size")
     return _entrywise(lambda blocks: conjugate_stack(g, blocks), t)
 
 

@@ -407,6 +407,20 @@ def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _off_span(adj, mats, tol) <= tol.bound("in_span")
 
 
+def spans_algebra(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True when the span of a stack is a unital *-algebra.  The y of the
+    span with x y in the span for every x of it form a subspace, so one
+    generic y decides closure under products, with probability 1, in dim
+    products.  Those products x y, of the stack and y scaled by
+    ``_unit_scaled``, the adjoints and the unit are projected off the span
+    of the stack as given once, as in ``star_closed``."""
+    x = _unit_scaled(mats)
+    n = x.shape[-1]
+    y = _unit_scaled(_generic_element(x, n, _GENERIC_SEED))
+    cands = np.concatenate([x @ y, x.conj().transpose(0, 2, 1), eye(n)[None]])
+    return _off_span(cands, mats, tol) <= tol.bound("in_span")
+
+
 def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
     """True when b's basis is an orthonormal basis of all of M_n, tested
     as x = Q Q* x for one generic x; n^2 matrices that are dependent or

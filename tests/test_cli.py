@@ -20,7 +20,7 @@ from frcalc.grassmannian import Subalgebra, lambda_map
 from frcalc.generators import (MorphismConfig, random_c_morphism, random_d_morphism,
                                random_source_frame)
 from frcalc.homspace import random_hom
-from frcalc.linalg import eye, kron_stack
+from frcalc.linalg import eye, kron_stack, orthonormal_span
 from frcalc.serialize import MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json
 
 SUITE_STDOUT = pathlib.Path(__file__).with_name("suite_seed7_stdout.json")
@@ -555,6 +555,30 @@ def test_ab_snf_of_empty_matrix(tmp_path, capsys):
     path.write_text("[]")
     code, report = _run(capsys, ["ab", "snf", "--in", str(path)])
     assert code == 0 and report["result"]["diagonal"] == []
+
+
+def _with_non_algebra_b(tmp_path):
+    """The inputs of ``alg grmap`` and ``alg ztensor`` for D-morphisms of
+    M_2 into M_4, with B replaced by the span of f(A) and one random
+    matrix: f(A) still lies in it, so only the algebra check can fail."""
+    cfg = MorphismConfig(2, 1, 2, 2)
+    f, g = random_d_morphism(cfg, 20), random_d_morphism(cfg, 30)
+    rng = np.random.default_rng(3)
+    extra = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
+    b = Subalgebra(4, orthonormal_span(np.concatenate([homspace.ev(f.f, f.a.basis), extra])))
+    return _files(tmp_path, f=("hom", f.f), g=("hom", g.f), a=("alg", f.a), b=("alg", b),
+                  phi=("alg", g.a), psi=("alg", g.b))
+
+
+@pytest.mark.parametrize("verb", ["grmap", "ztensor"])
+def test_alg_verbs_refuse_an_input_that_is_not_an_algebra(tmp_path, capsys, verb):
+    paths = _with_non_algebra_b(tmp_path)
+    flags = {"grmap": "--hom f --aprime a --a a --b b",
+             "ztensor": "--f f --g g --a a --b b --phi phi --psi psi"}[verb].split()
+    argv = ["alg", verb] + [paths[x] if x in paths else x for x in flags]
+    code, report = _run(capsys, argv)
+    assert code == 1 and report["pass"] is False
+    assert report["error"] == "--b does not span a unital *-algebra"
 
 
 def test_alg_centralizer_verb(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
+
+from frcalc.cli import run
 
 from frcalc.frames import (
     Frame,
@@ -19,6 +24,7 @@ from frcalc.frames import (
     verify_frame,
 )
 from frcalc.linalg import DEFAULT_TOL, max_abs, random_unitary
+from frcalc.serialize import dump_json
 
 
 def test_basepoint_frame_passes_exactly():
@@ -56,14 +62,87 @@ def test_verify_rejects_scaled_frame():
 
 
 def test_axiom_i_sees_every_left_factor():
-    """Only alpha[2,2] is off, by 1.5: alpha[2,2]^2 - alpha[2,2] = 0.75,
-    a product whose left factor is the last one taken.  A NaN entry
-    gives a NaN."""
+    """Only alpha[2,2] is off, by 1.5.  Then sum_j alpha[0,j] alpha[j,2] =
+    (1 + 1 + 1.5) e_02 = 3.5 e_02 against d e_02 = 3 e_02, and so is the
+    sum for alpha[2,0]: the residual 0.5, divided by d = 3, is 1/6, and the
+    off factor is the last one taken.  A NaN entry gives a NaN."""
     mats = matrix_unit_frame(3, 2).mats.copy()
     mats[2, 2] *= 1.5
-    assert verify_frame(Frame(3, 6, mats)).axiom_i_maxerr == pytest.approx(0.75)
+    assert verify_frame(Frame(3, 6, mats)).axiom_i_maxerr == pytest.approx(1 / 6)
     mats[2, 2, 5, 5] = np.nan
     assert np.isnan(verify_frame(Frame(3, 6, mats)).axiom_i_maxerr)
+
+
+def _axiom_i_all_pairs(stack):
+    """The d^4 form of axiom (i): max |alpha[i,j] alpha[r,s] - delta_jr alpha[i,s]|."""
+    d = len(stack)
+    return max_abs(np.einsum("ijab,rsbc->ijrsac", stack, stack)
+                   - np.einsum("jr,isac->ijrsac", np.eye(d), stack))
+
+
+def _both_max_errors(fr):
+    """``max_error`` of verify_frame, and the same with axiom (i) in its d^4 form."""
+    report = verify_frame(fr)
+    old = max(_axiom_i_all_pairs(fr.mats), report.axiom_ii_maxerr, report.axiom_iii_maxerr)
+    return old, report.max_error
+
+
+def test_axiom_i_identity_tracks_all_pairs_on_perturbed_frames():
+    """On 288 random frames (d 2-5, cofactor 1-3) perturbed by 1e-13 to
+    1e-2, the d^4 form's ``max_error`` is 1 to 2 times that of the identity."""
+    rng = np.random.default_rng(26)
+    for d, cofactor, noise, _ in itertools.product(range(2, 6), (1, 2, 3),
+                                                   10.0 ** np.arange(-13, -1), range(2)):
+        fr = random_frame(d, d * cofactor, int(rng.integers(1 << 30)))
+        shape = fr.mats.shape
+        mats = fr.mats + noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        old, new = _both_max_errors(Frame(d, d * cofactor, mats))
+        assert 1.0 <= old / new <= 2.0, (d, cofactor, noise, old, new)
+
+
+@pytest.mark.parametrize("fault", ["index_pair", "entrywise_transpose", "adjoint_e01", "scale"])
+@pytest.mark.parametrize("d, cofactor", [(2, 2), (3, 2), (4, 3)])
+def test_structured_faults_stay_large_under_both_forms(fault, d, cofactor):
+    n = d * cofactor
+    mats = random_frame(d, n, 5 * d + cofactor).mats.copy()
+    if fault == "index_pair":
+        mats = mats.transpose(1, 0, 2, 3)
+    elif fault == "entrywise_transpose":
+        mats = mats.transpose(0, 1, 3, 2)
+    elif fault == "adjoint_e01":
+        mats[0, 1] = mats[0, 1].conj().T
+    else:
+        mats = 1.01 * mats
+    old, new = _both_max_errors(Frame(d, n, mats))
+    assert min(old, new) >= 0.04, (old, new)
+
+
+def _refused_by_frame_verify(fr, tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    dump_json("frame", fr, str(path))
+    code = run(["frame", "verify", "--in", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    return code == 1 and report["pass"] is False
+
+
+def test_axioms_ii_and_iii_refuse_exact_product_relations(tmp_path, capsys):
+    """Two systems whose products obey axiom (i) exactly: S e_ij S^-1 for
+    an invertible, non-unitary S breaks only (iii); e_ij (x) P for a
+    proper projection P breaks (ii) (and, with it, the norms of (iii))."""
+    bound = DEFAULT_TOL.bound("frame_axioms")
+    units = matrix_unit_frame(2, 3)
+    s = np.eye(6) + 0.5 * np.triu(np.ones((6, 6)), 1)
+    similar = Frame(2, 6, s @ units.mats @ np.linalg.inv(s))
+    report = verify_frame(similar)
+    assert report.axiom_i_maxerr < 1e-14 and report.axiom_ii_maxerr < 1e-14
+    assert report.axiom_iii_maxerr > bound
+    assert _refused_by_frame_verify(similar, tmp_path, capsys)
+
+    proj = np.diag([1.0, 1.0, 0.0])
+    compressed = Frame(2, 6, np.kron(matrix_unit_frame(2, 1).mats, proj))
+    report = verify_frame(compressed)
+    assert report.axiom_i_maxerr == 0.0 and report.axiom_ii_maxerr > bound
+    assert _refused_by_frame_verify(compressed, tmp_path, capsys)
 
 
 def _pi1_oracle(beta, d1):

@@ -56,6 +56,8 @@ def test_conjugate_rejects_non_unitary():
     t = random_fredholm(2, 2, 1, 7)
     with pytest.raises(ValueError, match="unitary"):
         conjugate(np.ones((2, 2)), t)
+    with pytest.raises(ValueError, match="unitary"):
+        conjugate(np.eye(3), t)
 
 
 def test_amplification_multiplies_index():

@@ -21,6 +21,7 @@ from frcalc.grassmannian import (
     lambda_map,
     relative_centralizer,
     span_subalgebra,
+    spans_algebra,
     star_closed,
     tensor_subalgebra,
     _generic_coefficients,
@@ -709,6 +710,24 @@ def test_star_closed_ignores_the_input_scale(c):
     e12[0, 1] = c
     assert not star_closed([e12])
     assert star_closed([e12, e12.T])
+
+
+@pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+def test_spans_algebra_sees_products_adjoints_and_the_unit(c):
+    """lambda(alpha) for a frame of M_2 in M_4 and M_1 + M_3 are unital
+    *-algebras at any scale c.  lambda(alpha) plus a random matrix is not
+    closed under products, span{1, E_12} not under adjoints, and span{E_11}
+    and the empty span hold no unit."""
+    units = np.eye(16, dtype=complex).reshape(4, 4, 4, 4)
+    algebra = lambda_map(random_frame(2, 4, 3)).basis
+    assert spans_algebra(c * algebra)
+    assert spans_algebra(c * np.concatenate([units[:1, 0], units[1:, 1:].reshape(-1, 4, 4)]))
+    rng = np.random.default_rng(4)
+    extra = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
+    assert not spans_algebra(c * np.concatenate([algebra, extra]))
+    assert not spans_algebra(c * np.array([np.eye(4), units[0, 1]]))
+    assert not spans_algebra(c * units[:1, 0])
+    assert not spans_algebra(np.zeros((0, 3, 3), dtype=complex))
 
 
 def test_gr_map_with_basepoint_hom():
