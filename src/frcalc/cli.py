@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from . import abgroup, catverify, frames, fredholm, generators, grassmannian, homspace
+from . import abgroup, catverify, frames, fredholm, generators, grassmannian, homspace, linalg
 from .config import UsageError, load_settings
 from .serialize import CODECS, FormatError, decode, dump_json, load_json
 from .suite import judge, run_suite
@@ -106,14 +106,16 @@ def _centralizer(tol, alg):
     if not grassmannian.star_closed(alg.basis, tol):
         raise ValueError("the basis does not span a *-closed set")
     z = grassmannian.centralizer(alg, tol)
+    ortho = grassmannian.Subalgebra(alg.ambient, linalg.orthonormal_span(alg.basis, tol))
     return _within(tol, "centralizer", z, {"dim": z.dim},
-                   commutation=grassmannian.commutation_defect(alg, z))
+                   commutation=grassmannian.commutation_defect(ortho, z))
 
 
 def _algebras(tol, **algs):
     """Raise unless each named input spans a unital *-algebra."""
+    bound = {"closure": tol.bound("in_span")}
     for flag, alg in algs.items():
-        if not grassmannian.spans_algebra(alg.basis, tol):
+        if not judge([{"closure": grassmannian.closure_residual(alg, tol)}], bound)[0]:
             raise ValueError(f"--{flag} does not span a unital *-algebra")
 
 

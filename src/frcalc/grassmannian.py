@@ -40,6 +40,17 @@ Math. Appl. 50, 2005).  Each round that adds directions ranks its sketch
 with one SVD of k <= min(P, n^2) rows, and the round that closes takes
 none.
 
+A verdict on a span reads the span alone, not the scale of its basis.
+Every off-span residual goes through ``_off_span``, which scales its
+candidates by the power of two that puts their largest entry in
+[0.5, 1) and projects them off the span once.  ``star_closed`` projects
+the adjoints, the D-morphism test f(A) in B the images, and
+``closure_residual``, the one test of a unital *-algebra, the products
+x y of each basis element x with one generic y of the span, the
+adjoints and the unit: the y with A y in A form a subspace of A, so one
+generic y decides closure under products, with probability 1, in dim
+products instead of dim^2.
+
 Centralizers are joint commutant kernels: the
 kernel of the Gram matrix G of X -> ([X, b])_b on a candidate subspace.
 
@@ -204,19 +215,26 @@ def _range_sketch(r: np.ndarray, width: int, tol: Tolerance):
 
 
 def _off_span(mats, basis, tol: Tolerance) -> float:
-    """Largest entry of the part of the stack ``mats`` that lies outside
-    span(basis): one residual C - Q(Q* C) over all of them."""
-    c = vectorize(mats)
+    """Largest entry of the part of the stack ``mats``, scaled by
+    ``_unit_scaled``, that lies outside span(basis): one residual
+    C - Q(Q* C) over all of them.  Neither stack's scale is read, and an
+    orthonormal basis needs no SVD."""
+    c = vectorize(_unit_scaled(mats))
     q = orthonormal_cols(basis, tol)
     return max_abs(c - q @ (q.conj().T @ c))
 
 
 def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Worst distance of a basis product or adjoint from the span."""
-    x = a.basis
-    cands = np.concatenate([pair_products(x, x).reshape(-1, a.ambient, a.ambient),
-                            x.conj().transpose(0, 2, 1)])
-    return _off_span(cands, x, tol)
+    """How far span(a) is from a unital *-algebra: the ``_off_span``
+    residual of the products x y, for each x of the unit-scaled basis
+    and one generic y of its span, the adjoints and the unit.  The y of
+    the span with x y in the span for every x of it form a subspace, so
+    one generic y decides closure under products, with probability 1, in
+    dim products."""
+    x = _unit_scaled(a.basis)
+    y = _unit_scaled(_generic_element(x, a.ambient, _GENERIC_SEED))
+    return _off_span(np.concatenate([x @ y, x.conj().transpose(0, 2, 1), eye(a.ambient)[None]]),
+                     a.basis, tol)
 
 
 @lru_cache(maxsize=256)
@@ -400,25 +418,9 @@ def _full_commutant(mats, n: int, tol: Tolerance):
 
 def star_closed(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the adjoint of every matrix of a stack lies in the span
-    of all of them: the adjoints of the stack scaled by ``_unit_scaled``
-    are projected onto the span of the stack as given, the same span, so
-    an orthonormal basis needs no SVD."""
-    adj = _unit_scaled(mats).conj().transpose(0, 2, 1)
+    of all of them, by the ``_off_span`` residual of the adjoints."""
+    adj = np.asarray(mats, dtype=complex).conj().transpose(0, 2, 1)
     return _off_span(adj, mats, tol) <= tol.bound("in_span")
-
-
-def spans_algebra(mats, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the span of a stack is a unital *-algebra.  The y of the
-    span with x y in the span for every x of it form a subspace, so one
-    generic y decides closure under products, with probability 1, in dim
-    products.  Those products x y, of the stack and y scaled by
-    ``_unit_scaled``, the adjoints and the unit are projected off the span
-    of the stack as given once, as in ``star_closed``."""
-    x = _unit_scaled(mats)
-    n = x.shape[-1]
-    y = _unit_scaled(_generic_element(x, n, _GENERIC_SEED))
-    cands = np.concatenate([x @ y, x.conj().transpose(0, 2, 1), eye(n)[None]])
-    return _off_span(cands, mats, tol) <= tol.bound("in_span")
 
 
 def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
@@ -532,7 +534,7 @@ def gr_map(f: StarHom, a_prime: Subalgebra, a: Subalgebra, b: Subalgebra,
         raise ValueError("not a D-morphism")
     images_a = _check_d_morphism(f, a, b, tol)
     c = relative_centralizer(images_a, b, tol)
-    images_prime = ev(f, a_prime.basis)
+    images_prime = _unit_scaled(ev(f, a_prime.basis))
     return span_subalgebra(np.concatenate([images_prime, c.basis]), b.ambient, tol)
 
 

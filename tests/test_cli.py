@@ -21,7 +21,8 @@ from frcalc.generators import (MorphismConfig, random_c_morphism, random_d_morph
                                random_source_frame)
 from frcalc.homspace import random_hom
 from frcalc.linalg import eye, kron_stack, orthonormal_span
-from frcalc.serialize import MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json
+from frcalc.serialize import (MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json,
+                              matrix_to_json)
 
 SUITE_STDOUT = pathlib.Path(__file__).with_name("suite_seed7_stdout.json")
 
@@ -603,6 +604,23 @@ def test_alg_centralizer_verb(tmp_path, capsys):
         dump_json("json", {"ambient": 2, "basis": basis}, str(a))
         code, report = _run(capsys, ["alg", "centralizer", "--in", str(a)])
         assert code == 1 and "*-closed" in report["error"]
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e10])
+def test_alg_centralizer_judges_commutation_whatever_the_input_scale(tmp_path, capsys,
+                                                                      monkeypatch, c):
+    """The commutation residual is taken on an orthonormal basis of the
+    input span: the centralizer of lambda(alpha) scaled by c passes, and a
+    wrong one, all of M_6, fails at either scale."""
+    basis = [matrix_to_json(c * m) for m in lambda_map(random_frame(2, 6, 5)).basis]
+    path = _files(tmp_path, alg=("json", {"ambient": 6, "basis": basis}))["alg"]
+    code, report = _run(capsys, ["alg", "centralizer", "--in", path])
+    assert code == 0 and report["result"]["dim"] == 9
+    assert report["residuals"]["commutation"] < 1e-13
+    full = Subalgebra(6, eye(36).reshape(36, 6, 6))
+    monkeypatch.setattr(grassmannian, "centralizer", lambda alg, tol: full)
+    code, report = _run(capsys, ["alg", "centralizer", "--in", path])
+    assert code == 1 and report["residuals"]["commutation"] > 0.1
 
 
 def test_cat_seeded_verbs(capsys):

@@ -1,6 +1,12 @@
 """CLI fuzz test: every verb that reads JSON, given an input file with
 one mutation that no valid payload allows, exits 2 with one JSON line on
-stdout and nothing on stderr, and raises nothing.
+stdout and nothing on stderr, and raises nothing.  Two more families
+change well-formed payloads: every ``alg`` input of a golden ``alg``
+call multiplied by 2^40 or 2^-40 spans the same subspace, so the call
+keeps its golden exit code and result; and a payload that breaks one
+mathematical condition (a span that is not an algebra or not *-closed,
+a frame off its axioms) exits 1 with one JSON line and nothing on
+stderr.
 
 The valid files are the inputs of the golden calls in
 ``test_cli_golden``; each example takes one golden call, one of its JSON
@@ -27,7 +33,7 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from frcalc import cli
-from test_cli_golden import CASES, _working_dir, write_inputs
+from test_cli_golden import CASES, GOLDEN, _working_dir, write_inputs
 
 SIZES = {"d", "ambient", "src", "dst", "n"}  # integer fields that must be >= 1
 COUNTS = {"rows", "cols", "win_dom", "win_cod", "gens"}  # integer fields that must be >= 0
@@ -146,3 +152,92 @@ def test_malformed_input_exits_2(inputs_dir, data):
     assert len(out.getvalue().splitlines()) == 1 and err.getvalue() == ""
     report = json.loads(out.getvalue())
     assert report["pass"] is False and report["error"]
+
+
+def _call(inputs_dir, argv, replaced):
+    """Exit code, stdout and stderr of a golden call run on the inputs of
+    ``inputs_dir`` without its ``--out``, with each file named in
+    ``replaced`` swapped for that payload."""
+    for name, doc in replaced.items():
+        (inputs_dir / f"changed-{name}").write_text(json.dumps(doc))
+    argv = [str(inputs_dir / (f"changed-{word}" if word in replaced else word))
+            if word.endswith(".json") else word for word in argv]
+    if "--out" in argv:
+        del argv[argv.index("--out"):argv.index("--out") + 2]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _scaled(doc, c):
+    """A subalgebra payload with every basis entry multiplied by c."""
+    return {**doc, "basis": [{**m, "entries": [[c * x for x in pair] for pair in m["entries"]]}
+                             for m in doc["basis"]]}
+
+
+ALG_FLAGS = {verb.name: {flag for flag, kind, *_ in cli._flags(verb.flags) if kind == "alg"}
+             for verb in cli.VERBS}
+SMALL_SPAN = pytest.mark.xfail(strict=True, reason="span_subalgebra ranks small generators "
+                                                  "against the unit")
+RESCALED = [pytest.param(case, e, id=f"{' '.join(case.split()[:2])} 2^{e}",
+                         marks=[SMALL_SPAN] if case.startswith("alg span") and e < 0 else [])
+            for case in CASES if case.startswith("alg ") for e in (40, -40)]
+
+
+@pytest.mark.parametrize("case, e", RESCALED)
+def test_rescaled_alg_inputs_keep_the_golden_verdict(inputs_dir, case, e):
+    """The scale 2^e is a power of two, so the rescaled payloads are exact."""
+    c = 2.0**e
+    argv = case.split()
+    want = json.loads(GOLDEN.read_text())[case]
+    flags = ALG_FLAGS[" ".join(argv[:2])]
+    files = {argv[i + 1] for i, word in enumerate(argv) if word in flags}
+    code, out, err = _call(inputs_dir, argv, {name: _scaled(_load(str(inputs_dir / name))[0], c)
+                                              for name in files})
+    report = json.loads(out)
+    assert (code, report["pass"], report.get("result")) == (
+        want["exit"], want["report"]["pass"], want["report"].get("result"))
+    assert err == ""
+
+
+def _dropped(doc, key, i):
+    return {**doc, key: doc[key][:i] + doc[key][i + 1:]}
+
+
+def _off_axioms(frame):
+    """The frame with its e_01 doubled: e_01 e_10 = 2 e_00."""
+    mats = copy.deepcopy(frame["mats"])
+    mats[1]["entries"] = [[2 * x for x in pair] for pair in mats[1]["entries"]]
+    return {**frame, "mats": mats}
+
+
+# (golden call, input file, the file's payload -> a well-formed payload
+# that breaks one mathematical condition, the error reported or None for
+# a residual above its bound)
+SEMANTIC = {
+    "non-algebra --b of alg grmap": ("alg grmap", "db.json", lambda doc: _dropped(doc, "basis", 0),
+                                     "--b does not span a unital *-algebra"),
+    "non-algebra --b of alg ztensor": ("alg ztensor", "db.json",
+                                       lambda doc: _dropped(doc, "basis", 0),
+                                       "--b does not span a unital *-algebra"),
+    "non-*-closed alg centralizer input": ("alg centralizer", "alg6.json",
+                                           lambda doc: _dropped(doc, "basis", 2),
+                                           "the basis does not span a *-closed set"),
+    "frame off its axioms": ("frame verify", "f6.json", _off_axioms, None),
+    "hom off the frame axioms": ("fred amplify", "h.json",
+                                 lambda doc: {**doc, "frame": _off_axioms(doc["frame"])},
+                                 "input not a unital *-homomorphism"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(SEMANTIC))
+def test_a_payload_off_one_condition_exits_1(inputs_dir, mutation):
+    verb, name, mutate, error = SEMANTIC[mutation]
+    (case,) = [case for case in CASES if case.startswith(verb + " ")]
+    code, out, err = _call(inputs_dir, case.split(),
+                           {name: mutate(_load(str(inputs_dir / name))[0])})
+    assert code == 1
+    assert len(out.splitlines()) == 1 and err == ""
+    report = json.loads(out)
+    assert report["pass"] is False and report.get("error") == error

@@ -6,7 +6,7 @@ import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from frcalc import linalg
+from frcalc import grassmannian, linalg
 from frcalc.frames import conjugate_frame, matrix_unit_frame, random_frame, verify_frame
 from frcalc.grassmannian import (
     _GENERIC_SEED,
@@ -21,7 +21,6 @@ from frcalc.grassmannian import (
     lambda_map,
     relative_centralizer,
     span_subalgebra,
-    spans_algebra,
     star_closed,
     tensor_subalgebra,
     _generic_coefficients,
@@ -29,7 +28,7 @@ from frcalc.grassmannian import (
     _linked_clusters,
     _unit_scaled,
 )
-from frcalc.generators import MorphismConfig, random_d_morphism
+from frcalc.generators import MorphismConfig, random_d_morphism, random_source_frame
 from frcalc.homspace import basepoint_hom, ev
 from frcalc.linalg import (
     conjugate,
@@ -165,7 +164,7 @@ def _weak_span_input(base, entry, delta):
 # diag(1, 2, 3, 4) + delta E_12 generates M_2 (+) C (+) C, of dimension 6.
 # The added directions have singular values of order delta in the
 # spinning residual.  The closure residual of such a span grows as delta
-# falls (about 4e-9 at 1e-7), so only delta >= 1e-5 is held to the 1e-10
+# falls (about 2e-9 at 1e-7), so only delta >= 1e-5 is held to the 1e-10
 # closure bound, and they are kept out of SPAN_INPUTS, whose test holds
 # every input to it.  The float loop _all_products_span is no reference
 # here: it returns 6 for the first family at each delta.
@@ -713,21 +712,32 @@ def test_star_closed_ignores_the_input_scale(c):
 
 
 @pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
-def test_spans_algebra_sees_products_adjoints_and_the_unit(c):
+def test_closure_residual_sees_products_adjoints_and_the_unit(c, monkeypatch):
     """lambda(alpha) for a frame of M_2 in M_4 and M_1 + M_3 are unital
     *-algebras at any scale c.  lambda(alpha) plus a random matrix is not
     closed under products, span{1, E_12} not under adjoints, and span{E_11}
-    and the empty span hold no unit."""
+    and the empty span hold no unit: the unit-scaled 1 - E_11 has entries
+    1/2.  The residual takes one generic element, no basis products."""
+    monkeypatch.setattr(grassmannian, "pair_products", _raise)
+    bound = linalg.DEFAULT_TOL.bound("in_span")
     units = np.eye(16, dtype=complex).reshape(4, 4, 4, 4)
     algebra = lambda_map(random_frame(2, 4, 3)).basis
-    assert spans_algebra(c * algebra)
-    assert spans_algebra(c * np.concatenate([units[:1, 0], units[1:, 1:].reshape(-1, 4, 4)]))
     rng = np.random.default_rng(4)
     extra = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
-    assert not spans_algebra(c * np.concatenate([algebra, extra]))
-    assert not spans_algebra(c * np.array([np.eye(4), units[0, 1]]))
-    assert not spans_algebra(c * units[:1, 0])
-    assert not spans_algebra(np.zeros((0, 3, 3), dtype=complex))
+
+    def closure(mats):
+        return closure_residual(Subalgebra(mats.shape[-1], c * mats))
+
+    assert closure(algebra) <= bound
+    assert closure(np.concatenate([units[:1, 0], units[1:, 1:].reshape(-1, 4, 4)])) <= bound
+    assert closure(np.concatenate([algebra, extra])) > bound
+    assert closure(np.array([np.eye(4), units[0, 1]])) > bound
+    assert closure(units[:1, 0]) >= 0.5
+    assert closure(np.zeros((0, 3, 3), dtype=complex)) >= 0.5
+
+
+def _raise(*args):
+    raise AssertionError("closure_residual forms no basis products")
 
 
 def test_gr_map_with_basepoint_hom():
@@ -759,6 +769,34 @@ def test_gr_map_rejects_non_morphism():
     f = basepoint_hom(6, 2)
     with pytest.raises(ValueError, match="D-morphism"):
         gr_map(f, a, a, small)
+
+
+@pytest.mark.parametrize("e", [-40, 40])
+def test_d_morphism_maps_ignore_the_input_scale(e):
+    """Every subalgebra input scaled by 2^e (exactly) spans the same
+    subspace: gr_map gives the 16-dimensional span it gives at scale 1,
+    and the centralizer tensor identity holds."""
+    cfg = MorphismConfig(2, 1, 2, 2)
+    fm, gm = random_d_morphism(cfg, 20), random_d_morphism(cfg, 30)
+    a_prime = lambda_map(random_source_frame(cfg, 21))
+
+    def scaled(alg):
+        return Subalgebra(alg.ambient, 2.0**e * alg.basis)
+
+    assert gr_map(fm.f, a_prime, fm.a, fm.b).dim == 16
+    assert gr_map(fm.f, scaled(a_prime), scaled(fm.a), scaled(fm.b)).dim == 16
+    ok, dist = centralizer_tensor_check(fm.f, gm.f, scaled(fm.a), scaled(fm.b),
+                                        scaled(gm.a), scaled(gm.b))
+    assert ok and dist < 1e-10
+
+
+@pytest.mark.parametrize("e", [-40, 40])
+def test_gr_map_refuses_a_scaled_non_morphism(e):
+    """f(M_6) for f: X -> X (x) 1_2 does not lie in an M_2 of M_12,
+    however M_6's basis is scaled."""
+    full = Subalgebra(6, 2.0**e * np.eye(36, dtype=complex).reshape(36, 6, 6))
+    with pytest.raises(ValueError, match="D-morphism"):
+        gr_map(basepoint_hom(6, 2), full, full, lambda_map(random_frame(2, 12, 10)))
 
 
 def test_tensor_subalgebra_dim():
