@@ -11,7 +11,9 @@ builds [[D, U], [V, 0]] (U, which `ab snf` writes, witnesses U m V = D),
 kernels out of groups with relations and lattice membership build
 [[D], [V]], and invariant factors build [[D]]; kernels out of free groups
 read two ranks from [[D]] tableaux.  The pivots depend on D alone, so D
-and V agree entry for entry across the three shapes.
+and V agree entry for entry across the three shapes.  The kernel and
+the cokernel of one map out of a free group, asked one after the other,
+reduce [B; M^T] once: the last reduction is kept beside its map.
 """
 
 from __future__ import annotations
@@ -280,14 +282,28 @@ def cokernel(f: GroupHom) -> AbGroupPresentation:
     return _cokernel(f)
 
 
-def _cokernel_relations(f: GroupHom):
-    """The target's relations B stacked on M^T, the images of the source
-    generators: a relation matrix of the cokernel."""
-    return [*f.dst.rels, *zip(*f.matrix)]
+# The last map whose cokernel relations were reduced, and their invariant
+# factors: kernel(f) and cokernel(f) of a map out of a free group, asked
+# one after the other as ``_is_iso_after_localization`` asks them, reduce
+# [B; M^T] once, and no map keeps a result alive, so memory does not grow
+# with the maps a caller holds.
+_last_reduction = (None, None)
+
+
+def _cokernel_invariants(f: GroupHom):
+    """``invariant_factors`` of [B; M^T], the target's relations B over the
+    images M^T of the source generators: the cokernel's, and, out of a
+    free group, the kernel's rank."""
+    global _last_reduction
+    last, invariants = _last_reduction
+    if last is not f:
+        invariants = invariant_factors([*f.dst.rels, *zip(*f.matrix)], f.dst.gens)
+        _last_reduction = (f, invariants)
+    return invariants
 
 
 def _cokernel(f: GroupHom) -> AbGroupPresentation:
-    return AbGroupPresentation.diagonal(*invariant_factors(_cokernel_relations(f), f.dst.gens))
+    return AbGroupPresentation.diagonal(*_cokernel_invariants(f))
 
 
 def kernel(f: GroupHom) -> AbGroupPresentation:
@@ -301,8 +317,7 @@ def _kernel(f: GroupHom) -> AbGroupPresentation:
         # The kernel is a subgroup of Z^g, hence free, and exactness of
         # 0 -> ker (x) Q -> Q^g -> dst (x) Q -> coker (x) Q -> 0 gives
         # its rank from the free ranks of the target and the cokernel.
-        return AbGroupPresentation.free(
-            g - f.dst.canonical()[1] + invariant_factors(_cokernel_relations(f), h)[1])
+        return AbGroupPresentation.free(g - f.dst.canonical()[1] + _cokernel_invariants(f)[1])
     n_rels = len(f.dst.rels)
     # Solutions of M x = R^T y: integer kernel of [M | -R^T], x part.
     combined = [[f.matrix[i][j] for j in range(g)] +

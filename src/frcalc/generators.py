@@ -1,9 +1,11 @@
 """Seeded generators of structured test data.
 
 Frame-condition morphisms are produced constructively: take the hom as
-a conjugated block embedding, push the source frame forward, and dot it
-with a commuting frame living in its centralizer.  Rejection sampling
-for the frame condition would essentially never succeed.
+a conjugated block embedding, and the target frame as the push-forward
+of the source frame dotted with a commuting frame in its centralizer,
+which is the frame of one product of unitaries (``random_c_morphism``).
+Rejection sampling for the frame condition would essentially never
+succeed.
 """
 
 from __future__ import annotations
@@ -13,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eye, kron_stack, random_unitary
-from .frames import (
-    Frame,
-    conjugate_frame,
-    dot,
-    matrix_unit_frame,
-    random_frame,
-    tensor_frame,
-    trivial_frame,
-)
-from .homspace import StarHom, push_frame
+from .frames import Frame, random_frame, unitary_frame
+from .homspace import StarHom
 from .catverify import CMorphism, make_c_morphism
 from .grassmannian import Subalgebra, lambda_map
 from .fredholm import DeskFredholm
@@ -49,20 +43,29 @@ class MorphismConfig:
 
 
 def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
+    """Seeded frame-condition morphism (f, alpha, beta) of shape cfg.
+
+    With the Haar unitaries u (source, ``seed``), w (target, seed + 1) and
+    m (size cof t, seed + 2, the unitary behind ``random_frame(d2, cof t,
+    seed + 2)``), alpha = u (e_ij (x) 1) u* and f(X) = w (X (x) 1_t) w*
+    are read off the column blocks of u and w by ``unitary_frame``.  The
+    commuting completion is rho_uv = v (1_d1 (x) m (e_uv (x) 1) m*) v* with
+    v = w kron(u, 1_t), so f(alpha_ij) = v (e_ij (x) 1_{cof t}) v* and
+
+        beta[(i,u),(j,v)] = f(alpha_ij) rho_uv = R (e_ij (x) e_uv (x) 1) R*,
+        R = w kron(u, 1_t) kron(1_d1, m):
+
+    beta is ``unitary_frame(R, d1 d2)``, built without ``dot`` or rho.
+    ``make_c_morphism`` still checks the frame condition."""
     if (cfg.cof * cfg.t) % cfg.d2 != 0:
         raise ValueError("completion degree must divide the available cofactor")
     src_amb, dst_amb = cfg.src_ambient, cfg.dst_ambient
     u = random_unitary(src_amb, seed)
-    alpha = conjugate_frame(u, matrix_unit_frame(cfg.d1, cfg.cof))
     w = random_unitary(dst_amb, seed + 1)
-    f = StarHom(src_amb, dst_amb, conjugate_frame(w, matrix_unit_frame(src_amb, cfg.t)))
-    # Commuting completion: a degree-d2 frame inside the centralizer of
-    # the pushed source frame, built in the same conjugated coordinates.
-    v = w @ kron_stack(u, eye(cfg.t))
-    mu = random_frame(cfg.d2, cfg.cof * cfg.t, seed + 2)
-    rho = conjugate_frame(v, tensor_frame(trivial_frame(cfg.d1), mu))
-    beta = dot(push_frame(f, alpha), rho)
-    return make_c_morphism(f, alpha, beta)
+    m = random_unitary(cfg.cof * cfg.t, seed + 2)
+    r = w @ kron_stack(u, eye(cfg.t)) @ kron_stack(eye(cfg.d1), m)
+    f = StarHom(src_amb, dst_amb, unitary_frame(w, src_amb))
+    return make_c_morphism(f, unitary_frame(u, cfg.d1), unitary_frame(r, cfg.d1 * cfg.d2))
 
 
 def random_source_frame(cfg: MorphismConfig, seed: int) -> Frame:

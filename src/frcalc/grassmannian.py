@@ -141,7 +141,7 @@ from .linalg import (
     svd_rank,
     vectorize,
 )
-from .frames import Frame, verify_frame
+from .frames import Frame, unitary_frame, verify_frame
 from .homspace import StarHom, ev
 
 # Internal seeds for "generic element" draws; fixed so every operation
@@ -428,9 +428,10 @@ def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
     as x = Q Q* x for one generic x; n^2 matrices that are dependent or
     not orthonormal fail this."""
     n = b.ambient
-    if b.dim != n * n:
-        return False
     q = vectorize(b.basis)
+    # No entry of an orthonormal basis exceeds 1, and then Q Q* x cannot overflow.
+    if b.dim != n * n or not max_abs(q) <= 1.0 + tol.bound("in_span"):
+        return False
     x = _generic_coefficients(n * n, _GENERIC_SEED).real
     return max_abs(x - q @ (q.conj().T @ x)) <= tol.bound("in_span") * max_abs(x)
 
@@ -487,8 +488,7 @@ def extract_frame(a: Subalgebra, d: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
         comps = _linked_clusters(y, vecs, clusters, tol)
         if len(comps) != 1:
             continue
-        v = vecs[:, comps[0]].transpose(1, 0, 2)
-        fr = Frame(d, n, pair_products(v, v.conj().swapaxes(1, 2)))
+        fr = unitary_frame(vecs[:, comps[0].ravel()], d)
         if (verify_frame(fr).max_error <= tol.bound("extracted_frame")
                 and subspace_distance(fr.mats.reshape(-1, n, n) * np.sqrt(d / n), a.basis, tol)
                 <= tol.bound("subspace_distance")):
@@ -544,8 +544,12 @@ def _kron_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out.reshape((-1,) + out.shape[-2:])
 
 
-def tensor_subalgebra(a: Subalgebra, b: Subalgebra) -> Subalgebra:
-    return Subalgebra(a.ambient * b.ambient, _kron_pairs(a.basis, b.basis))
+def tensor_subalgebra(a: Subalgebra, b: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> Subalgebra:
+    """span(a) (x) span(b), spanned by the Kronecker products of orthonormal
+    bases of the two (``orthonormal_span``: a view of a basis that is one
+    already), so the product of the inputs' scales is never formed."""
+    return Subalgebra(a.ambient * b.ambient,
+                      _kron_pairs(orthonormal_span(a.basis, tol), orthonormal_span(b.basis, tol)))
 
 
 def centralizer_tensor_check(f: StarHom, g: StarHom, a: Subalgebra, b: Subalgebra,
@@ -557,11 +561,15 @@ def centralizer_tensor_check(f: StarHom, g: StarHom, a: Subalgebra, b: Subalgebr
     """
     images_a = _check_d_morphism(f, a, b, tol)
     images_phi = _check_d_morphism(g, phi, psi, tol)
-    big = tensor_subalgebra(b, psi)
-    left = relative_centralizer(_kron_pairs(images_a, images_phi), big, tol)
+    big = tensor_subalgebra(b, psi, tol)
+    # Unit-scaled constraints: the commutant does not read their scale, and
+    # their Kronecker products stay finite and nonzero.
+    left = relative_centralizer(_kron_pairs(_unit_scaled(images_a), _unit_scaled(images_phi)),
+                                big, tol)
     right = tensor_subalgebra(
         relative_centralizer(images_a, b, tol),
         relative_centralizer(images_phi, psi, tol),
+        tol,
     )
     dist = subspace_distance(left.basis, right.basis, tol)
     return dist <= tol.bound("subspace_distance"), dist

@@ -15,13 +15,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     apply_frame,
-    conjugate,
     eye,
     is_unitary,
     kron_stack,
     max_abs,
 )
-from .frames import Frame, matrix_unit_frame, random_frame, tensor_frame
+from .frames import Frame, matrix_unit_frame, random_frame, tensor_frame, unitary_frame
 
 _PHASE_PIVOT = 1e-6  # the first entry this large of a basis vector fixes its phase
 
@@ -129,9 +128,9 @@ def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def intertwiner_residual(h: StarHom, u: np.ndarray) -> float:
-    """max_{i,j} || h(e_{i,j}) - U (e_{i,j} (x) E_l) U* ||_max."""
-    model = conjugate(u, matrix_unit_frame(h.src, h.mult).mats)
-    return max_abs(h.image_frame.mats - model)
+    """max_{i,j} || h(e_{i,j}) - U (e_{i,j} (x) E_l) U* ||_max, the model
+    frame read off U's column blocks by ``unitary_frame``."""
+    return max_abs(h.image_frame.mats - unitary_frame(u, h.src).mats)
 
 
 def block_scalar_deviation(w: np.ndarray, k: int, l: int) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +77,12 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+@lru_cache(maxsize=64)
 def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
+    """The complex identity of M_n, one cached read-only array per size."""
+    one = np.eye(n, dtype=complex)
+    one.flags.writeable = False
+    return one
 
 
 def pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,7 +125,7 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def svd_rank(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int:

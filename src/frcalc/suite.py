@@ -22,8 +22,8 @@ from .abgroup import (AbGroupPresentation, GroupHom, cokernel, kernel, localize,
 from .catverify import (NerveChain, bundle_face, check_associativity, check_identity_embedding,
                         check_naturality, check_tau, fr_map, make_c_morphism, nerve_degeneracy,
                         nerve_face)
-from .frames import (conjugate_frame, dot, frames_close, matrix_unit_frame, pi1, pi2,
-                     random_frame, tensor_frame, trivial_frame, verify_frame)
+from .frames import (conjugate_frame, dot, frames_close, pi1, pi2, random_frame, tensor_frame,
+                     trivial_frame, unitary_frame, verify_frame)
 from .fredholm import amplify, conjugate, kernel_cokernel_dims, localize_index
 from .generators import (MorphismConfig, random_c_morphism, random_d_morphism, random_fredholm,
                          random_source_frame)
@@ -53,7 +53,7 @@ def _intertwiner(seed, count):
         for i in range(count):
             s = seed * 7_368_787 + 101 * i + 17 * k + l
             v = random_unitary(k * l, s)
-            h = StarHom(k, k * l, conjugate_frame(v, matrix_unit_frame(k, l)))
+            h = StarHom(k, k * l, unitary_frame(v, k))
             u = intertwiner(h)
             # v is a second, independently known intertwiner of h.
             yield {"residual": intertwiner_residual(h, u),
@@ -209,7 +209,7 @@ def _fr_functoriality(seed, count):
         fd = random_c_morphism(MorphismConfig(2, 1, 2, 2), s)
         # Second leg consumes fd's target object (ambient 4, degree-4 frame).
         u = random_unitary(8, s + 3)
-        g = StarHom(4, 8, conjugate_frame(u, matrix_unit_frame(4, 2)))
+        g = StarHom(4, 8, unitary_frame(u, 4))
         rho = conjugate_frame(u, tensor_frame(trivial_frame(4), random_frame(2, 2, s + 4)))
         delta = dot(push_frame(g, fd.dst_frame), rho)
         gd = make_c_morphism(g, fd.dst_frame, delta)

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from frcalc import catverify
+from frcalc import catverify, suite
 from frcalc.catverify import (
     NerveChain,
     bundle_face,
@@ -18,14 +20,18 @@ from frcalc.catverify import (
 )
 from frcalc.frames import (
     Frame,
+    conjugate_frame,
+    dot,
     frames_close,
     matrix_unit_frame,
     random_frame,
+    tensor_frame,
+    trivial_frame,
     verify_frame,
 )
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
-from frcalc.homspace import compose_plain, ev, identity_hom, random_hom
-from frcalc.linalg import DEFAULT_TOL, max_abs
+from frcalc.homspace import compose_plain, ev, identity_hom, push_frame, random_hom
+from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitary
 
 
 def test_is_c_morphism_positive_and_negative():
@@ -178,3 +184,29 @@ def test_bundle_face_pushes_fiber():
 def test_chain_requires_composability():
     with pytest.raises(ValueError, match="composable"):
         NerveChain((random_hom(2, 3, 28), random_hom(5, 2, 29)))
+
+
+@pytest.mark.parametrize("pair", range(len(suite._NAT_CONFIGS)))
+def test_generated_target_frame_is_the_dot_of_the_pushed_frame_and_the_completion(pair):
+    """random_c_morphism builds beta as the frame of R = w kron(u, 1_t)
+    kron(1_d1, m); that is f(alpha) dotted with the commuting completion
+    rho = v (1_d1 (x) mu) v*, v = w kron(u, 1_t), mu the frame of m."""
+    for cfg, seed in zip(suite._NAT_CONFIGS[pair], (31, 32)):
+        data = random_c_morphism(cfg, seed)
+        v = random_unitary(cfg.dst_ambient, seed + 1) @ np.kron(
+            random_unitary(cfg.src_ambient, seed), np.eye(cfg.t))
+        mu = random_frame(cfg.d2, cfg.cof * cfg.t, seed + 2)
+        rho = conjugate_frame(v, tensor_frame(trivial_frame(cfg.d1), mu))
+        assert frames_close(dot(push_frame(data.f, data.src_frame), rho), data.dst_frame) <= 1e-14
+
+
+def test_seeded_frames_and_morphisms_take_no_dense_conjugation(monkeypatch):
+    def refuse(u, mats):
+        raise AssertionError("dense conjugation")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frcalc") and getattr(module, "conjugate", None) is conjugate:
+            monkeypatch.setattr(module, "conjugate", refuse)
+    assert verify_frame(random_frame(3, 6, 11)).max_error <= DEFAULT_TOL.bound("frame_axioms")
+    data = random_c_morphism(MorphismConfig(2, 3, 2, 3), 5)
+    assert is_c_morphism(data.f, data.src_frame, data.dst_frame, 2)[0]

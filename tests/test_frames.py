@@ -21,9 +21,10 @@ from frcalc.frames import (
     shuffle_permutation,
     tensor_frame,
     trivial_frame,
+    unitary_frame,
     verify_frame,
 )
-from frcalc.linalg import DEFAULT_TOL, max_abs, random_unitary
+from frcalc.linalg import DEFAULT_TOL, conjugate, eye, max_abs, random_unitary
 from frcalc.serialize import dump_json
 
 
@@ -297,8 +298,33 @@ def test_shuffle_permutation_swaps_kron_factors():
 def test_frames_compare_and_hash_by_identity():
     # Two frames with equal fields are distinct objects: == must answer
     # rather than compare the ndarray fields.
-    a, b = matrix_unit_frame(2, 1), matrix_unit_frame(2, 1)
+    a, b = (Frame(2, 2, np.eye(4, dtype=complex).reshape(2, 2, 2, 2)) for _ in range(2))
     assert not a == b
     assert a != b
     assert a == a
     assert hash(a) != hash(b) and hash(a) == hash(a)
+
+
+@pytest.mark.parametrize("d, l", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (4, 4),
+                                  (6, 3), (12, 2), (18, 1)])
+def test_unitary_frame_is_the_conjugated_basepoint(d, l):
+    """Read off the column blocks, the frame is U (e_ij (x) E_l) U* to
+    rounding, in d N^3 work instead of 2 d^2 N^3."""
+    u = random_unitary(d * l, 10 * d + l)
+    fr = unitary_frame(u, d)
+    assert (fr.d, fr.ambient) == (d, d * l)
+    assert max_abs(fr.mats - conjugate(u, matrix_unit_frame(d, l).mats)) <= 1e-15
+
+
+@pytest.mark.parametrize("u, d", [(np.eye(6)[:4], 2), (np.eye(6), 4), (np.eye(6), 0)])
+def test_unitary_frame_refuses_a_degree_that_does_not_divide_a_square(u, d):
+    with pytest.raises(ValueError):
+        unitary_frame(u, d)
+
+
+def test_cached_constants_are_shared_and_read_only():
+    assert eye(3) is eye(3) and matrix_unit_frame(2, 3) is matrix_unit_frame(2, 3)
+    for constant in (eye(3), matrix_unit_frame(2, 3).mats):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 2.0
+    assert np.array_equal(eye(3), np.eye(3))

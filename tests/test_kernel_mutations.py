@@ -26,6 +26,8 @@ BY_NAME = {battery.name: battery for battery in BATTERIES}
 GRAM_CONJ_TERM = "gram -= t + t.conj().T"
 # The turn of a linked cluster, W_d = U* W_c.
 LINK_TURN = "turns[di] = ui.conj().T @ turns[ci]"
+# unitary_frame's isometry stack: V_i is the i-th block of N/d columns of U.
+COLUMN_BLOCKS = "v = u.reshape(n, d, n // d).transpose(1, 0, 2)"
 # The Smith normal form elimination's column operation, which carries V
 # in the rows below D, and its row operation, which carries U in the
 # columns right of D.
@@ -55,6 +57,13 @@ def _linked_clusters_turning_by_u():
     instead of U*, so the blocks it equates are not those of the
     commutant."""
     return _recompiled(grassmannian, LINK_TURN, "turns[di] = ui @ turns[ci]")._linked_clusters
+
+
+def _unitary_frame_from_row_blocks():
+    """``frames.unitary_frame`` that reads U's blocks of N/d rows, in
+    row-major order, as its N x (N/d) isometries V_i: they are not
+    isometries, and the V_i V_j* are no frame."""
+    return _recompiled(frames, COLUMN_BLOCKS, "v = u.reshape(d, n, n // d)").unitary_frame
 
 
 def _eliminate_with_column_operations_on_d_only():
@@ -103,12 +112,19 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = {
+    # Every seeded frame is pair_products(V, V*) of N x l isometries, so the
+    # swapped products V_j* V_i are l x l and random_frame raises before
+    # verify_frame runs, in every float battery.
     "pair_products with the factors swapped":
         Mutant([(linalg, "pair_products", lambda a, b: b[None] @ a[:, None])],
-               ["frame_axioms"]),
+               ["frame_axioms"], raises=True),
+    # Seeded frames are read off column blocks and take no conjugation;
+    # the commutants rotate their constraints into an eigenbasis by it.
     "conjugate without the conjugation":
         Mutant([(linalg, "conjugate", lambda u, mats: u @ mats @ u.T)],
-               ["frame_axioms"]),
+               ["centralizer", "centralizer_tensor"]),
+    "unitary_frame that reads row blocks instead of column blocks":
+        Mutant([(frames, "unitary_frame", _unitary_frame_from_row_blocks())], ["frame_axioms"]),
     "apply_frame with the contracted index pair transposed":
         Mutant([(linalg, "apply_frame",
                  lambda coeffs, mats: apply_frame(np.swapaxes(coeffs, -1, -2), mats))],
