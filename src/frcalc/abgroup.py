@@ -11,9 +11,7 @@ builds [[D, U], [V, 0]] (U, which `ab snf` writes, witnesses U m V = D),
 kernels out of groups with relations and lattice membership build
 [[D], [V]], and invariant factors build [[D]]; kernels out of free groups
 read two ranks from [[D]] tableaux.  The pivots depend on D alone, so D
-and V agree entry for entry across the three shapes.  The kernel and
-the cokernel of one map out of a free group, asked one after the other,
-reduce [B; M^T] once: the last reduction is kept beside its map.
+and V agree entry for entry across the three shapes.
 """
 
 from __future__ import annotations
@@ -282,28 +280,15 @@ def cokernel(f: GroupHom) -> AbGroupPresentation:
     return _cokernel(f)
 
 
-# The last map whose cokernel relations were reduced, and their invariant
-# factors: kernel(f) and cokernel(f) of a map out of a free group, asked
-# one after the other as ``_is_iso_after_localization`` asks them, reduce
-# [B; M^T] once, and no map keeps a result alive, so memory does not grow
-# with the maps a caller holds.
-_last_reduction = (None, None)
-
-
 def _cokernel_invariants(f: GroupHom):
     """``invariant_factors`` of [B; M^T], the target's relations B over the
     images M^T of the source generators: the cokernel's, and, out of a
     free group, the kernel's rank."""
-    global _last_reduction
-    last, invariants = _last_reduction
-    if last is not f:
-        invariants = invariant_factors([*f.dst.rels, *zip(*f.matrix)], f.dst.gens)
-        _last_reduction = (f, invariants)
-    return invariants
+    return invariant_factors([*f.dst.rels, *zip(*f.matrix)], f.dst.gens)
 
 
-def _cokernel(f: GroupHom) -> AbGroupPresentation:
-    return AbGroupPresentation.diagonal(*_cokernel_invariants(f))
+def _cokernel(f: GroupHom, invariants=None) -> AbGroupPresentation:
+    return AbGroupPresentation.diagonal(*(invariants or _cokernel_invariants(f)))
 
 
 def kernel(f: GroupHom) -> AbGroupPresentation:
@@ -311,13 +296,16 @@ def kernel(f: GroupHom) -> AbGroupPresentation:
     return _kernel(f)
 
 
-def _kernel(f: GroupHom) -> AbGroupPresentation:
+def _kernel(f: GroupHom, coker_invariants=None) -> AbGroupPresentation:
+    """The kernel of f; ``coker_invariants``, if given, are f's
+    ``_cokernel_invariants``, which a free source's kernel reads."""
     g, h = f.src.gens, f.dst.gens
     if not f.src.rels:
         # The kernel is a subgroup of Z^g, hence free, and exactness of
         # 0 -> ker (x) Q -> Q^g -> dst (x) Q -> coker (x) Q -> 0 gives
         # its rank from the free ranks of the target and the cokernel.
-        return AbGroupPresentation.free(g - f.dst.canonical()[1] + _cokernel_invariants(f)[1])
+        coker_rank = (coker_invariants or _cokernel_invariants(f))[1]
+        return AbGroupPresentation.free(g - f.dst.canonical()[1] + coker_rank)
     n_rels = len(f.dst.rels)
     # Solutions of M x = R^T y: integer kernel of [M | -R^T], x part.
     combined = [[f.matrix[i][j] for j in range(g)] +
@@ -363,8 +351,11 @@ def localize(g: AbGroupPresentation, l: int) -> AbGroupPresentation:
 def _is_iso_after_localization(f: GroupHom, l: int) -> bool:
     """A map becomes an isomorphism once l is inverted iff its kernel
     and cokernel are annihilated by a power of l.  The caller has checked
-    that f is well defined."""
-    return localize(_kernel(f), l).is_trivial() and localize(_cokernel(f), l).is_trivial()
+    that f is well defined.  Out of a free group the kernel's rank is read
+    off the cokernel's reduction, so [B; M^T] is reduced once."""
+    coker = None if f.src.rels else _cokernel_invariants(f)
+    return (localize(_kernel(f, coker), l).is_trivial()
+            and localize(_cokernel(f, coker), l).is_trivial())
 
 
 def sequential_colimit(groups, maps, invert: int):

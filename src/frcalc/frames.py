@@ -21,7 +21,6 @@ orthogonal projection, which forces all of (i) (argument in its docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,16 +64,12 @@ class FrameReport:
         return float(np.max([self.axiom_i_maxerr, self.axiom_ii_maxerr, self.axiom_iii_maxerr]))
 
 
-@lru_cache(maxsize=64)
 def matrix_unit_frame(d: int, cofactor: int) -> Frame:
-    """The basepoint frame {e_{i,j} (x) E_cofactor} in M_{d*cofactor}, the
-    ``unitary_frame`` of the identity, whose entries are exactly 0 and 1:
-    one cached frame per shape, whose matrices are read-only."""
+    """The basepoint frame {e_{i,j} (x) E_cofactor} in M_{d*cofactor}."""
     if d < 1 or cofactor < 1:
         raise ValueError("d and cofactor must be positive")
-    fr = unitary_frame(eye(d * cofactor), d)
-    fr.mats.flags.writeable = False
-    return fr
+    units = eye(d * d).reshape(d, d, d, d)
+    return Frame(d, d * cofactor, kron_stack(units, eye(cofactor)))
 
 
 def trivial_frame(ambient: int) -> Frame:

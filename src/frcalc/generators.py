@@ -55,17 +55,25 @@ def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
         beta[(i,u),(j,v)] = f(alpha_ij) rho_uv = R (e_ij (x) e_uv (x) 1) R*,
         R = w kron(u, 1_t) kron(1_d1, m):
 
-    beta is ``unitary_frame(R, d1 d2)``, built without ``dot`` or rho.
-    ``make_c_morphism`` still checks the frame condition."""
+    beta is ``unitary_frame(R, d1 d2)``, built without ``dot`` or rho
+    (``c_morphism_of_unitaries``).  ``make_c_morphism`` still checks the
+    frame condition."""
     if (cfg.cof * cfg.t) % cfg.d2 != 0:
         raise ValueError("completion degree must divide the available cofactor")
-    src_amb, dst_amb = cfg.src_ambient, cfg.dst_ambient
-    u = random_unitary(src_amb, seed)
-    w = random_unitary(dst_amb, seed + 1)
-    m = random_unitary(cfg.cof * cfg.t, seed + 2)
-    r = w @ kron_stack(u, eye(cfg.t)) @ kron_stack(eye(cfg.d1), m)
-    f = StarHom(src_amb, dst_amb, unitary_frame(w, src_amb))
-    return make_c_morphism(f, unitary_frame(u, cfg.d1), unitary_frame(r, cfg.d1 * cfg.d2))
+    unitaries = (random_unitary(cfg.src_ambient, seed), random_unitary(cfg.dst_ambient, seed + 1),
+                 random_unitary(cfg.cof * cfg.t, seed + 2))
+    return c_morphism_of_unitaries(*unitaries, cfg.d1, cfg.d2)[0]
+
+
+def c_morphism_of_unitaries(u: np.ndarray, w: np.ndarray, m: np.ndarray, d1: int, d2: int):
+    """The frame-condition morphism that ``random_c_morphism`` builds from
+    the unitaries u (source), w (target) and m (completion), and the
+    unitary R = w kron(u, 1_t) kron(1_d1, m) whose column blocks give its
+    target frame, so that a second leg out of that frame takes R as its u."""
+    t = w.shape[0] // u.shape[0]
+    r = w @ kron_stack(u, eye(t)) @ kron_stack(eye(d1), m)
+    f = StarHom(u.shape[0], w.shape[0], unitary_frame(w, u.shape[0]))
+    return make_c_morphism(f, unitary_frame(u, d1), unitary_frame(r, d1 * d2)), r
 
 
 def random_source_frame(cfg: MorphismConfig, seed: int) -> Frame:

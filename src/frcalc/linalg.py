@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,12 +76,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@lru_cache(maxsize=64)
 def eye(n: int) -> np.ndarray:
-    """The complex identity of M_n, one cached read-only array per size."""
-    one = np.eye(n, dtype=complex)
-    one.flags.writeable = False
-    return one
+    return np.eye(n, dtype=complex)
 
 
 def pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

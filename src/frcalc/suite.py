@@ -22,14 +22,13 @@ from .abgroup import (AbGroupPresentation, GroupHom, cokernel, kernel, localize,
 from .catverify import (NerveChain, bundle_face, check_associativity, check_identity_embedding,
                         check_naturality, check_tau, fr_map, make_c_morphism, nerve_degeneracy,
                         nerve_face)
-from .frames import (conjugate_frame, dot, frames_close, pi1, pi2, random_frame, tensor_frame,
-                     trivial_frame, unitary_frame, verify_frame)
+from .frames import dot, frames_close, pi1, pi2, random_frame, unitary_frame, verify_frame
 from .fredholm import amplify, conjugate, kernel_cokernel_dims, localize_index
-from .generators import (MorphismConfig, random_c_morphism, random_d_morphism, random_fredholm,
-                         random_source_frame)
+from .generators import (MorphismConfig, c_morphism_of_unitaries, random_c_morphism,
+                         random_d_morphism, random_fredholm, random_source_frame)
 from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
 from .homspace import (StarHom, block_scalar_deviation, compose_phi, compose_plain, ev,
-                       intertwiner, intertwiner_residual, iota, push_frame, random_hom)
+                       intertwiner, intertwiner_residual, iota, random_hom)
 from .linalg import DEFAULT_TOL, max_abs, random_unitary, subspace_distance
 
 
@@ -206,14 +205,12 @@ def _fr_functoriality(seed, count):
     """fr_map respects composition of frame-condition morphisms."""
     for i in range(count):
         s = seed * 54_018_521 + 809 * i
-        fd = random_c_morphism(MorphismConfig(2, 1, 2, 2), s)
-        # Second leg consumes fd's target object (ambient 4, degree-4 frame).
-        u = random_unitary(8, s + 3)
-        g = StarHom(4, 8, unitary_frame(u, 4))
-        rho = conjugate_frame(u, tensor_frame(trivial_frame(4), random_frame(2, 2, s + 4)))
-        delta = dot(push_frame(g, fd.dst_frame), rho)
-        gd = make_c_morphism(g, fd.dst_frame, delta)
-        composed = make_c_morphism(compose_plain(g, fd.f), fd.src_frame, delta)
+        fd, r = c_morphism_of_unitaries(random_unitary(2, s), random_unitary(4, s + 1),
+                                        random_unitary(2, s + 2), 2, 2)
+        # Second leg out of fd's target frame (ambient 4, degree 4), the
+        # frame of r, into M_8.
+        gd, _ = c_morphism_of_unitaries(r, random_unitary(8, s + 3), random_unitary(2, s + 4), 4, 2)
+        composed = make_c_morphism(compose_plain(gd.f, fd.f), fd.src_frame, gd.dst_frame)
         ap = random_source_frame(MorphismConfig(2, 1, 2, 2), s + 5)
         yield {"max_entry_error": frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap)))}
 

@@ -24,7 +24,7 @@ from frcalc.frames import (
     unitary_frame,
     verify_frame,
 )
-from frcalc.linalg import DEFAULT_TOL, conjugate, eye, max_abs, random_unitary
+from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitary
 from frcalc.serialize import dump_json
 
 
@@ -298,7 +298,7 @@ def test_shuffle_permutation_swaps_kron_factors():
 def test_frames_compare_and_hash_by_identity():
     # Two frames with equal fields are distinct objects: == must answer
     # rather than compare the ndarray fields.
-    a, b = (Frame(2, 2, np.eye(4, dtype=complex).reshape(2, 2, 2, 2)) for _ in range(2))
+    a, b = matrix_unit_frame(2, 1), matrix_unit_frame(2, 1)
     assert not a == b
     assert a != b
     assert a == a
@@ -320,11 +320,3 @@ def test_unitary_frame_is_the_conjugated_basepoint(d, l):
 def test_unitary_frame_refuses_a_degree_that_does_not_divide_a_square(u, d):
     with pytest.raises(ValueError):
         unitary_frame(u, d)
-
-
-def test_cached_constants_are_shared_and_read_only():
-    assert eye(3) is eye(3) and matrix_unit_frame(2, 3) is matrix_unit_frame(2, 3)
-    for constant in (eye(3), matrix_unit_frame(2, 3).mats):
-        with pytest.raises(ValueError, match="read-only"):
-            constant[0, 0] = 2.0
-    assert np.array_equal(eye(3), np.eye(3))

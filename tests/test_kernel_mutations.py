@@ -86,12 +86,14 @@ def _eliminate_with_a_wrong_diagonal(tab, rows, cols):
         tab[0][0] += 1
 
 
-def _kernel_ignoring_target_relations(f):
+def _kernel_ignoring_target_relations(f, coker_invariants=None):
     """``abgroup._kernel`` that takes a map out of a free group as a map
-    into the target's generators alone, of kernel rank g - rank M^T."""
+    into the target's generators alone, of kernel rank g - rank M^T; the
+    cokernel invariants handed to it go with the relations it drops."""
     if not f.src.rels:
-        f = abgroup.GroupHom(f.src, abgroup.AbGroupPresentation.free(f.dst.gens), f.matrix)
-    return kernel_(f)
+        return kernel_(abgroup.GroupHom(f.src, abgroup.AbGroupPresentation.free(f.dst.gens),
+                                        f.matrix))
+    return kernel_(f, coker_invariants)
 
 
 def _zero_block(n, win_dom, win_cod):
@@ -218,6 +220,19 @@ def test_battery_fails_on_a_broken_kernel(monkeypatch, case):
     assert [(r["pass"], "error" in r) for r in reports] == [(False, mutant.raises)] * len(reports)
     assert [(r["name"], r["thresholds"]) for r in reports] == \
         [(r["name"], r["thresholds"]) for r in passing]
+
+
+def test_verify_frame_sees_pair_products_with_the_factors_swapped(monkeypatch):
+    """Every seeded frame is built by ``pair_products``, so under this
+    mutant the batteries raise before ``verify_frame`` runs; the basepoint
+    frames, built by ``kron_stack``, show that its own products see it."""
+    bound = linalg.DEFAULT_TOL.bound("frame_axioms")
+    shapes = ((2, 3), (3, 2), (2, 5))
+    assert all(frames.verify_frame(frames.matrix_unit_frame(*shape)).max_error == 0.0
+               for shape in shapes)
+    _bind_everywhere(monkeypatch, *MUTANTS["pair_products with the factors swapped"].kernels[0])
+    assert all(frames.verify_frame(frames.matrix_unit_frame(*shape)).max_error > bound
+               for shape in shapes)
 
 
 def test_every_criterion_has_a_mutant():
