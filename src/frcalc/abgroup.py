@@ -1,17 +1,22 @@
 """Exact arithmetic for finitely generated abelian groups.
 
 Groups are presented by integer relation matrices (rows = relations,
-columns = generators); everything reduces to Smith normal form over the
-arbitrary-precision integers, with pivoting by least absolute value to
-contain entry growth.  One elimination, ``_eliminate``, reduces D, the
-top-left block of a list-of-lists tableau, and each row or column
+columns = generators) over the arbitrary-precision integers, and two
+eliminations do all the work.  ``_eliminate`` brings D, the top-left
+block of a list-of-lists tableau, to Smith normal form, with pivoting by
+least absolute value to contain entry growth; each row or column
 operation on D carries whatever the tableau stores beside it in the same
 pass.  Each caller builds only the tableau it reads: ``smith_normal_form``
 builds [[D, U], [V, 0]] (U, which `ab snf` writes, witnesses U m V = D),
 kernels out of groups with relations and lattice membership build
-[[D], [V]], and invariant factors build [[D]]; kernels out of free groups
-read two ranks from [[D]] tableaux.  The pivots depend on D alone, so D
-and V agree entry for entry across the three shapes.
+[[D], [V]], and invariant factors build [[D]].  The pivots depend on D
+alone, so D and V agree entry for entry across the three shapes.  A row
+operation is one list comprehension and a column operation a loop over
+every row, so invariant factors, which need no transform, reduce a tall
+matrix on its short side, as its transpose.  ``_bareiss``, fraction-free
+Gaussian elimination, gives ranks and determinants without a Smith form:
+kernels out of free groups read two ranks from one of its passes, and
+it checks transforms above 4x4 unimodular.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from math import gcd
 
 
 def _det_unimodular(m):
-    """Determinant: a closed form up to 4x4, fraction-free Gaussian
-    elimination (Bareiss) on a copy of m above."""
+    """Determinant: a closed form up to 4x4, ``_bareiss`` above."""
     n = len(m)
     if n == 0:
         return 1
@@ -40,21 +44,49 @@ def _det_unimodular(m):
         return ((a * f - b * e) * (k * z - l * y) - (a * g - c * e) * (j * z - l * x)
                 + (a * h - d * e) * (j * y - k * x) + (b * g - c * f) * (i * z - l * w)
                 - (b * h - d * f) * (i * y - k * w) + (c * h - d * g) * (i * x - j * w))
-    a = [row[:] for row in m]
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(m, n)[2]
+
+
+def _bareiss(m, cols, top=0):
+    """(rank of the first ``top`` rows of m, rank of m, and det m if m
+    is square), m a list of rows with ``cols`` columns, from one
+    fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968) of
+    a copy of m.
+
+    Each step divides exactly by the previous pivot, so every entry stays
+    a minor of m and no fraction or Smith form is formed.  The pivot in
+    each column is the first row below the pivots with an entry there;
+    moving it up keeps the other rows in order, and a row is only ever
+    combined with pivots found above it in that order, so the pivots
+    among the first ``top`` rows number their rank.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    rank = top_rank = 0
+    top_left = top  # rows of the first ``top`` below the pivots; they come first
+    prev = sign = 1
+    for c in range(cols):
+        for i in range(rank, n):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != rank:
+            a.insert(rank, a.pop(i))
+            sign *= (-1) ** (i - rank)
+        if i - rank < top_left:
+            top_left -= 1
+            top_rank += 1
+        pivot = a[rank]
+        p = pivot[c]
+        for k in range(rank + 1, n):
+            x = a[k][c]
+            a[k] = [(y * p - x * z) // prev for y, z in zip(a[k], pivot)]
+        prev = p
+        rank += 1
+        if rank == n:
+            break
+    return top_rank, rank, sign * prev if rank == cols == n else 0
 
 
 def _eliminate(tab, rows, cols):
@@ -131,8 +163,9 @@ def smith_normal_form(m):
     column operation on D one loop over the rows, which carries V; U and
     V are sliced out at the end, and a determinant checks both on every
     call.  Callers that read less build less: integer kernels and
-    lattice membership reduce [[D], [V]], invariant factors [[D]] alone,
-    with the same pivots, so their D and V are the ones returned here.
+    lattice membership reduce [[D], [V]] with the same pivots, so their D
+    and V are the ones returned here; invariant factors reduce [[D]]
+    alone, a tall m as its transpose.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -167,10 +200,15 @@ def _diagonal_and_v_columns(m, cols):
 def invariant_factors(m, cols):
     """Nontrivial invariant factors (> 1) and the free rank of the
     cokernel of the relation matrix m, which has ``cols`` columns even
-    when it has no rows."""
-    d = [list(row) for row in m]
-    _eliminate(d, len(d), cols)
-    nonzero = [abs(d[i][i]) for i in range(min(len(d), cols)) if d[i][i]]
+    when it has no rows.
+
+    m and m^T have the same invariant factors, and ``_eliminate`` takes
+    a row operation in one list comprehension but a column operation in
+    a loop over every row, so a tall m is reduced as m^T."""
+    tall = len(m) > cols
+    d = [list(row) for row in (zip(*m) if tall else m)]
+    _eliminate(d, len(d), len(m) if tall else cols)
+    nonzero = [d[i][i] for i in range(min(len(m), cols)) if d[i][i]]
     factors = [x for x in nonzero if x != 1]
     free_rank = cols - len(nonzero)
     return factors, free_rank
@@ -190,7 +228,7 @@ class AbGroupPresentation:
 
     @staticmethod
     def from_rows(gens, rows):
-        return AbGroupPresentation(gens, tuple(tuple(int(x) for x in r) for r in rows))
+        return AbGroupPresentation(gens, tuple(tuple(map(int, r)) for r in rows))
 
     @staticmethod
     def cyclic(n):
@@ -262,7 +300,7 @@ class GroupHom:
 
     @staticmethod
     def from_rows(src, dst, rows):
-        return GroupHom(src, dst, tuple(tuple(int(x) for x in r) for r in rows))
+        return GroupHom(src, dst, tuple(tuple(map(int, r)) for r in rows))
 
     def is_well_defined(self):
         images = [[sum(self.matrix[i][j] * rel[j] for j in range(self.src.gens))
@@ -280,15 +318,11 @@ def cokernel(f: GroupHom) -> AbGroupPresentation:
     return _cokernel(f)
 
 
-def _cokernel_invariants(f: GroupHom):
-    """``invariant_factors`` of [B; M^T], the target's relations B over the
-    images M^T of the source generators: the cokernel's, and, out of a
-    free group, the kernel's rank."""
-    return invariant_factors([*f.dst.rels, *zip(*f.matrix)], f.dst.gens)
-
-
-def _cokernel(f: GroupHom, invariants=None) -> AbGroupPresentation:
-    return AbGroupPresentation.diagonal(*(invariants or _cokernel_invariants(f)))
+def _cokernel(f: GroupHom) -> AbGroupPresentation:
+    """The target's generators modulo [B; M^T], its relations B and the
+    images M^T of the source generators."""
+    return AbGroupPresentation.diagonal(
+        *invariant_factors([*f.dst.rels, *zip(*f.matrix)], f.dst.gens))
 
 
 def kernel(f: GroupHom) -> AbGroupPresentation:
@@ -296,16 +330,17 @@ def kernel(f: GroupHom) -> AbGroupPresentation:
     return _kernel(f)
 
 
-def _kernel(f: GroupHom, coker_invariants=None) -> AbGroupPresentation:
-    """The kernel of f; ``coker_invariants``, if given, are f's
-    ``_cokernel_invariants``, which a free source's kernel reads."""
+def _kernel(f: GroupHom) -> AbGroupPresentation:
+    """The kernel of f.  Out of a free group Z^g into Z^h/B it is a
+    subgroup of Z^g, hence free, and exactness of
+    0 -> ker (x) Q -> Q^g -> dst (x) Q -> coker (x) Q -> 0 gives its rank
+    g + rank B - rank [B; M^T]: both ranks come from one ``_bareiss`` of
+    [B; M^T], with no Smith form.  Otherwise the kernel is presented
+    from two integer kernels."""
     g, h = f.src.gens, f.dst.gens
     if not f.src.rels:
-        # The kernel is a subgroup of Z^g, hence free, and exactness of
-        # 0 -> ker (x) Q -> Q^g -> dst (x) Q -> coker (x) Q -> 0 gives
-        # its rank from the free ranks of the target and the cokernel.
-        coker_rank = (coker_invariants or _cokernel_invariants(f))[1]
-        return AbGroupPresentation.free(g - f.dst.canonical()[1] + coker_rank)
+        rank_b, rank_all, _ = _bareiss([*f.dst.rels, *zip(*f.matrix)], h, len(f.dst.rels))
+        return AbGroupPresentation.free(g + rank_b - rank_all)
     n_rels = len(f.dst.rels)
     # Solutions of M x = R^T y: integer kernel of [M | -R^T], x part.
     combined = [[f.matrix[i][j] for j in range(g)] +
@@ -351,11 +386,8 @@ def localize(g: AbGroupPresentation, l: int) -> AbGroupPresentation:
 def _is_iso_after_localization(f: GroupHom, l: int) -> bool:
     """A map becomes an isomorphism once l is inverted iff its kernel
     and cokernel are annihilated by a power of l.  The caller has checked
-    that f is well defined.  Out of a free group the kernel's rank is read
-    off the cokernel's reduction, so [B; M^T] is reduced once."""
-    coker = None if f.src.rels else _cokernel_invariants(f)
-    return (localize(_kernel(f, coker), l).is_trivial()
-            and localize(_cokernel(f, coker), l).is_trivial())
+    that f is well defined."""
+    return localize(_kernel(f), l).is_trivial() and localize(_cokernel(f), l).is_trivial()
 
 
 def sequential_colimit(groups, maps, invert: int):

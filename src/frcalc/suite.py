@@ -179,10 +179,11 @@ def _nerve(seed, count):
         s = seed * 23_456_789 + 701 * i
         length = 2 + (i % 3)
         chain = _random_chain(s, length)
+        faces = [nerve_face(k_, chain) for k_ in range(length + 1)]
         for j in range(length + 1):
             for k_ in range(j + 1, length + 1):
-                left = nerve_face(j, nerve_face(k_, chain))
-                right = nerve_face(k_ - 1, nerve_face(j, chain))
+                left = nerve_face(j, faces[k_])
+                right = nerve_face(k_ - 1, faces[j])
                 yield {"simplicial_identity": _chain_residual(left, right)}
         # Degeneracy: adjacent face undoes the identity insertion.
         for j in range(length + 1):
@@ -260,12 +261,13 @@ def _abgroup(seed, count):
                                 or [x for x in diag if x] != _gcd_minors_factors(m))}
 
     z, z12 = AbGroupPresentation.free(1), AbGroupPresentation.cyclic(12)
-    z2 = AbGroupPresentation.cyclic(2)
+    z2, zz = AbGroupPresentation.cyclic(2), AbGroupPresentation.free(2)
     coker_ker = [cokernel(GroupHom.from_rows(z, z, [[2]])).canonical() == ([2], 0),
                  kernel(GroupHom.from_rows(z, z, [[2]])).is_trivial(),
                  kernel(GroupHom.from_rows(z, z2, [[1]])).canonical() == ([], 1),
                  cokernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0),
-                 kernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0)]
+                 kernel(GroupHom.from_rows(z12, z12, [[6]])).canonical() == ([6], 0),
+                 kernel(GroupHom.from_rows(zz, zz, [[2, 0], [0, 3]])).is_trivial()]
     yield {"coker_ker_failures": not all(coker_ker)}
 
     groups = [AbGroupPresentation.cyclic(2 * 3 ** n) for n in range(4)]

@@ -409,6 +409,46 @@ def test_free_source_kernels_agree_with_the_two_stage_path_and_the_ranks():
         assert ker == AbGroupPresentation.free(g + _rank(rels, h) - _rank(rels + images, h))
 
 
+def test_free_source_kernel_takes_no_snf_and_cokernel_one_on_the_short_side(monkeypatch):
+    """Out of Z^3 into Z^3/<2 relations> [B; M^T] is 5 x 3: the kernel
+    reads its two ranks off one fraction-free elimination and runs no
+    ``_eliminate``, and the cokernel runs one, on the 3 x 5 transpose."""
+    calls = []
+    eliminate = abgroup._eliminate
+
+    def counting(tab, rows, cols):
+        calls.append((len(tab), rows, cols))
+        eliminate(tab, rows, cols)
+
+    monkeypatch.setattr(abgroup, "_eliminate", counting)
+    dst = AbGroupPresentation.from_rows(3, [[2, 4, 0], [1, -3, 5]])
+    f = GroupHom.from_rows(AbGroupPresentation.free(3), dst, [[1, 2, 0], [0, 0, 0], [0, 0, 0]])
+    assert kernel(f) == AbGroupPresentation.free(2)
+    assert calls == []
+    coker = cokernel(f)
+    assert calls == [(3, 3, 5)]
+    assert coker.canonical() == ([20], 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_free_source_kernel_and_cokernel_against_sympy(g, h, n, data):
+    """Out of Z^g into Z^h/B (g, h = 0-4, 0-3 relations, entries in
+    [-9, 9]) the kernel is free of rank g + rank B - rank [B; M^T] and the
+    cokernel has the invariant factors and free rank of [B; M^T], all
+    by sympy."""
+    entries = st.integers(-9, 9)
+    rels = data.draw(st.lists(st.lists(entries, min_size=h, max_size=h), min_size=n, max_size=n))
+    matrix = data.draw(st.lists(st.lists(entries, min_size=g, max_size=g), min_size=h, max_size=h))
+    f = GroupHom.from_rows(AbGroupPresentation.free(g), AbGroupPresentation.from_rows(h, rels),
+                           matrix)
+    stacked = rels + [[matrix[i][j] for i in range(h)] for j in range(g)]
+    rank = _rank(stacked, h)
+    assert kernel(f) == AbGroupPresentation.free(g + _rank(rels, h) - rank)
+    factors = sympy_invariant_factors(Matrix(len(stacked), h, sum(stacked, [])), domain=ZZ)
+    assert cokernel(f).canonical() == ([abs(int(x)) for x in factors if abs(x) > 1], h - rank)
+
+
 def test_localize_strips_l_primary():
     assert localize(AbGroupPresentation.cyclic(12), 2).canonical() == ([3], 0)
     assert localize(AbGroupPresentation.cyclic(12), 3).canonical() == ([4], 0)

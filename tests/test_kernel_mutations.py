@@ -33,6 +33,8 @@ COLUMN_BLOCKS = "v = u.reshape(n, d, n // d).transpose(1, 0, 2)"
 # columns right of D.
 SNF_COLUMN_OP = "for row in tab:\n                        row[j] += c * row[t]"
 SNF_ROW_OP = "[x + c * y for x, y in zip(row, top)]"
+# The fraction-free elimination's walk over the columns.
+RANK_COLUMNS = "for c in range(cols):"
 
 
 def _recompiled(module, old, new):
@@ -86,14 +88,18 @@ def _eliminate_with_a_wrong_diagonal(tab, rows, cols):
         tab[0][0] += 1
 
 
-def _kernel_ignoring_target_relations(f, coker_invariants=None):
+def _kernel_ignoring_target_relations(f):
     """``abgroup._kernel`` that takes a map out of a free group as a map
-    into the target's generators alone, of kernel rank g - rank M^T; the
-    cokernel invariants handed to it go with the relations it drops."""
+    into the target's generators alone, of kernel rank g - rank M^T."""
     if not f.src.rels:
-        return kernel_(abgroup.GroupHom(f.src, abgroup.AbGroupPresentation.free(f.dst.gens),
-                                        f.matrix))
-    return kernel_(f, coker_invariants)
+        f = abgroup.GroupHom(f.src, abgroup.AbGroupPresentation.free(f.dst.gens), f.matrix)
+    return kernel_(f)
+
+
+def _bareiss_reading_the_first_column_only():
+    """``abgroup._bareiss`` that stops after the first column, so every
+    rank it gives is at most 1."""
+    return _recompiled(abgroup, RANK_COLUMNS, "for c in range(min(cols, 1)):")._bareiss
 
 
 def _zero_block(n, win_dom, win_cod):
@@ -176,6 +182,11 @@ MUTANTS = {
     # a group with relations.
     "free-source kernel that ignores the target's relations":
         Mutant([(abgroup, "_kernel", _kernel_ignoring_target_relations)], ["abgroup"]),
+    # Every other map of the battery has one generator, so only the
+    # kernel of Z^2 -> Z^2 by diag(2, 3), which is 0, sees ranks read
+    # off the first column: it comes out as Z.
+    "fraction-free rank that reads only the first column":
+        Mutant([(abgroup, "_bareiss", _bareiss_reading_the_first_column_only())], ["abgroup"]),
     # dim ker and dim coker change while the index n*(win_dom - win_cod)
     # of the all-zero block stays right.
     "conjugate and amplify that return all-zero blocks":
