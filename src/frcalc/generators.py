@@ -11,11 +11,12 @@ succeed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .linalg import eye, kron_stack, random_unitary
-from .frames import Frame, random_frame, unitary_frame
+from .linalg import eye, kron_stack, random_unitaries_of
+from .frames import Frame, random_frames, unitary_frame
 from .homspace import StarHom
 from .catverify import CMorphism, make_c_morphism
 from .grassmannian import Subalgebra, lambda_map
@@ -42,8 +43,11 @@ class MorphismConfig:
         return self.src_ambient * self.t
 
 
-def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
-    """Seeded frame-condition morphism (f, alpha, beta) of shape cfg.
+def random_c_morphisms(specs) -> Iterator[CMorphism]:
+    """Seeded frame-condition morphisms (f, alpha, beta) of (cfg, seed)
+    pairs, in order.  Every unitary is drawn at the call, one
+    ``random_unitaries`` stack per size, and each morphism is built by
+    ``c_morphism_of_unitaries`` as the iterator reaches it.
 
     With the Haar unitaries u (source, ``seed``), w (target, seed + 1) and
     m (size cof t, seed + 2, the unitary behind ``random_frame(d2, cof t,
@@ -58,11 +62,19 @@ def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
     beta is ``unitary_frame(R, d1 d2)``, built without ``dot`` or rho
     (``c_morphism_of_unitaries``).  ``make_c_morphism`` still checks the
     frame condition."""
-    if (cfg.cof * cfg.t) % cfg.d2 != 0:
+    specs = list(specs)
+    if any((cfg.cof * cfg.t) % cfg.d2 != 0 for cfg, _ in specs):
         raise ValueError("completion degree must divide the available cofactor")
-    unitaries = (random_unitary(cfg.src_ambient, seed), random_unitary(cfg.dst_ambient, seed + 1),
-                 random_unitary(cfg.cof * cfg.t, seed + 2))
-    return c_morphism_of_unitaries(*unitaries, cfg.d1, cfg.d2)[0]
+    unitaries = random_unitaries_of(
+        (n, seed + k) for cfg, seed in specs
+        for k, n in enumerate((cfg.src_ambient, cfg.dst_ambient, cfg.cof * cfg.t)))
+    return (c_morphism_of_unitaries(*unitaries[3 * i:3 * i + 3], cfg.d1, cfg.d2)[0]
+            for i, (cfg, _) in enumerate(specs))
+
+
+def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
+    """The one morphism of ``random_c_morphisms([(cfg, seed)])``."""
+    return next(random_c_morphisms([(cfg, seed)]))
 
 
 def c_morphism_of_unitaries(u: np.ndarray, w: np.ndarray, m: np.ndarray, d1: int, d2: int):
@@ -76,9 +88,15 @@ def c_morphism_of_unitaries(u: np.ndarray, w: np.ndarray, m: np.ndarray, d1: int
     return make_c_morphism(f, unitary_frame(u, d1), unitary_frame(r, d1 * d2)), r
 
 
+def random_source_frames(specs) -> Iterator[Frame]:
+    """For (cfg, seed) pairs, in order, frames on which the induced map of
+    a cfg-shaped morphism acts, drawn as ``random_frames`` draws them."""
+    return random_frames((cfg.d1, cfg.src_ambient, seed) for cfg, seed in specs)
+
+
 def random_source_frame(cfg: MorphismConfig, seed: int) -> Frame:
-    """A frame on which the induced map of a cfg-shaped morphism acts."""
-    return random_frame(cfg.d1, cfg.src_ambient, seed)
+    """The one frame of ``random_source_frames([(cfg, seed)])``."""
+    return next(random_source_frames([(cfg, seed)]))
 
 
 @dataclass(frozen=True)
@@ -88,10 +106,16 @@ class DMorphismData:
     b: Subalgebra
 
 
+def random_d_morphisms(specs) -> Iterator[DMorphismData]:
+    """Subalgebra-level morphisms of (cfg, seed) pairs, in order, derived
+    from the frame-level ones that ``random_c_morphisms`` draws at the call."""
+    return (DMorphismData(cm.f, lambda_map(cm.src_frame), lambda_map(cm.dst_frame))
+            for cm in random_c_morphisms(specs))
+
+
 def random_d_morphism(cfg: MorphismConfig, seed: int) -> DMorphismData:
-    """Subalgebra-level morphism derived from a frame-level one."""
-    cm = random_c_morphism(cfg, seed)
-    return DMorphismData(cm.f, lambda_map(cm.src_frame), lambda_map(cm.dst_frame))
+    """The one morphism of ``random_d_morphisms([(cfg, seed)])``."""
+    return next(random_d_morphisms([(cfg, seed)]))
 
 
 def random_fredholm(n: int, win_dom: int, win_cod: int, seed: int,

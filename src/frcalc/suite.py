@@ -11,7 +11,7 @@ acceptance tests and the kernel mutation tests run ``run_battery``."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -22,47 +22,53 @@ from .abgroup import (AbGroupPresentation, GroupHom, cokernel, kernel, localize,
 from .catverify import (NerveChain, bundle_face, check_associativity, check_identity_embedding,
                         check_naturality, check_tau, fr_map, make_c_morphism, nerve_degeneracy,
                         nerve_face)
-from .frames import dot, frames_close, pi1, pi2, random_frame, unitary_frame, verify_frame
+from .frames import dot, frames_close, pi1, pi2, random_frames, unitary_frame, verify_frame
 from .fredholm import amplify, conjugate, kernel_cokernel_dims, localize_index
-from .generators import (MorphismConfig, c_morphism_of_unitaries, random_c_morphism,
-                         random_d_morphism, random_fredholm, random_source_frame)
+from .generators import (MorphismConfig, c_morphism_of_unitaries, random_c_morphisms,
+                         random_d_morphisms, random_fredholm, random_source_frames)
 from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
 from .homspace import (StarHom, block_scalar_deviation, compose_phi, compose_plain, ev,
-                       intertwiner, intertwiner_residual, iota, random_hom)
-from .linalg import DEFAULT_TOL, max_abs, random_unitary, subspace_distance
+                       intertwiner, intertwiner_residual, iota, random_homs)
+from .linalg import DEFAULT_TOL, max_abs, random_unitaries, random_unitaries_of, subspace_distance
+
+
+def _groups(items, size):
+    """Consecutive ``size``-tuples of ``items``: a battery draws the data
+    of all its samples in one call and takes them a sample at a time."""
+    it = iter(items)
+    return zip(*[it] * size)
 
 
 def _frame_axioms(seed, count):
-    for k, l in ((2, 3), (3, 2), (2, 5)):
-        for i in range(count):
-            fr = random_frame(k, k * l, seed * 1_000_003 + 97 * i + k * 13 + l)
-            yield {"max_axiom_error": verify_frame(fr).max_error}
+    for fr in random_frames((k, k * l, seed * 1_000_003 + 97 * i + k * 13 + l)
+                            for k, l in ((2, 3), (3, 2), (2, 5)) for i in range(count)):
+        yield {"max_axiom_error": verify_frame(fr).max_error}
 
 
 def _reconstruction(seed, count):
-    for d1, d2 in ((2, 2), (2, 3), (3, 2)):
-        for i in range(count):
-            beta = random_frame(d1 * d2, d1 * d2 * 2, seed * 999_983 + 31 * i + d1 + 7 * d2)
-            rebuilt = dot(pi1(beta, d1), pi2(beta, d1))
-            yield {"max_entry_error": frames_close(rebuilt, beta)}
+    splits = [(d1, d2, i) for d1, d2 in ((2, 2), (2, 3), (3, 2)) for i in range(count)]
+    betas = random_frames((d1 * d2, d1 * d2 * 2, seed * 999_983 + 31 * i + d1 + 7 * d2)
+                          for d1, d2, i in splits)
+    for (d1, _, _), beta in zip(splits, betas):
+        rebuilt = dot(pi1(beta, d1), pi2(beta, d1))
+        yield {"max_entry_error": frames_close(rebuilt, beta)}
 
 
 def _intertwiner(seed, count):
-    for k, l in ((2, 3), (3, 2), (2, 5)):
-        for i in range(count):
-            s = seed * 7_368_787 + 101 * i + 17 * k + l
-            v = random_unitary(k * l, s)
-            h = StarHom(k, k * l, unitary_frame(v, k))
-            u = intertwiner(h)
-            # v is a second, independently known intertwiner of h.
-            yield {"residual": intertwiner_residual(h, u),
-                   "coset_deviation": block_scalar_deviation(v.conj().T @ u, k, l)}
+    shapes = [(k, l, seed * 7_368_787 + 101 * i + 17 * k + l)
+              for k, l in ((2, 3), (3, 2), (2, 5)) for i in range(count)]
+    for (k, l, _), v in zip(shapes, random_unitaries_of((k * l, s) for k, l, s in shapes)):
+        h = StarHom(k, k * l, unitary_frame(v, k))
+        u = intertwiner(h)
+        # v is a second, independently known intertwiner of h.
+        yield {"residual": intertwiner_residual(h, u),
+               "coset_deviation": block_scalar_deviation(v.conj().T @ u, k, l)}
 
 
 def _centralizer(seed, count):
     k, l = 2, 3
-    for i in range(count):
-        a = lambda_map(random_frame(k, k * l, seed * 2_750_159 + 53 * i))
+    for fr in random_frames((k, k * l, seed * 2_750_159 + 53 * i) for i in range(count)):
+        a = lambda_map(fr)
         z = centralizer(a)
         zz = centralizer(z)
         yield {"wrong_dimension_count": z.dim != l * l,
@@ -79,24 +85,22 @@ _NAT_CONFIGS = [
 
 
 def _naturality(seed, count):
-    for i in range(count):
-        cfg_f, cfg_g = _NAT_CONFIGS[i % len(_NAT_CONFIGS)]
-        s = seed * 15_485_863 + 211 * i
-        fd = random_c_morphism(cfg_f, s)
-        gd = random_c_morphism(cfg_g, s + 50)
-        ap = random_source_frame(cfg_f, s + 90)
-        pp = random_source_frame(cfg_g, s + 91)
+    samples = [(*_NAT_CONFIGS[i % len(_NAT_CONFIGS)], seed * 15_485_863 + 211 * i)
+               for i in range(count)]
+    morphisms = random_c_morphisms(spec for cfg_f, cfg_g, s in samples
+                                   for spec in ((cfg_f, s), (cfg_g, s + 50)))
+    frames = random_source_frames(spec for cfg_f, cfg_g, s in samples
+                                  for spec in ((cfg_f, s + 90), (cfg_g, s + 91)))
+    for (fd, gd), (ap, pp) in zip(_groups(morphisms, 2), _groups(frames, 2)):
         sq, wit = check_naturality(fd, gd, ap, pp)
         yield {"square_residual": sq, "witness_residual": wit}
 
 
 def _coherence_diagrams(seed, count):
-    for i in range(count):
-        s = seed * 32_452_843 + 307 * i
-        a = random_frame(2, 2, s)
-        b = random_frame(2, 6, s + 1)
-        yield {"associativity": check_associativity(a, random_frame(2, 4, s + 2),
-                                                    random_frame(1, 2, s + 3)),
+    frames = random_frames(spec for s in (seed * 32_452_843 + 307 * i for i in range(count))
+                           for spec in ((2, 2, s), (2, 6, s + 1), (2, 4, s + 2), (1, 2, s + 3)))
+    for a, b, c, e in _groups(frames, 4):
+        yield {"associativity": check_associativity(a, c, e),
                "identity": check_identity_embedding(b),
                "tau": check_tau(a, b)}
 
@@ -109,11 +113,11 @@ _ZT_CONFIGS = [
 
 
 def _centralizer_tensor(seed, count):
-    for i in range(count):
-        cfg_f, cfg_g = _ZT_CONFIGS[i % len(_ZT_CONFIGS)]
-        s = seed * 49_979_687 + 401 * i
-        fd = random_d_morphism(cfg_f, s)
-        gd = random_d_morphism(cfg_g, s + 60)
+    samples = [(*_ZT_CONFIGS[i % len(_ZT_CONFIGS)], seed * 49_979_687 + 401 * i)
+               for i in range(count)]
+    morphisms = random_d_morphisms(spec for cfg_f, cfg_g, s in samples
+                                   for spec in ((cfg_f, s), (cfg_g, s + 60)))
+    for fd, gd in _groups(morphisms, 2):
         _, dist = centralizer_tensor_check(fd.f, gd.f, fd.a, fd.b, gd.a, gd.b)
         yield {"subspace_distance": dist}
 
@@ -123,10 +127,9 @@ def _ev_composition(seed, count):
     rng = np.random.default_rng(seed + 424242)
     a, b = np.arange(l)[:, None], np.arange(l)
     units = np.eye(k * k).reshape(k, k, k, k)
-    for i in range(count):
-        s = seed * 86_028_121 + 503 * i
-        h1 = random_hom(k, l, s)
-        h2 = random_hom(k, l, s + 1)
+    homs = random_homs((k, l, seed * 86_028_121 + 503 * i + j)
+                       for i in range(count) for j in (0, 1))
+    for h1, h2 in _groups(homs, 2):
         t = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         composed = compose_phi(h2, h1)
         suspended = iota(h2, h1.dst // h2.src)
@@ -144,14 +147,14 @@ def _ev_composition(seed, count):
 
 def _fredholm_index(seed, count):
     k, l = 2, 3
-    for i in range(count):
-        s = seed * 67_867_967 + 601 * i
+    seeds = [seed * 67_867_967 + 601 * i for i in range(count)]
+    conjugators = random_unitaries(k, [s + 1 for s in seeds])
+    homs = random_homs((k, l, s + 2) for s in seeds)
+    for i, (s, g, h) in enumerate(zip(seeds, conjugators, homs)):
         t = random_fredholm(k, 3, 2, s, deficiency=i % 3)
         dim_ker, dim_coker = kernel_cokernel_dims(t)
-        g = random_unitary(k, s + 1)
         yield {"conjugation_violations":
                kernel_cokernel_dims(conjugate(g, t)) != (dim_ker, dim_coker)}
-        h = random_hom(k, l, s + 2)
         amped = amplify(h, t)
         yield {"amplification_violations":
                kernel_cokernel_dims(amped) != (l * dim_ker, l * dim_coker)}
@@ -159,11 +162,15 @@ def _fredholm_index(seed, count):
         yield {"amplification_violations": stable != Fraction(dim_ker - dim_coker, 1)}
 
 
-def _random_chain(seed: int, length: int) -> NerveChain:
-    # Levels alternate genuine size jumps (ratio l=3) with automorphisms.
-    specs = [(2, 3), (6, 1), (6, 3), (18, 1)][:length]
-    homs = tuple(random_hom(n, l, seed + 11 * j) for j, (n, l) in enumerate(specs))
-    return NerveChain(homs)
+def _random_chains(starts):
+    """The chains of (seed, length) pairs, in order: level j is a random
+    hom drawn at seed + 11 j.  Levels alternate genuine size jumps (ratio
+    l=3) with automorphisms."""
+    starts = list(starts)
+    levels = ((2, 3), (6, 1), (6, 3), (18, 1))
+    homs = random_homs((n, l, seed + 11 * j) for seed, length in starts
+                       for j, (n, l) in enumerate(levels[:length]))
+    return (NerveChain(tuple(islice(homs, length))) for _, length in starts)
 
 
 def _chain_residual(c1: NerveChain, c2: NerveChain) -> float:
@@ -175,10 +182,8 @@ def _chain_residual(c1: NerveChain, c2: NerveChain) -> float:
 
 def _nerve(seed, count):
     rng = np.random.default_rng(seed + 555)
-    for i in range(count):
-        s = seed * 23_456_789 + 701 * i
-        length = 2 + (i % 3)
-        chain = _random_chain(s, length)
+    for chain in _random_chains((seed * 23_456_789 + 701 * i, 2 + (i % 3)) for i in range(count)):
+        length = len(chain)
         faces = [nerve_face(k_, chain) for k_ in range(length + 1)]
         for j in range(length + 1):
             for k_ in range(j + 1, length + 1):
@@ -204,15 +209,16 @@ def _nerve(seed, count):
 
 def _fr_functoriality(seed, count):
     """fr_map respects composition of frame-condition morphisms."""
-    for i in range(count):
-        s = seed * 54_018_521 + 809 * i
-        fd, r = c_morphism_of_unitaries(random_unitary(2, s), random_unitary(4, s + 1),
-                                        random_unitary(2, s + 2), 2, 2)
+    unitaries = random_unitaries_of((n, seed * 54_018_521 + 809 * i + j)
+                                    for i in range(count) for j, n in enumerate((2, 4, 2, 8, 2, 2)))
+    for u, w, m, w2, m2, a in _groups(unitaries, 6):
+        fd, r = c_morphism_of_unitaries(u, w, m, 2, 2)
         # Second leg out of fd's target frame (ambient 4, degree 4), the
         # frame of r, into M_8.
-        gd, _ = c_morphism_of_unitaries(r, random_unitary(8, s + 3), random_unitary(2, s + 4), 4, 2)
+        gd, _ = c_morphism_of_unitaries(r, w2, m2, 4, 2)
         composed = make_c_morphism(compose_plain(gd.f, fd.f), fd.src_frame, gd.dst_frame)
-        ap = random_source_frame(MorphismConfig(2, 1, 2, 2), s + 5)
+        # random_source_frame(MorphismConfig(2, 1, 2, 2), ·) of the sample's sixth seed.
+        ap = unitary_frame(a, 2)
         yield {"max_entry_error": frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap)))}
 
 

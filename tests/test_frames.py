@@ -17,6 +17,7 @@ from frcalc.frames import (
     pi1,
     pi2,
     random_frame,
+    random_frames,
     reindex_frame,
     shuffle_permutation,
     tensor_frame,
@@ -24,6 +25,10 @@ from frcalc.frames import (
     unitary_frame,
     verify_frame,
 )
+from frcalc.generators import (MorphismConfig, random_c_morphism, random_c_morphisms,
+                               random_d_morphism, random_d_morphisms, random_source_frame,
+                               random_source_frames)
+from frcalc.homspace import random_hom, random_homs
 from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitary
 from frcalc.serialize import dump_json
 
@@ -320,3 +325,40 @@ def test_unitary_frame_is_the_conjugated_basepoint(d, l):
 def test_unitary_frame_refuses_a_degree_that_does_not_divide_a_square(u, d):
     with pytest.raises(ValueError):
         unitary_frame(u, d)
+
+
+def _same_frames(a, b):
+    return a.d == b.d and a.ambient == b.ambient and a.mats.tobytes() == b.mats.tobytes()
+
+
+def test_list_forms_give_their_singular_forms_bit_for_bit():
+    """Mixed shapes, repeated sizes and a repeated seed in one call; the
+    singular forms are one-element calls, so this compares stacks of
+    several draws against stacks of one."""
+    triples = [(2, 6, 4), (3, 6, 5), (1, 2, 4), (2, 2, 9), (6, 12, 4), (2, 6, 4)]
+    got = list(random_frames(triples))
+    assert len(got) == len(triples)
+    assert all(_same_frames(g, random_frame(*t)) for g, t in zip(got, triples))
+    homs = [(2, 3, 1), (6, 1, 12), (2, 3, 2), (6, 3, 23)]
+    assert all(_same_frames(g.image_frame, random_hom(*t).image_frame)
+               for g, t in zip(random_homs(homs), homs))
+    pairs = [(MorphismConfig(2, 1, 2, 2), 7), (MorphismConfig(1, 1, 6, 2), 57),
+             (MorphismConfig(1, 3, 2, 2), 8)]
+    for got, (cfg, seed) in zip(random_c_morphisms(pairs), pairs):
+        want = random_c_morphism(cfg, seed)
+        assert all(_same_frames(x, y) for x, y in ((got.src_frame, want.src_frame),
+                                                   (got.dst_frame, want.dst_frame),
+                                                   (got.f.image_frame, want.f.image_frame)))
+    for got, (cfg, seed) in zip(random_d_morphisms(pairs), pairs):
+        want = random_d_morphism(cfg, seed)
+        assert got.a.basis.tobytes() == want.a.basis.tobytes()
+        assert got.b.basis.tobytes() == want.b.basis.tobytes()
+    assert all(_same_frames(g, random_source_frame(cfg, seed))
+               for g, (cfg, seed) in zip(random_source_frames(pairs), pairs))
+
+
+def test_list_forms_refuse_a_bad_shape_before_drawing():
+    with pytest.raises(ValueError, match="frame degree must divide ambient size"):
+        random_frames([(2, 6, 1), (4, 6, 2)])
+    with pytest.raises(ValueError, match="completion degree"):
+        random_c_morphisms([(MorphismConfig(2, 1, 2, 2), 1), (MorphismConfig(2, 1, 3, 2), 2)])

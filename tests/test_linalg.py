@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from frcalc.linalg import (
     orthonormal_cols,
     orthonormal_span,
     pair_products,
+    random_unitaries,
+    random_unitaries_of,
     random_unitary,
     subspace_distance,
     svd_rank,
@@ -42,6 +45,45 @@ def test_random_unitary_is_unitary_and_deterministic():
 
 def test_random_unitary_seed_sensitivity():
     assert max_abs(random_unitary(5, 1) - random_unitary(5, 2)) > 1e-3
+
+
+# The sizes the suite batteries draw.
+SUITE_SIZES = (1, 2, 3, 4, 6, 8, 10, 12, 18)
+
+
+@pytest.mark.parametrize("n", SUITE_SIZES)
+def test_a_stacked_draw_is_the_draws_alone_bit_for_bit(n):
+    many = [0, 1, 7, 2**32 - 1, 2**63 + 5] + list(range(1000, 1040))
+    for seeds in ([12345], many):
+        stack = random_unitaries(n, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        for s, u in zip(seeds, stack):
+            assert u.tobytes() == random_unitary(n, s).tobytes()
+
+
+def test_draws_of_mixed_sizes_come_back_in_order():
+    draws = [(6, 3), (2, 3), (6, 4), (1, 9), (2, 5), (6, 3)]
+    got = random_unitaries_of(iter(draws))
+    assert [u.tobytes() for u in got] == [random_unitary(n, s).tobytes() for n, s in draws]
+    assert random_unitaries(4, []).shape == (0, 4, 4) and random_unitaries_of([]) == []
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_unitaries(0, [1])
+
+
+# SHA-256 of the bytes of random_unitary(n, seed), recorded when each unitary
+# was drawn alone, so that a change of the stream or of the phase fix shows.
+RANDOM_UNITARY_SHA256 = {
+    (1, 0): "669028c908ae2c533a375e817885ec5b83c7cf65b2a3be6df7313a00679c9583",
+    (2, 7): "7d57f3663ab5d047b1fe63b7fb501ab0cae4567313fbcc3358d0c7de2f656b20",
+    (6, 12345): "cf2886814e3e83d6b7c866a6fd141cfab44001d0991f2905ce87680071c5899c",
+    (18, 2**32 - 1): "5b917fd70b870708a7cb485fa11a770ee531e6801c9619c49debcc6f661ea513",
+}
+
+
+@pytest.mark.parametrize("n, seed", RANDOM_UNITARY_SHA256)
+def test_random_unitary_keeps_its_recorded_bytes(n, seed):
+    digest = hashlib.sha256(random_unitary(n, seed).tobytes()).hexdigest()
+    assert digest == RANDOM_UNITARY_SHA256[n, seed]
 
 
 def test_nullspace_and_rank():
