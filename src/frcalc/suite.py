@@ -11,8 +11,7 @@ acceptance tests and the kernel mutation tests run ``run_battery``."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
-from math import gcd
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -222,24 +221,6 @@ def _fr_functoriality(seed, count):
         yield {"max_entry_error": frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap)))}
 
 
-def _gcd_minors_factors(m):
-    """Invariant factors via gcds of i x i minors (independent oracle)."""
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    factors = []
-    for size in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in combinations(range(rows), size):
-            for ci in combinations(range(cols), size):
-                sub = [[m[a][b] for b in ci] for a in ri]
-                g = gcd(g, _int_det(sub))
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return factors
-
-
 def _int_det(m):
     n = len(m)
     if n == 1:
@@ -254,17 +235,29 @@ def _int_det(m):
     return total
 
 
+# Two singular samples, of ranks 2 and 3, checked after the random draws,
+# which almost never are: their Smith forms end in zeros.
+_RANK_DEFICIENT = ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 3, 0, 6], [1, 5, 3, 10]],
+                   [[2, 0, 4, 0], [0, 6, 0, 3], [2, 6, 4, 3], [1, 1, 1, 1]])
+
+
 def _abgroup(seed, count):
     rng = np.random.default_rng(seed + 99)
-    for _ in range(count):
-        m = rng.integers(-9, 10, size=(4, 4)).tolist()
+    draws = [rng.integers(-9, 10, size=(4, 4)).tolist() for _ in range(count)]
+    for m in [*draws, *_RANK_DEFICIENT]:
         u, d, v = smith_normal_form(m)
         product = np.array(u, dtype=object) @ np.array(m, dtype=object) @ np.array(v, dtype=object)
-        diag = [int(d[i][i]) for i in range(4)]
-        # U m V = D, each invariant factor divides the next, and they match the minors oracle.
-        yield {"snf_failures": (not np.array_equal(product, np.array(d, dtype=object))
-                                or any(diag[i + 1] % diag[i] for i in range(3) if diag[i])
-                                or [x for x in diag if x] != _gcd_minors_factors(m))}
+        diag = [d[i][i] for i in range(4)]
+        # A certificate that D is the Smith form of m, which is unique:
+        # U m V = D with |det U| = |det V| = 1, by this module's own
+        # determinant and not abgroup's, makes D equivalent to m; and a
+        # diagonal D >= 0 whose entries each divide the next, so that a
+        # zero comes only after every nonzero, is in Smith form.
+        diagonal = [[x if i == j else 0 for j in range(4)] for i, x in enumerate(diag)]
+        yield {"snf_failures": not (product.tolist() == d == diagonal and min(diag) >= 0
+                                    and all(b % a == 0 if a else b == 0
+                                            for a, b in zip(diag, diag[1:]))
+                                    and abs(_int_det(u)) == abs(_int_det(v)) == 1)}
 
     z, z12 = AbGroupPresentation.free(1), AbGroupPresentation.cyclic(12)
     z2, zz = AbGroupPresentation.cyclic(2), AbGroupPresentation.free(2)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from frcalc import abgroup
+from frcalc import abgroup, suite
 from frcalc.abgroup import (
     AbGroupPresentation,
     GroupHom,
@@ -200,12 +200,18 @@ def test_snf_transforms_match_the_recorded_digest():
 
 
 def test_snf_against_gcd_minors_oracle():
+    """The whole diagonal, zeros last, on the inputs of the suite's
+    abgroup battery at seed 7 (its draws and its rank-deficient samples)
+    and on 50 more draws."""
+    battery = np.random.default_rng(7 + 99)
+    matrices = [battery.integers(-9, 10, size=(4, 4)).tolist() for _ in range(200)]
+    matrices += suite._RANK_DEFICIENT
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        m = rng.integers(-6, 7, size=(4, 4)).tolist()
+    matrices += [rng.integers(-6, 7, size=(4, 4)).tolist() for _ in range(50)]
+    for m in matrices:
         _, d, _ = smith_normal_form(m)
-        diag = [int(d[i][i]) for i in range(4) if d[i][i] != 0]
-        assert diag == _gcd_minors_factors(m)
+        factors = _gcd_minors_factors(m)
+        assert [d[i][i] for i in range(4)] == factors + [0] * (4 - len(factors))
 
 
 def test_invariant_factors_drop_units():

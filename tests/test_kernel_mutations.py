@@ -20,6 +20,7 @@ from frcalc.suite import BATTERIES, run_battery
 apply_frame, kron_stack = linalg.apply_frame, linalg.kron_stack
 centralizer = grassmannian.centralizer
 pi2, eliminate, kernel_ = frames.pi2, abgroup._eliminate, abgroup._kernel
+smith_normal_form = abgroup.smith_normal_form
 ev = homspace.ev
 BY_NAME = {battery.name: battery for battery in BATTERIES}
 
@@ -86,6 +87,25 @@ def _eliminate_with_a_wrong_diagonal(tab, rows, cols):
     eliminate(tab, rows, cols)
     if rows and cols:
         tab[0][0] += 1
+
+
+def _snf_with_zero_pivots_first(m):
+    """``abgroup.smith_normal_form`` of a square m as (P U, P D P^T, V P^T)
+    for the permutation P that moves the zero pivots to the front: U m V
+    = D still holds with U and V unimodular, but D is no divisibility
+    chain."""
+    u, d, v = smith_normal_form(m)
+    order = sorted(range(len(d)), key=lambda i: d[i][i] != 0)
+    return ([u[i] for i in order], [[d[i][j] for j in order] for i in order],
+            [[row[j] for j in order] for row in v])
+
+
+def _snf_with_a_non_unimodular_u(m):
+    """``abgroup.smith_normal_form`` with the last rows of U and of D
+    doubled: U m V = D still holds and D is still a divisibility chain,
+    but det U = +-2."""
+    u, d, v = smith_normal_form(m)
+    return u[:-1] + [[2 * x for x in u[-1]]], d[:-1] + [[2 * x for x in d[-1]]], v
 
 
 def _kernel_ignoring_target_relations(f):
@@ -178,6 +198,14 @@ MUTANTS = {
     "Smith normal form whose row operations do not carry U":
         Mutant([(abgroup, "_eliminate", _eliminate_with_row_operations_on_d_only())],
                ["abgroup"]),
+    # Both keep U m V = D and report rather than raise. No other abgroup
+    # function calls smith_normal_form, so only snf_failures sees them:
+    # the first on the rank-deficient samples, by the zeros-last clause,
+    # and the second only by the battery's own determinant of U.
+    "Smith normal form with its zero pivots first":
+        Mutant([(abgroup, "smith_normal_form", _snf_with_zero_pivots_first)], ["abgroup"]),
+    "Smith normal form with a non-unimodular U":
+        Mutant([(abgroup, "smith_normal_form", _snf_with_a_non_unimodular_u)], ["abgroup"]),
     # Only kernel(Z -> Z/2, x -> x), which is Z, maps a free group into
     # a group with relations.
     "free-source kernel that ignores the target's relations":

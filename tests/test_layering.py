@@ -28,7 +28,11 @@ and ``frames.verify_frame`` returns residuals without judging them: in
 refuses to build a product of frames that do not commute, compares a
 residual with a bound.  A subalgebra's ``basis`` is already a (dim, n, n) stack, the
 one layout of a family of matrices, so no call in the package wraps a
-``.basis`` in ``list``, ``tuple`` or ``np.asarray``."""
+``.basis`` in ``list``, ``tuple`` or ``np.asarray``.  And ``suite.py``
+takes no underscore name from another frcalc module, so every battery
+checks the public API with its own means: the Smith form certificate's
+determinant, for one, cannot become ``abgroup._det_unimodular``, the
+check it backs up."""
 
 import ast
 import inspect
@@ -511,3 +515,52 @@ def test_no_basis_is_converted_out_of_its_stack():
     found = {p.name: basis_conversions(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def private_frcalc_names(source: str):
+    """(line, name) of every underscore name a module takes from a frcalc
+    module: imported by name (``from .abgroup import _eliminate``) or
+    read as an attribute of an imported frcalc name (``abgroup._bareiss``,
+    ``frcalc.abgroup._bareiss``).  Dunder names are not private."""
+    tree = ast.parse(source)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or "frcalc" for a in node.names if a.name.split(".")[0] == "frcalc"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "frcalc"):
+            bound |= {a.asname or a.name for a in node.names}
+            found += [(node.lineno, a.name) for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("snippet", [
+    "from .abgroup import _det_unimodular\n",
+    "from frcalc.abgroup import smith_normal_form, _eliminate as e\n",
+    "from . import abgroup\nx = abgroup._det_unimodular(m)\n",
+    "import frcalc.abgroup\nx = frcalc.abgroup._bareiss(m, 2)\n",
+])
+def test_private_name_guard_sees_private_frcalc_names(snippet):
+    assert private_frcalc_names(snippet)
+
+
+def test_private_name_guard_ignores_public_and_own_names():
+    assert private_frcalc_names("import frcalc\nimport numpy as np\nfrom . import abgroup\n"
+                                "from .linalg import DEFAULT_TOL\ndef _own(): pass\n"
+                                "x = [abgroup.smith_normal_form, _own(), np._NoValue,\n"
+                                "     frcalc.__name__, obj._private]\n") == []
+
+
+def test_suite_takes_no_private_name_from_another_module():
+    assert private_frcalc_names((SRC / SUITE_MODULE).read_text(encoding="utf-8")) == []
