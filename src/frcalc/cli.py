@@ -30,9 +30,10 @@ from .suite import judge, run_suite
 class Verb(NamedTuple):
     """One CLI verb.  ``flags`` lists ``--flag kind`` pairs; a kind is
     ``index`` (a non-negative int: a face or stage index), ``size`` (a
-    positive int: a size, degree or multiplicity), ``float``, ``seed`` (a
-    non-negative int that defaults to the config seed) or a kind of
-    ``serialize.CODECS``, whose flag names a JSON file.  A kind ending in
+    positive int: a size, degree or multiplicity), ``float`` (a positive
+    finite number: a scale), ``seed`` (a non-negative int that defaults
+    to the config seed) or a kind of ``serialize.CODECS``, whose flag
+    names a JSON file.  A kind ending in
     ``?`` is optional (None when absent); ``kind=value`` has a default.
     ``out`` names the codec of the ``--out`` payload.  ``body(tol,
     *decoded flag values)`` returns (residuals, bounds, result, payload)
@@ -300,6 +301,8 @@ def _decode(flag, kind, value, settings):
         return settings.seed
     if kind in _LEAST and value is not None and value < _LEAST[kind]:
         raise UsageError(f"{flag} {value} is less than {_LEAST[kind]}")
+    if kind == "float" and value is not None and not 0 < value < math.inf:
+        raise UsageError(f"{flag} {value} is not a positive finite number")
     if kind in CODECS and value is not None:
         return decode(kind, load_json(value, kind))
     return value

@@ -21,7 +21,6 @@ orthogonal projection, which forces all of (i) (argument in its docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .linalg import (
     kron_stack,
     max_abs,
     pair_products,
-    random_unitaries_of,
+    random_unitary,
 )
 
 
@@ -171,27 +170,19 @@ def unitary_frame(u: np.ndarray, d: int) -> Frame:
     return Frame(d, n, pair_products(v, v.conj().swapaxes(1, 2)))
 
 
-def random_frames(specs) -> Iterator[Frame]:
-    """Seeded random frames of (d, ambient, seed) triples, in order: the
-    unitary conjugates U (e_{i,j} (x) E_l) U* of the basepoint frame for
-    the Haar unitaries U = ``random_unitary(ambient, seed)``.  Every U is
-    drawn at the call, one ``random_unitaries`` stack per ambient size;
-    ``unitary_frame`` reads each frame off its U's column blocks as the
-    iterator reaches it.
+def random_frame(d: int, ambient: int, seed: int) -> Frame:
+    """Seeded random frame: the unitary conjugate U (e_{i,j} (x) E_l) U*
+    of the basepoint frame for the Haar unitary U = ``random_unitary(ambient,
+    seed)``, read off U's column blocks by ``unitary_frame``.  A degree
+    below 1 or one that does not divide ``ambient`` raises before U is
+    drawn.
 
     Transitivity of the unitary group on frames makes every frame
     reachable this way.
     """
-    specs = list(specs)
-    if any(ambient % d != 0 for d, ambient, _ in specs):
+    if d < 1 or ambient % d != 0:
         raise ValueError("frame degree must divide ambient size")
-    unitaries = random_unitaries_of((ambient, seed) for _, ambient, seed in specs)
-    return (unitary_frame(u, d) for (d, _, _), u in zip(specs, unitaries))
-
-
-def random_frame(d: int, ambient: int, seed: int) -> Frame:
-    """The one frame of ``random_frames([(d, ambient, seed)])``."""
-    return next(random_frames([(d, ambient, seed)]))
+    return unitary_frame(random_unitary(ambient, seed), d)
 
 
 def frames_close(a: Frame, b: Frame) -> float:

@@ -6,17 +6,23 @@ of the source frame dotted with a commuting frame in its centralizer,
 which is the frame of one product of unitaries (``random_c_morphism``).
 Rejection sampling for the frame condition would essentially never
 succeed.
+
+Every constructor here is a builder applied to Haar unitaries of
+``linalg.random_unitaries``: a morphism's (size, seed) pairs are
+``MorphismConfig.draws`` and its builder ``c_morphism_of_unitaries``, a
+frame's builder ``unitary_frame``.  So a caller that needs many samples,
+such as a suite battery, draws all their unitaries in one call and
+builds each sample from them as it reaches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .linalg import eye, kron_stack, random_unitaries_of
-from .frames import Frame, random_frames, unitary_frame
+from .linalg import eye, kron_stack, random_unitaries
+from .frames import Frame, random_frame, unitary_frame
 from .homspace import StarHom
 from .catverify import CMorphism, make_c_morphism
 from .grassmannian import Subalgebra, lambda_map
@@ -42,12 +48,20 @@ class MorphismConfig:
     def dst_ambient(self) -> int:
         return self.src_ambient * self.t
 
+    def draws(self, seed: int) -> list:
+        """The (size, seed) pairs of the Haar unitaries behind
+        ``random_c_morphism(self, seed)``: source (src_ambient, seed),
+        target (dst_ambient, seed + 1) and completion (cof t, seed + 2).
+        A completion degree below 1 or not dividing cof t raises."""
+        if self.d2 < 1 or (self.cof * self.t) % self.d2 != 0:
+            raise ValueError("completion degree must divide the available cofactor")
+        return [(self.src_ambient, seed), (self.dst_ambient, seed + 1),
+                (self.cof * self.t, seed + 2)]
 
-def random_c_morphisms(specs) -> Iterator[CMorphism]:
-    """Seeded frame-condition morphisms (f, alpha, beta) of (cfg, seed)
-    pairs, in order.  Every unitary is drawn at the call, one
-    ``random_unitaries`` stack per size, and each morphism is built by
-    ``c_morphism_of_unitaries`` as the iterator reaches it.
+
+def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
+    """Seeded frame-condition morphism (f, alpha, beta), built by
+    ``c_morphism_of_unitaries`` from the unitaries of ``cfg.draws(seed)``.
 
     With the Haar unitaries u (source, ``seed``), w (target, seed + 1) and
     m (size cof t, seed + 2, the unitary behind ``random_frame(d2, cof t,
@@ -59,22 +73,9 @@ def random_c_morphisms(specs) -> Iterator[CMorphism]:
         beta[(i,u),(j,v)] = f(alpha_ij) rho_uv = R (e_ij (x) e_uv (x) 1) R*,
         R = w kron(u, 1_t) kron(1_d1, m):
 
-    beta is ``unitary_frame(R, d1 d2)``, built without ``dot`` or rho
-    (``c_morphism_of_unitaries``).  ``make_c_morphism`` still checks the
-    frame condition."""
-    specs = list(specs)
-    if any((cfg.cof * cfg.t) % cfg.d2 != 0 for cfg, _ in specs):
-        raise ValueError("completion degree must divide the available cofactor")
-    unitaries = random_unitaries_of(
-        (n, seed + k) for cfg, seed in specs
-        for k, n in enumerate((cfg.src_ambient, cfg.dst_ambient, cfg.cof * cfg.t)))
-    return (c_morphism_of_unitaries(*unitaries[3 * i:3 * i + 3], cfg.d1, cfg.d2)[0]
-            for i, (cfg, _) in enumerate(specs))
-
-
-def random_c_morphism(cfg: MorphismConfig, seed: int) -> CMorphism:
-    """The one morphism of ``random_c_morphisms([(cfg, seed)])``."""
-    return next(random_c_morphisms([(cfg, seed)]))
+    beta is ``unitary_frame(R, d1 d2)``, built without ``dot`` or rho.
+    ``make_c_morphism`` still checks the frame condition."""
+    return c_morphism_of_unitaries(*random_unitaries(cfg.draws(seed)), cfg.d1, cfg.d2)[0]
 
 
 def c_morphism_of_unitaries(u: np.ndarray, w: np.ndarray, m: np.ndarray, d1: int, d2: int):
@@ -88,15 +89,10 @@ def c_morphism_of_unitaries(u: np.ndarray, w: np.ndarray, m: np.ndarray, d1: int
     return make_c_morphism(f, unitary_frame(u, d1), unitary_frame(r, d1 * d2)), r
 
 
-def random_source_frames(specs) -> Iterator[Frame]:
-    """For (cfg, seed) pairs, in order, frames on which the induced map of
-    a cfg-shaped morphism acts, drawn as ``random_frames`` draws them."""
-    return random_frames((cfg.d1, cfg.src_ambient, seed) for cfg, seed in specs)
-
-
 def random_source_frame(cfg: MorphismConfig, seed: int) -> Frame:
-    """The one frame of ``random_source_frames([(cfg, seed)])``."""
-    return next(random_source_frames([(cfg, seed)]))
+    """A frame on which the induced map of a cfg-shaped morphism acts:
+    ``random_frame(cfg.d1, cfg.src_ambient, seed)``."""
+    return random_frame(cfg.d1, cfg.src_ambient, seed)
 
 
 @dataclass(frozen=True)
@@ -106,16 +102,10 @@ class DMorphismData:
     b: Subalgebra
 
 
-def random_d_morphisms(specs) -> Iterator[DMorphismData]:
-    """Subalgebra-level morphisms of (cfg, seed) pairs, in order, derived
-    from the frame-level ones that ``random_c_morphisms`` draws at the call."""
-    return (DMorphismData(cm.f, lambda_map(cm.src_frame), lambda_map(cm.dst_frame))
-            for cm in random_c_morphisms(specs))
-
-
 def random_d_morphism(cfg: MorphismConfig, seed: int) -> DMorphismData:
-    """The one morphism of ``random_d_morphisms([(cfg, seed)])``."""
-    return next(random_d_morphisms([(cfg, seed)]))
+    """The subalgebra-level morphism of ``random_c_morphism(cfg, seed)``."""
+    cm = random_c_morphism(cfg, seed)
+    return DMorphismData(cm.f, lambda_map(cm.src_frame), lambda_map(cm.dst_frame))
 
 
 def random_fredholm(n: int, win_dom: int, win_cod: int, seed: int,

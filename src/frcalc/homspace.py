@@ -8,7 +8,6 @@ the two notions are mutually convertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .linalg import (
     kron_stack,
     max_abs,
 )
-from .frames import Frame, matrix_unit_frame, random_frames, tensor_frame, unitary_frame
+from .frames import Frame, matrix_unit_frame, random_frame, tensor_frame, unitary_frame
 
 _PHASE_PIVOT = 1e-6  # the first entry this large of a basis vector fixes its phase
 
@@ -54,19 +53,10 @@ def identity_hom(n: int) -> StarHom:
     return basepoint_hom(n, 1)
 
 
-def random_homs(specs) -> Iterator[StarHom]:
-    """Seeded random unital embeddings X -> V (X (x) E_l) V* of (src, l,
-    seed) triples, in order: every V is drawn at the call, as
-    ``random_frames`` draws it, and each hom is built as the iterator
-    reaches it."""
-    specs = list(specs)
-    frames = random_frames((src, src * l, seed) for src, l, seed in specs)
-    return (StarHom(src, src * l, fr) for (src, l, _), fr in zip(specs, frames))
-
-
 def random_hom(src: int, l: int, seed: int) -> StarHom:
-    """The one hom of ``random_homs([(src, l, seed)])``."""
-    return next(random_homs([(src, l, seed)]))
+    """Seeded random unital embedding X -> V (X (x) E_l) V*, its image
+    frame ``random_frame(src, src * l, seed)``."""
+    return StarHom(src, src * l, random_frame(src, src * l, seed))
 
 
 def ev(h: StarHom, t: np.ndarray) -> np.ndarray:

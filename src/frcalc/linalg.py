@@ -22,12 +22,12 @@ the ``svd_rank`` cut.  So projecting onto the span of a subalgebra or a
 centralizer costs one Gram product, not an SVD.
 
 Every seeded object of the package is built from Haar unitaries drawn
-by ``random_unitaries``: one generator per seed, then one QR of the
-whole (count, n, n) stack (``random_unitaries_of`` takes one stack per
-size for draws of mixed sizes).  LAPACK factors a stack one matrix at a
-time and the phase fix is elementwise, so a stacked draw gives each
-unitary bit for bit as ``random_unitary`` draws it alone, while the
-per-call cost of the QR is paid once per stack.
+by ``random_unitaries``: one generator per (size, seed) pair, then one
+QR of the whole (count, n, n) stack of each size.  LAPACK factors a
+stack one matrix at a time and the phase fix is elementwise, so each
+unitary is the same bit for bit whatever else is drawn with it, while
+the per-call cost of the QR is paid once per size; ``random_unitary``
+is the one-pair case.
 """
 
 from __future__ import annotations
@@ -140,48 +140,36 @@ def svd_rank(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int:
     return int(np.sum(s > tol.rank_cutoff * (s[0] if scale is None else scale)))
 
 
-def random_unitaries(n: int, seeds) -> np.ndarray:
-    """The (len(seeds), n, n) stack of Haar-distributed n x n unitaries,
-    one per seed, each deterministic for fixed ``(n, seed)``.
+def random_unitaries(draws) -> list:
+    """The Haar-distributed unitaries of (n, seed) pairs of any sizes, in
+    order, each deterministic for fixed ``(n, seed)``.
 
     Each seed starts its own generator, whose first 2 n^2 normals give the
     real and imaginary parts of a complex Ginibre matrix; one QR of the
-    whole stack follows, with the R diagonal phases pushed into Q
+    stack of each size follows, with the R diagonal phases pushed into Q
     (Mezzadri, Notices AMS 54, 2007).  LAPACK factors a stack one matrix
     at a time and every other step is elementwise, so each unitary is bit
     for bit the one drawn alone."""
-    if n < 1:
+    draws = list(draws)
+    if any(n < 1 for n, _ in draws):
         raise ValueError("n must be >= 1")
-    g = np.empty((len(seeds), 2, n, n))
-    for k, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=g[k])
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    out = [None] * len(draws)
+    for n in dict.fromkeys(n for n, _ in draws):
+        slots = [k for k, (m, _) in enumerate(draws) if m == n]
+        g = np.empty((len(slots), 2, n, n))
+        for row, k in zip(g, slots):
+            np.random.default_rng(draws[k][1]).standard_normal(out=row)
+        q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        for k, u in zip(slots, q * (d / np.abs(d))[:, None, :]):
+            out[k] = u
+    return out
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary, deterministic for fixed ``(n, seed)``:
-    the one-seed case of ``random_unitaries``.  A stack of one is factored
-    as every matrix of a larger stack is, so the unitary is the same bit
-    for bit whether drawn alone or with others."""
-    return random_unitaries(n, [seed])[0]
-
-
-def random_unitaries_of(draws) -> list:
-    """``[random_unitary(n, seed) for n, seed in draws]``, drawn as one
-    ``random_unitaries`` stack per size.  A size drawn once, as by each
-    singular constructor (``random_frame``, ``random_hom``, ...), takes
-    ``random_unitary`` itself, so that a traced run still counts lone draws."""
-    draws = list(draws)
-    out = [None] * len(draws)
-    for n in dict.fromkeys(n for n, _ in draws):
-        slots = [k for k, (m, _) in enumerate(draws) if m == n]
-        seeds = [draws[k][1] for k in slots]
-        stack = random_unitaries(n, seeds) if len(seeds) > 1 else [random_unitary(n, seeds[0])]
-        for k, u in zip(slots, stack):
-            out[k] = u
-    return out
+    the one-pair case of ``random_unitaries``, the same bit for bit."""
+    return random_unitaries([(n, seed)])[0]
 
 
 def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -11,7 +11,6 @@ acceptance tests and the kernel mutation tests run ``run_battery``."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,34 +20,35 @@ from .abgroup import (AbGroupPresentation, GroupHom, cokernel, kernel, localize,
 from .catverify import (NerveChain, bundle_face, check_associativity, check_identity_embedding,
                         check_naturality, check_tau, fr_map, make_c_morphism, nerve_degeneracy,
                         nerve_face)
-from .frames import dot, frames_close, pi1, pi2, random_frames, unitary_frame, verify_frame
+from .frames import dot, frames_close, pi1, pi2, unitary_frame, verify_frame
 from .fredholm import amplify, conjugate, kernel_cokernel_dims, localize_index
-from .generators import (MorphismConfig, c_morphism_of_unitaries, random_c_morphisms,
-                         random_d_morphisms, random_fredholm, random_source_frames)
+from .generators import MorphismConfig, c_morphism_of_unitaries, random_fredholm
 from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
 from .homspace import (StarHom, block_scalar_deviation, compose_phi, compose_plain, ev,
-                       intertwiner, intertwiner_residual, iota, random_homs)
-from .linalg import DEFAULT_TOL, max_abs, random_unitaries, random_unitaries_of, subspace_distance
+                       intertwiner, intertwiner_residual, iota)
+from .linalg import DEFAULT_TOL, max_abs, random_unitaries, subspace_distance
 
 
 def _groups(items, size):
-    """Consecutive ``size``-tuples of ``items``: a battery draws the data
-    of all its samples in one call and takes them a sample at a time."""
+    """Consecutive ``size``-tuples of ``items``: a battery draws the
+    unitaries of all its samples in one ``random_unitaries`` call and
+    takes them a sample at a time."""
     it = iter(items)
     return zip(*[it] * size)
 
 
 def _frame_axioms(seed, count):
-    for fr in random_frames((k, k * l, seed * 1_000_003 + 97 * i + k * 13 + l)
-                            for k, l in ((2, 3), (3, 2), (2, 5)) for i in range(count)):
-        yield {"max_axiom_error": verify_frame(fr).max_error}
+    shapes = [(k, l, seed * 1_000_003 + 97 * i + k * 13 + l)
+              for k, l in ((2, 3), (3, 2), (2, 5)) for i in range(count)]
+    for (k, _, _), u in zip(shapes, random_unitaries((k * l, s) for k, l, s in shapes)):
+        yield {"max_axiom_error": verify_frame(unitary_frame(u, k)).max_error}
 
 
 def _reconstruction(seed, count):
-    splits = [(d1, d2, i) for d1, d2 in ((2, 2), (2, 3), (3, 2)) for i in range(count)]
-    betas = random_frames((d1 * d2, d1 * d2 * 2, seed * 999_983 + 31 * i + d1 + 7 * d2)
-                          for d1, d2, i in splits)
-    for (d1, _, _), beta in zip(splits, betas):
+    splits = [(d1, d2, seed * 999_983 + 31 * i + d1 + 7 * d2)
+              for d1, d2 in ((2, 2), (2, 3), (3, 2)) for i in range(count)]
+    for (d1, d2, _), u in zip(splits, random_unitaries((2 * d1 * d2, s) for d1, d2, s in splits)):
+        beta = unitary_frame(u, d1 * d2)
         rebuilt = dot(pi1(beta, d1), pi2(beta, d1))
         yield {"max_entry_error": frames_close(rebuilt, beta)}
 
@@ -56,7 +56,7 @@ def _reconstruction(seed, count):
 def _intertwiner(seed, count):
     shapes = [(k, l, seed * 7_368_787 + 101 * i + 17 * k + l)
               for k, l in ((2, 3), (3, 2), (2, 5)) for i in range(count)]
-    for (k, l, _), v in zip(shapes, random_unitaries_of((k * l, s) for k, l, s in shapes)):
+    for (k, l, _), v in zip(shapes, random_unitaries((k * l, s) for k, l, s in shapes)):
         h = StarHom(k, k * l, unitary_frame(v, k))
         u = intertwiner(h)
         # v is a second, independently known intertwiner of h.
@@ -66,8 +66,8 @@ def _intertwiner(seed, count):
 
 def _centralizer(seed, count):
     k, l = 2, 3
-    for fr in random_frames((k, k * l, seed * 2_750_159 + 53 * i) for i in range(count)):
-        a = lambda_map(fr)
+    for u in random_unitaries((k * l, seed * 2_750_159 + 53 * i) for i in range(count)):
+        a = lambda_map(unitary_frame(u, k))
         z = centralizer(a)
         zz = centralizer(z)
         yield {"wrong_dimension_count": z.dim != l * l,
@@ -86,19 +86,25 @@ _NAT_CONFIGS = [
 def _naturality(seed, count):
     samples = [(*_NAT_CONFIGS[i % len(_NAT_CONFIGS)], seed * 15_485_863 + 211 * i)
                for i in range(count)]
-    morphisms = random_c_morphisms(spec for cfg_f, cfg_g, s in samples
-                                   for spec in ((cfg_f, s), (cfg_g, s + 50)))
-    frames = random_source_frames(spec for cfg_f, cfg_g, s in samples
-                                  for spec in ((cfg_f, s + 90), (cfg_g, s + 91)))
-    for (fd, gd), (ap, pp) in zip(_groups(morphisms, 2), _groups(frames, 2)):
-        sq, wit = check_naturality(fd, gd, ap, pp)
+    # The unitaries of f, g and of their source frames, as random_c_morphism
+    # and random_source_frame draw them.
+    unitaries = random_unitaries(
+        draw for cfg_f, cfg_g, s in samples
+        for draw in (*cfg_f.draws(s), *cfg_g.draws(s + 50),
+                     (cfg_f.src_ambient, s + 90), (cfg_g.src_ambient, s + 91)))
+    for (cfg_f, cfg_g, _), us in zip(samples, _groups(unitaries, 8)):
+        fd, _ = c_morphism_of_unitaries(*us[:3], cfg_f.d1, cfg_f.d2)
+        gd, _ = c_morphism_of_unitaries(*us[3:6], cfg_g.d1, cfg_g.d2)
+        sq, wit = check_naturality(fd, gd, unitary_frame(us[6], cfg_f.d1),
+                                   unitary_frame(us[7], cfg_g.d1))
         yield {"square_residual": sq, "witness_residual": wit}
 
 
 def _coherence_diagrams(seed, count):
-    frames = random_frames(spec for s in (seed * 32_452_843 + 307 * i for i in range(count))
-                           for spec in ((2, 2, s), (2, 6, s + 1), (2, 4, s + 2), (1, 2, s + 3)))
-    for a, b, c, e in _groups(frames, 4):
+    unitaries = random_unitaries(draw for s in (seed * 32_452_843 + 307 * i for i in range(count))
+                                 for draw in ((2, s), (6, s + 1), (4, s + 2), (2, s + 3)))
+    for us in _groups(unitaries, 4):
+        a, b, c, e = map(unitary_frame, us, (2, 2, 2, 1))
         yield {"associativity": check_associativity(a, c, e),
                "identity": check_identity_embedding(b),
                "tau": check_tau(a, b)}
@@ -114,10 +120,13 @@ _ZT_CONFIGS = [
 def _centralizer_tensor(seed, count):
     samples = [(*_ZT_CONFIGS[i % len(_ZT_CONFIGS)], seed * 49_979_687 + 401 * i)
                for i in range(count)]
-    morphisms = random_d_morphisms(spec for cfg_f, cfg_g, s in samples
-                                   for spec in ((cfg_f, s), (cfg_g, s + 60)))
-    for fd, gd in _groups(morphisms, 2):
-        _, dist = centralizer_tensor_check(fd.f, gd.f, fd.a, fd.b, gd.a, gd.b)
+    unitaries = random_unitaries(draw for cfg_f, cfg_g, s in samples
+                                 for draw in (*cfg_f.draws(s), *cfg_g.draws(s + 60)))
+    for (cfg_f, cfg_g, _), us in zip(samples, _groups(unitaries, 6)):
+        fd, _ = c_morphism_of_unitaries(*us[:3], cfg_f.d1, cfg_f.d2)
+        gd, _ = c_morphism_of_unitaries(*us[3:], cfg_g.d1, cfg_g.d2)
+        _, dist = centralizer_tensor_check(fd.f, gd.f, *map(lambda_map, (
+            fd.src_frame, fd.dst_frame, gd.src_frame, gd.dst_frame)))
         yield {"subspace_distance": dist}
 
 
@@ -126,9 +135,10 @@ def _ev_composition(seed, count):
     rng = np.random.default_rng(seed + 424242)
     a, b = np.arange(l)[:, None], np.arange(l)
     units = np.eye(k * k).reshape(k, k, k, k)
-    homs = random_homs((k, l, seed * 86_028_121 + 503 * i + j)
-                       for i in range(count) for j in (0, 1))
-    for h1, h2 in _groups(homs, 2):
+    unitaries = random_unitaries((k * l, seed * 86_028_121 + 503 * i + j)
+                                 for i in range(count) for j in (0, 1))
+    for v1, v2 in _groups(unitaries, 2):
+        h1, h2 = (StarHom(k, k * l, unitary_frame(v, k)) for v in (v1, v2))
         t = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         composed = compose_phi(h2, h1)
         suspended = iota(h2, h1.dst // h2.src)
@@ -147,9 +157,9 @@ def _ev_composition(seed, count):
 def _fredholm_index(seed, count):
     k, l = 2, 3
     seeds = [seed * 67_867_967 + 601 * i for i in range(count)]
-    conjugators = random_unitaries(k, [s + 1 for s in seeds])
-    homs = random_homs((k, l, s + 2) for s in seeds)
-    for i, (s, g, h) in enumerate(zip(seeds, conjugators, homs)):
+    unitaries = random_unitaries(draw for s in seeds for draw in ((k, s + 1), (k * l, s + 2)))
+    for i, (s, (g, v)) in enumerate(zip(seeds, _groups(unitaries, 2))):
+        h = StarHom(k, k * l, unitary_frame(v, k))
         t = random_fredholm(k, 3, 2, s, deficiency=i % 3)
         dim_ker, dim_coker = kernel_cokernel_dims(t)
         yield {"conjugation_violations":
@@ -167,9 +177,11 @@ def _random_chains(starts):
     l=3) with automorphisms."""
     starts = list(starts)
     levels = ((2, 3), (6, 1), (6, 3), (18, 1))
-    homs = random_homs((n, l, seed + 11 * j) for seed, length in starts
-                       for j, (n, l) in enumerate(levels[:length]))
-    return (NerveChain(tuple(islice(homs, length))) for _, length in starts)
+    unitaries = iter(random_unitaries((n * l, seed + 11 * j) for seed, length in starts
+                                      for j, (n, l) in enumerate(levels[:length])))
+    return (NerveChain(tuple(StarHom(n, n * l, unitary_frame(v, n))
+                             for (n, l), v in zip(levels[:length], unitaries)))
+            for _, length in starts)
 
 
 def _chain_residual(c1: NerveChain, c2: NerveChain) -> float:
@@ -206,17 +218,22 @@ def _nerve(seed, count):
         yield {"bundle_compatibility": max_abs(t_kept - t)}
 
 
+_FR_FIRST_LEG = MorphismConfig(2, 1, 2, 2)
+
+
 def _fr_functoriality(seed, count):
     """fr_map respects composition of frame-condition morphisms."""
-    unitaries = random_unitaries_of((n, seed * 54_018_521 + 809 * i + j)
-                                    for i in range(count) for j, n in enumerate((2, 4, 2, 8, 2, 2)))
+    # The first leg is random_c_morphism(_FR_FIRST_LEG, s), its source frame
+    # random_source_frame(_FR_FIRST_LEG, s + 5).
+    unitaries = random_unitaries(draw for s in (seed * 54_018_521 + 809 * i for i in range(count))
+                                 for draw in (*_FR_FIRST_LEG.draws(s), (8, s + 3), (2, s + 4),
+                                              (2, s + 5)))
     for u, w, m, w2, m2, a in _groups(unitaries, 6):
         fd, r = c_morphism_of_unitaries(u, w, m, 2, 2)
         # Second leg out of fd's target frame (ambient 4, degree 4), the
         # frame of r, into M_8.
         gd, _ = c_morphism_of_unitaries(r, w2, m2, 4, 2)
         composed = make_c_morphism(compose_plain(gd.f, fd.f), fd.src_frame, gd.dst_frame)
-        # random_source_frame(MorphismConfig(2, 1, 2, 2), ·) of the sample's sixth seed.
         ap = unitary_frame(a, 2)
         yield {"max_entry_error": frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap)))}
 

@@ -47,17 +47,17 @@ def test_a_residual_without_a_threshold_raises():
         run_battery(_fake({"residual": 1e-9}, sample), 7)
 
 
-def _frames_with_a_nan(specs):
-    """``frames.random_frames`` with a NaN in one entry of every frame."""
-    for fr in frames.random_frames(specs):
-        mats = fr.mats.copy()
-        mats[0, -1, -1, 0] = np.nan
-        yield frames.Frame(fr.d, fr.ambient, mats)
+def _frame_with_a_nan(u, d):
+    """``frames.unitary_frame`` with a NaN in one entry."""
+    fr = frames.unitary_frame(u, d)
+    mats = fr.mats.copy()
+    mats[0, -1, -1, 0] = np.nan
+    return frames.Frame(fr.d, fr.ambient, mats)
 
 
 @pytest.mark.parametrize("name, kernel, fake", [
     ("reconstruction", "frames_close", lambda a, b: math.nan),
-    ("frame_axioms", "random_frames", _frames_with_a_nan),
+    ("frame_axioms", "unitary_frame", _frame_with_a_nan),
 ])
 def test_a_nan_from_a_kernel_fails_its_battery(monkeypatch, name, kernel, fake):
     battery = BY_NAME[name]

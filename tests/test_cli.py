@@ -67,6 +67,10 @@ _BAD_FLAGS = {
     "zero frame degree": "frame make-units --d 0 --cofactor 2",
     "zero multiplicity": "hom random --src 2 --l 0",
     "negative seed": "frame random --d 2 --ambient 4 --seed -1",
+    "NaN scale": "suite --scale nan",
+    "infinite scale": "suite --scale inf",
+    "zero scale": "suite --scale 0",
+    "negative scale": "suite --scale -1",
 }
 
 

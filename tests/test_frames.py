@@ -17,7 +17,6 @@ from frcalc.frames import (
     pi1,
     pi2,
     random_frame,
-    random_frames,
     reindex_frame,
     shuffle_permutation,
     tensor_frame,
@@ -25,11 +24,11 @@ from frcalc.frames import (
     unitary_frame,
     verify_frame,
 )
-from frcalc.generators import (MorphismConfig, random_c_morphism, random_c_morphisms,
-                               random_d_morphism, random_d_morphisms, random_source_frame,
-                               random_source_frames)
-from frcalc.homspace import random_hom, random_homs
-from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitary
+from frcalc.generators import (MorphismConfig, c_morphism_of_unitaries, random_c_morphism,
+                               random_d_morphism, random_source_frame)
+from frcalc.grassmannian import lambda_map
+from frcalc.homspace import random_hom
+from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitaries, random_unitary
 from frcalc.serialize import dump_json
 
 
@@ -331,34 +330,54 @@ def _same_frames(a, b):
     return a.d == b.d and a.ambient == b.ambient and a.mats.tobytes() == b.mats.tobytes()
 
 
-def test_list_forms_give_their_singular_forms_bit_for_bit():
-    """Mixed shapes, repeated sizes and a repeated seed in one call; the
-    singular forms are one-element calls, so this compares stacks of
-    several draws against stacks of one."""
-    triples = [(2, 6, 4), (3, 6, 5), (1, 2, 4), (2, 2, 9), (6, 12, 4), (2, 6, 4)]
-    got = list(random_frames(triples))
-    assert len(got) == len(triples)
-    assert all(_same_frames(g, random_frame(*t)) for g, t in zip(got, triples))
-    homs = [(2, 3, 1), (6, 1, 12), (2, 3, 2), (6, 3, 23)]
-    assert all(_same_frames(g.image_frame, random_hom(*t).image_frame)
-               for g, t in zip(random_homs(homs), homs))
+def test_each_singular_constructor_is_its_builder_on_one_shared_draw():
+    """Every unitary below comes from one ``random_unitaries`` call of
+    mixed sizes, with repeated sizes and a repeated seed, while each
+    singular constructor draws its own: a stack of many draws against
+    stacks of one, bit for bit."""
+    frame_shapes = [(2, 6, 4), (3, 6, 5), (1, 2, 4), (2, 2, 9), (6, 12, 4), (2, 6, 4)]
+    hom_shapes = [(2, 3, 1), (6, 1, 12), (2, 3, 2), (6, 3, 23)]
     pairs = [(MorphismConfig(2, 1, 2, 2), 7), (MorphismConfig(1, 1, 6, 2), 57),
              (MorphismConfig(1, 3, 2, 2), 8)]
-    for got, (cfg, seed) in zip(random_c_morphisms(pairs), pairs):
-        want = random_c_morphism(cfg, seed)
+    unitaries = iter(random_unitaries(
+        [(n, s) for _, n, s in frame_shapes] + [(src * l, s) for src, l, s in hom_shapes]
+        + [draw for cfg, s in pairs for draw in cfg.draws(s)]
+        + [(cfg.src_ambient, s) for cfg, s in pairs]))
+    for d, n, s in frame_shapes:
+        assert _same_frames(random_frame(d, n, s), unitary_frame(next(unitaries), d))
+    for src, l, s in hom_shapes:
+        h = random_hom(src, l, s)
+        assert (h.src, h.dst) == (src, src * l)
+        assert _same_frames(h.image_frame, unitary_frame(next(unitaries), src))
+    for cfg, s in pairs:
+        want, _ = c_morphism_of_unitaries(*[next(unitaries) for _ in range(3)], cfg.d1, cfg.d2)
+        got, sub = random_c_morphism(cfg, s), random_d_morphism(cfg, s)
         assert all(_same_frames(x, y) for x, y in ((got.src_frame, want.src_frame),
                                                    (got.dst_frame, want.dst_frame),
-                                                   (got.f.image_frame, want.f.image_frame)))
-    for got, (cfg, seed) in zip(random_d_morphisms(pairs), pairs):
-        want = random_d_morphism(cfg, seed)
-        assert got.a.basis.tobytes() == want.a.basis.tobytes()
-        assert got.b.basis.tobytes() == want.b.basis.tobytes()
-    assert all(_same_frames(g, random_source_frame(cfg, seed))
-               for g, (cfg, seed) in zip(random_source_frames(pairs), pairs))
+                                                   (got.f.image_frame, want.f.image_frame),
+                                                   (sub.f.image_frame, want.f.image_frame)))
+        assert sub.a.basis.tobytes() == lambda_map(want.src_frame).basis.tobytes()
+        assert sub.b.basis.tobytes() == lambda_map(want.dst_frame).basis.tobytes()
+    for cfg, s in pairs:
+        assert _same_frames(random_source_frame(cfg, s), unitary_frame(next(unitaries), cfg.d1))
+    assert next(unitaries, None) is None
 
 
-def test_list_forms_refuse_a_bad_shape_before_drawing():
-    with pytest.raises(ValueError, match="frame degree must divide ambient size"):
-        random_frames([(2, 6, 1), (4, 6, 2)])
-    with pytest.raises(ValueError, match="completion degree"):
-        random_c_morphisms([(MorphismConfig(2, 1, 2, 2), 1), (MorphismConfig(2, 1, 3, 2), 2)])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_frame(0, 6, 1), id="frame degree 0"),
+    pytest.param(lambda: random_frame(-2, 6, 1), id="frame degree -2"),
+    pytest.param(lambda: random_frame(4, 6, 2), id="frame degree not dividing the ambient size"),
+    pytest.param(lambda: random_hom(0, 3, 1), id="hom out of M_0"),
+    pytest.param(lambda: MorphismConfig(2, 1, 3, 2).draws(2), id="completion degree 2 of 3"),
+    pytest.param(lambda: MorphismConfig(2, 1, 2, 0).draws(2), id="completion degree 0"),
+    pytest.param(lambda: random_c_morphism(MorphismConfig(2, 1, 3, 2), 2),
+                 id="morphism with completion degree 2 of 3"),
+])
+def test_a_bad_shape_is_refused_before_any_draw(monkeypatch, make):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a unitary was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(np.linalg, "qr", no_draw)
+    with pytest.raises(ValueError, match="frame degree must divide ambient size|completion degree"):
+        make()

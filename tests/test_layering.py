@@ -32,7 +32,10 @@ one layout of a family of matrices, so no call in the package wraps a
 takes no underscore name from another frcalc module, so every battery
 checks the public API with its own means: the Smith form certificate's
 determinant, for one, cannot become ``abgroup._det_unimodular``, the
-check it backs up."""
+check it backs up.  Nor does ``suite.py`` name a seeded constructor
+that draws its own unitaries (``random_unitary``, ``random_frame``,
+...): each takes a QR of its own, where a battery draws all its
+unitaries in one ``random_unitaries`` call, one QR per size."""
 
 import ast
 import inspect
@@ -49,6 +52,8 @@ IMPORT_CHECKED = ("src", "tests")
 KERNEL_MODULE = "linalg.py"
 BOUNDARY_MODULE, BOUNDARY = "serialize.py", {"decode", "load_json"}
 CLI_MODULE, SUITE_MODULE, JUDGE = "cli.py", "suite.py", "judge"
+LONE_DRAWS = {"random_unitary", "random_frame", "random_hom", "random_c_morphism",
+              "random_source_frame", "random_d_morphism"}  # each takes a QR of its own
 FRAMES_MODULE, FRAME_GUARDS = "frames.py", {"dot_with_residual"}
 BANNED = {"einsum", "kron"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
@@ -564,3 +569,37 @@ def test_private_name_guard_ignores_public_and_own_names():
 
 def test_suite_takes_no_private_name_from_another_module():
     assert private_frcalc_names((SRC / SUITE_MODULE).read_text(encoding="utf-8")) == []
+
+
+def lone_draws(source: str):
+    """(line, name) of every import or read of a name in ``LONE_DRAWS``:
+    a bare name, an attribute (``frames.random_frame``) or a name imported
+    under any alias."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in LONE_DRAWS]
+        elif isinstance(node, ast.Name) and node.id in LONE_DRAWS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in LONE_DRAWS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("snippet", [
+    "from .frames import random_frame\nx = random_frame(2, 6, 1)\n",
+    "from . import linalg\nu = linalg.random_unitary(6, 1)\n",
+    "from .generators import random_c_morphism as draw\nm = draw(cfg, 1)\n",
+    "import frcalc.homspace\nhs = map(frcalc.homspace.random_hom, a, b, c)\n",
+])
+def test_lone_draw_guard_sees_constructors_that_draw_alone(snippet):
+    assert lone_draws(snippet)
+
+
+def test_lone_draw_guard_ignores_the_batched_draw():
+    assert lone_draws("from .linalg import random_unitaries\nus = random_unitaries(draws)\n"
+                      "t = random_fredholm(2, 3, 2, 1)\nfr = unitary_frame(us[0], 2)\n") == []
+
+
+def test_suite_draws_no_unitary_alone():
+    assert lone_draws((SRC / SUITE_MODULE).read_text(encoding="utf-8")) == []

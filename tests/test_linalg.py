@@ -27,7 +27,6 @@ from frcalc.linalg import (
     orthonormal_span,
     pair_products,
     random_unitaries,
-    random_unitaries_of,
     random_unitary,
     subspace_distance,
     svd_rank,
@@ -55,19 +54,19 @@ SUITE_SIZES = (1, 2, 3, 4, 6, 8, 10, 12, 18)
 def test_a_stacked_draw_is_the_draws_alone_bit_for_bit(n):
     many = [0, 1, 7, 2**32 - 1, 2**63 + 5] + list(range(1000, 1040))
     for seeds in ([12345], many):
-        stack = random_unitaries(n, seeds)
-        assert stack.shape == (len(seeds), n, n)
+        stack = random_unitaries([(n, s) for s in seeds])
+        assert [u.shape for u in stack] == [(n, n)] * len(seeds)
         for s, u in zip(seeds, stack):
             assert u.tobytes() == random_unitary(n, s).tobytes()
 
 
 def test_draws_of_mixed_sizes_come_back_in_order():
     draws = [(6, 3), (2, 3), (6, 4), (1, 9), (2, 5), (6, 3)]
-    got = random_unitaries_of(iter(draws))
+    got = random_unitaries(iter(draws))
     assert [u.tobytes() for u in got] == [random_unitary(n, s).tobytes() for n, s in draws]
-    assert random_unitaries(4, []).shape == (0, 4, 4) and random_unitaries_of([]) == []
+    assert random_unitaries([]) == []
     with pytest.raises(ValueError, match="n must be >= 1"):
-        random_unitaries(0, [1])
+        random_unitaries([(2, 1), (0, 1)])
 
 
 # SHA-256 of the bytes of random_unitary(n, seed), recorded when each unitary
