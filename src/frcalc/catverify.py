@@ -51,21 +51,18 @@ class CMorphism:
         return self.src_frame.d
 
 
-def is_c_morphism(f: StarHom, alpha: Frame, beta: Frame, d1: int,
-                  tol: Tolerance = DEFAULT_TOL):
-    """Check f_*(alpha) = pi1(beta, d1); returns (ok, residual)."""
-    if alpha.ambient != f.src or beta.ambient != f.dst or beta.d % d1 != 0:
+def is_c_morphism(f: StarHom, alpha: Frame, beta: Frame, tol: Tolerance = DEFAULT_TOL):
+    """Check f_*(alpha) = pi1(beta, alpha.d), the split read off the
+    source frame's degree; returns (ok, residual)."""
+    if alpha.ambient != f.src or beta.ambient != f.dst or beta.d % alpha.d != 0:
         raise ValueError("morphism data has incompatible sizes")
-    pushed = push_frame(f, alpha)
-    if pushed.d != d1:
-        raise ValueError("split does not match the source frame degree")
-    residual = frames_close(pushed, pi1(beta, d1))
+    residual = frames_close(push_frame(f, alpha), pi1(beta, alpha.d))
     return residual <= tol.bound("frame_condition"), residual
 
 
 def make_c_morphism(f: StarHom, alpha: Frame, beta: Frame,
                     tol: Tolerance = DEFAULT_TOL) -> CMorphism:
-    ok, residual = is_c_morphism(f, alpha, beta, alpha.d, tol)
+    ok, residual = is_c_morphism(f, alpha, beta, tol)
     if not ok:
         raise ValueError(f"frame condition fails with residual {residual:.2e}")
     return CMorphism(f, alpha, beta)

@@ -230,9 +230,9 @@ VERBS = (
          _grmap),
     Verb("alg ztensor", "grassmannian.centralizer_tensor_check",
          "--f hom --g hom --a alg --b alg --phi alg --psi alg", None, _ztensor),
-    Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM + " --split size?", None,
-         lambda tol, h, src, dst, split: _within(tol, "frame_condition", frame_condition=(
-             catverify.is_c_morphism(h, src, dst, split or src.d, tol)[1]))),
+    Verb("cat check-morphism", "catverify.is_c_morphism", _MORPHISM, None,
+         lambda tol, h, src, dst: _within(tol, "frame_condition", frame_condition=(
+             catverify.is_c_morphism(h, src, dst, tol)[1]))),
     Verb("cat frmap", "catverify.fr_map", _MORPHISM + " --arg frame", "frame",
          lambda tol, h, src, dst, arg: _made(catverify.fr_map(
              catverify.make_c_morphism(h, src, dst, tol), arg, tol))),

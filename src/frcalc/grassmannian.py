@@ -1,9 +1,11 @@
 """Unital *-subalgebras of M_N: spans, centralizers, frame extraction.
 
-A Subalgebra holds an orthonormal (Hilbert-Schmidt) spanning set in
-ambient coordinates as a (dim, n, n) stack, the one layout of a family
-of matrices (see ``linalg``).  Every function here takes stacks, and
-``linalg.vectorize`` is the only step from a stack to columns.
+A Subalgebra keeps the spanning set it is given as a (dim, n, n) stack
+in ambient coordinates, the one layout of a family of matrices (see
+``linalg``).  Only the bases the package makes are orthonormal
+(Hilbert-Schmidt): a decoded ``alg`` input is kept as it is, and
+``alg span`` reads it as generators at their own scale.  Every function
+here takes stacks, and ``linalg.vectorize`` is the only step to columns.
 
 ``span_subalgebra`` grows the unital *-algebra of its generators by
 spinning, as in Parker's MeatAxe: the multipliers are an orthonormal

@@ -60,9 +60,10 @@ def random_hom(src: int, l: int, seed: int) -> StarHom:
 
 
 def ev(h: StarHom, t: np.ndarray) -> np.ndarray:
-    """h(T) = sum_{i,j} T[i,j] h(e_{i,j}) of one src x src matrix, bitwise the
-    defining sum, or of each matrix of a stack (..., src, src) in one product."""
-    t = np.asarray(t, dtype=complex)
+    """h(T) = sum_{i,j} T[i,j] h(e_{i,j}) of each matrix of a stack (..., src, src),
+    one matrix included, in one ``apply_frame`` product: the one application of a
+    hom, which ``push_frame`` and ``compose_plain`` call.  Object ints stay exact."""
+    t = np.asarray(t)
     if t.ndim < 2 or t.shape[-2:] != (h.src, h.src):
         raise ValueError(f"argument must be {h.src}x{h.src}")
     return apply_frame(t, h.image_frame.mats)
@@ -76,11 +77,10 @@ def iota(h: StarHom, l: int) -> StarHom:
 
 
 def compose_plain(h2: StarHom, h1: StarHom) -> StarHom:
-    """h2 after h1, sizes matching exactly."""
+    """h2 after h1, sizes matching exactly: its image frame is h2_* of h1's."""
     if h1.dst != h2.src:
         raise ValueError("homs are not composable")
-    mats = apply_frame(h1.image_frame.mats, h2.image_frame.mats)
-    return StarHom(h1.src, h2.dst, Frame(h1.src, h2.dst, mats))
+    return StarHom(h1.src, h2.dst, push_frame(h2, h1.image_frame))
 
 
 def compose_phi(h2: StarHom, h1: StarHom) -> StarHom:
@@ -99,10 +99,10 @@ def tensor_hom(h1: StarHom, h2: StarHom) -> StarHom:
 
 
 def push_frame(h: StarHom, alpha: Frame) -> Frame:
-    """h_*(alpha): the image frame of a frame under a hom."""
+    """h_*(alpha): the image frame of a frame under a hom, ``ev`` of its matrices."""
     if alpha.ambient != h.src:
         raise ValueError("frame must live in the hom's source algebra")
-    return Frame(alpha.d, h.dst, apply_frame(alpha.mats, h.image_frame.mats))
+    return Frame(alpha.d, h.dst, ev(h, alpha.mats))
 
 
 def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -99,15 +99,12 @@ def apply_frame(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     matrix of ``coeffs``: sum_{u,v} coeffs[..., u, v] mats[u, v].
 
     ``mats`` has shape (m, m, t, t); the result has shape
-    (*coeffs.shape[:-2], t, t).  A stack of coefficient matrices takes
-    one (count, m*m) @ (m*m, t*t) product.  A single matrix, as in
-    h(T), is summed term by term in row-major order, so the result is
-    bitwise the defining sum."""
+    (*coeffs.shape[:-2], t, t).  Every shape of ``coeffs``, one matrix
+    included, takes one (count, m*m) @ (m*m, t*t) product, object arrays
+    of exact integers too.  Its one caller is ``homspace.ev``."""
     m, t = mats.shape[0], mats.shape[-1]
     if coeffs.shape[-2:] != (m, m) or mats.shape != (m, m, t, t):
         raise ValueError("coefficient matrices do not match the frame degree")
-    if coeffs.ndim == 2:
-        return sum(c * x for c, x in zip(coeffs.reshape(-1), mats.reshape(m * m, t, t)))
     out = coeffs.reshape(-1, m * m) @ mats.reshape(m * m, t * t)
     return out.reshape(coeffs.shape[:-2] + (t, t))
 

@@ -37,11 +37,11 @@ from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitary
 def test_is_c_morphism_positive_and_negative():
     cfg = MorphismConfig(2, 1, 2, 2)
     data = random_c_morphism(cfg, 1)
-    ok, residual = is_c_morphism(data.f, data.src_frame, data.dst_frame, 2)
+    ok, residual = is_c_morphism(data.f, data.src_frame, data.dst_frame)
     assert ok and residual < 1e-12
     # a random unrelated target frame fails the condition
     bad = random_frame(4, 4, 99)
-    ok2, residual2 = is_c_morphism(data.f, data.src_frame, bad, 2)
+    ok2, residual2 = is_c_morphism(data.f, data.src_frame, bad)
     assert not ok2 and residual2 > 1e-3
 
 
@@ -73,8 +73,7 @@ def test_tensor_c_morphism_is_morphism():
     fd = random_c_morphism(MorphismConfig(2, 1, 2, 2), 7)
     gd = random_c_morphism(MorphismConfig(1, 1, 6, 2), 8)
     tens = tensor_c_morphism(fd, gd)
-    ok, residual = is_c_morphism(tens.f, tens.src_frame, tens.dst_frame,
-                                 fd.split * gd.split)
+    ok, residual = is_c_morphism(tens.f, tens.src_frame, tens.dst_frame)
     assert ok and residual < 1e-12
 
 
@@ -209,4 +208,4 @@ def test_seeded_frames_and_morphisms_take_no_dense_conjugation(monkeypatch):
             monkeypatch.setattr(module, "conjugate", refuse)
     assert verify_frame(random_frame(3, 6, 11)).max_error <= DEFAULT_TOL.bound("frame_axioms")
     data = random_c_morphism(MorphismConfig(2, 3, 2, 3), 5)
-    assert is_c_morphism(data.f, data.src_frame, data.dst_frame, 2)[0]
+    assert is_c_morphism(data.f, data.src_frame, data.dst_frame)[0]

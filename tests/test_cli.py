@@ -13,12 +13,13 @@ import pytest
 
 import frcalc
 from frcalc import catverify, cli, frames, grassmannian, homspace, suite
+from frcalc.catverify import NerveChain
 from frcalc.cli import run
 from frcalc.config import UsageError, load_settings, parse_config
 from frcalc.frames import Frame, matrix_unit_frame, random_frame
 from frcalc.grassmannian import Subalgebra, lambda_map
 from frcalc.generators import (MorphismConfig, random_c_morphism, random_d_morphism,
-                               random_source_frame)
+                               random_fredholm, random_source_frame)
 from frcalc.homspace import random_hom
 from frcalc.linalg import eye, kron_stack, orthonormal_span
 from frcalc.serialize import (MAX_DEPTH, dump_json, frame_to_json, hom_to_json, load_json,
@@ -84,7 +85,8 @@ def _nested(depth, objects=False):
 _EYE3 = {"rows": 3, "cols": 3, "entries": [[float(i == j), 0.0] for i in range(3)
                                            for j in range(3)]}
 _ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
-_CHAIN = {"homs": [{"src": 1, "dst": 1, "frame": {"d": 1, "ambient": 1, "mats": [_ONE]}}]}
+_UNIT_FRAME = {"d": 1, "ambient": 1, "mats": [_ONE]}
+_CHAIN = {"homs": [{"src": 1, "dst": 1, "frame": _UNIT_FRAME}]}
 _STAGES = [{"n": 1, "win_dom": 1, "win_cod": 1, "finite_part": _ONE}]
 
 # Errors of calls that read one input file, malformed or with a flag out
@@ -114,6 +116,16 @@ _BAD_FILES = {
     "frame file that is not UTF-8": ("frame verify --in IN", b"\xff\xfe{}"),
     "integer matrix file that is not UTF-8": ("ab snf --in IN", b"\xff\xfe[]"),
     "integer matrix nested 200,000 deep": ("ab snf --in IN", _nested(200_000)),
+    "hom whose dst disagrees with its frame": ("hom iota --hom IN --l 2",
+                                               {"src": 1, "dst": 2, "frame": _UNIT_FRAME}),
+    "operator block of the wrong shape": (
+        "fred index --in IN",
+        {"n": 2, "win_dom": 3, "win_cod": 2,
+         "finite_part": {"rows": 4, "cols": 5, "entries": [[0.0, 0.0]] * 20}}),
+    "relation shorter than the generators": ("ab localize --in IN --l 2",
+                                             {"gens": 2, "rels": [[2]]}),
+    "colimit of two groups with no map": ("ab colim --file IN --invert 2",
+                                          {"groups": [{"gens": 1, "rels": []}] * 2, "maps": []}),
 }
 
 
@@ -158,6 +170,69 @@ def test_face_index_past_the_chain_exits_1(tmp_path, capsys):
                          "--start-stage", "1"])[0] == 0
     code, report = _run(capsys, ["cat", "nerve-face", "--chain", str(chain), "--i", "2"])
     assert code == 1 and "out of range" in report["error"]
+
+
+def _cmorphism_files(source="SRC"):
+    """The hom H and frames SRC and DST of a morphism datum, with the
+    frame named ``source`` written as SRC."""
+    m = random_c_morphism(MorphismConfig(2, 1, 2, 2), 40)
+    files = {"H": ("hom", m.f), "SRC": ("frame", m.src_frame), "DST": ("frame", m.dst_frame)}
+    return {**files, "SRC": files[source]}
+
+
+_MORPHISM_ARGV = "--hom H --src-frame SRC --dst-frame DST"
+
+# Well-formed inputs whose sizes do not fit together: (argv with a name
+# for each input file, a function giving each name's (kind, payload), the
+# error).  Each is a mathematical failure, so it exits 1.
+_MISFITS = {
+    "dot of an M_4 frame and an M_6 frame": (
+        "frame dot --left A --right B",
+        lambda: {"A": ("frame", matrix_unit_frame(2, 2)), "B": ("frame", matrix_unit_frame(2, 3))},
+        "different ambient algebras"),
+    "compose of M_4 -> M_8 after M_2 -> M_6": (
+        "hom compose --outer A --inner B",
+        lambda: {"A": ("hom", random_hom(4, 2, 1)), "B": ("hom", random_hom(2, 3, 2))},
+        "sizes do not divide"),
+    "amplify of an n = 2 operator by an M_3 hom": (
+        "fred amplify --in T --hom H",
+        lambda: {"T": ("operator", random_fredholm(2, 3, 2, 9)), "H": ("hom", random_hom(3, 2, 3))},
+        "hom source must match"),
+    "bundle face of a 3x3 fiber on a chain out of M_2": (
+        "cat bundle-face --chain C --i 0 --matrix X",
+        lambda: {"C": ("chain", NerveChain((random_hom(2, 2, 3),))), "X": ("matrix", eye(3))},
+        "first source size"),
+    "frmap of a degree-1 frame": (
+        f"cat frmap {_MORPHISM_ARGV} --arg ARG",
+        lambda: {**_cmorphism_files(), "ARG": ("frame", matrix_unit_frame(1, 2))},
+        "wrong degree or ambient size"),
+    "check-morphism with the target frame as the source frame": (
+        f"cat check-morphism {_MORPHISM_ARGV}",
+        lambda: _cmorphism_files(source="DST"),
+        "incompatible sizes"),
+}
+
+
+@pytest.mark.parametrize("case", _MISFITS)
+def test_inputs_whose_sizes_do_not_fit_exit_1(tmp_path, capsys, case):
+    argv, files, error = _MISFITS[case]
+    paths = {}
+    for name, (kind, payload) in files().items():
+        paths[name] = tmp_path / f"{name}.json"
+        dump_json(kind, payload, str(paths[name]))
+    code = run([str(paths[word]) if word in paths else word for word in argv.split()])
+    out = capsys.readouterr().out
+    assert code == 1 and len(out.splitlines()) == 1
+    report = json.loads(out)
+    assert report["pass"] is False and error in report["error"]
+
+
+def test_colimit_of_one_group_is_stable_from_stage_0(tmp_path, capsys):
+    path = tmp_path / "colim.json"
+    dump_json("json", {"groups": [{"gens": 2, "rels": [[4, 0]]}], "maps": []}, str(path))
+    code, report = _run(capsys, ["ab", "colim", "--file", str(path), "--invert", "2"])
+    assert code == 0
+    assert report["result"] == {"free_rank": 1, "invariant_factors": [], "stable_from": 0}
 
 
 def test_non_finite_result_exits_1_and_writes_no_file(tmp_path, capsys, monkeypatch):
@@ -732,7 +807,8 @@ def test_failed_arithmetic_check_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_config_parsing():
-    settings = parse_config("abs_eps = 1e-7\nrank_cutoff = 1e-6  # comment\nseed = 11\n")
+    settings = parse_config("# tolerances\n\nabs_eps = 1e-7\nrank_cutoff = 1e-6  # comment\n"
+                            "   \n  # and the seed\nseed = 11\n")
     assert settings.tol.abs_eps == 1e-7
     assert settings.tol.rank_cutoff == 1e-6
     assert settings.seed == 11
@@ -742,6 +818,19 @@ def test_config_parsing():
                  "seed = x\n", "abs_eps\n"):
         with pytest.raises(UsageError):
             parse_config(text)
+
+
+def test_config_falls_back_to_frcalc_toml_in_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv("FRCALC_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert load_settings().seed == 7
+    (tmp_path / "frcalc.toml").write_text("seed = 42\n")
+    assert load_settings().seed == 42
+    # FRCALC_CONFIG takes precedence over that file.
+    env = tmp_path / "env.txt"
+    env.write_text("seed = 99\n")
+    monkeypatch.setenv("FRCALC_CONFIG", str(env))
+    assert load_settings().seed == 99
 
 
 def test_config_env_override(tmp_path, monkeypatch):

@@ -56,7 +56,6 @@ CASES = [
     "alg grmap --hom df.json --aprime da_prime.json --a da.json --b db.json --out grmap.json",
     "alg ztensor --f df.json --g dg.json --a da.json --b db.json --phi dphi.json --psi dpsi.json",
     "cat check-morphism --hom cf.json --src-frame calpha.json --dst-frame cbeta.json",
-    "cat check-morphism --hom cf.json --src-frame calpha.json --dst-frame cbeta.json --split 2",
     "cat frmap --hom cf.json --src-frame calpha.json --dst-frame cbeta.json --arg carg.json "
     "--out frmap.json",
     "cat naturality --in bundle.json",

@@ -25,7 +25,15 @@ def test_ev_matches_manual_sum():
     t = np.array([[1.0, 2.0 - 1j], [0.5j, -3.0]])
     manual = sum(t[i, j] * h.image_frame.mats[i, j]
                  for i in range(2) for j in range(2))
-    assert max_abs(ev(h, t) - manual) == 0.0
+    assert max_abs(ev(h, t) - manual) < 1e-15
+
+
+def test_ev_of_one_matrix_is_ev_of_its_one_matrix_stack():
+    h = random_hom(6, 3, 5)
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    assert np.array_equal(ev(h, t), ev(h, t[None])[0])
+    assert np.array_equal(ev(h, t.real), ev(h, t.real.astype(complex)))
 
 
 def test_ev_of_a_stack_is_ev_of_each_matrix():
@@ -100,6 +108,19 @@ def test_push_frame_preserves_axioms():
     fr = random_frame(2, 4, 10)
     pushed = push_frame(h, fr)
     assert verify_frame(pushed).max_error <= DEFAULT_TOL.bound("frame_axioms")
+
+
+def test_push_and_compose_keep_an_exact_integer_frame_exact():
+    """An object array of Python ints goes through ``ev``'s product as it
+    is: the entries, about 1e41, come out as exact ints."""
+    mats = np.arange(16).reshape(2, 2, 2, 2).astype(object) * 10**20
+    fr = Frame(2, 2, mats)
+    h = StarHom(2, 2, fr)
+    want = [[[[sum(mats[i, j, u, v] * mats[u, v, a, b] for u in range(2) for v in range(2))
+               for b in range(2)] for a in range(2)] for j in range(2)] for i in range(2)]
+    for got in (push_frame(h, fr).mats, compose_plain(h, h).image_frame.mats):
+        assert got.dtype == object and all(type(x) is int for x in got.flat)
+        assert got.tolist() == want
 
 
 def test_intertwiner_recovers_conjugator_coset():

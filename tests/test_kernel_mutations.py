@@ -225,7 +225,7 @@ MUTANTS = {
                      t.n * h.mult, t.win_dom, t.win_cod))],
                ["fredholm_index"], count=20),
     "ev evaluating at the transpose":
-        Mutant([(homspace, "ev", lambda h, t: ev(h, np.transpose(t)))],
+        Mutant([(homspace, "ev", lambda h, t: ev(h, np.swapaxes(t, -1, -2)))],
                ["ev_composition"]),
     # compose_phi is built from iota, so only the direct comparison of
     # iota(h, l) with h (x) id_l in the battery can see this one.

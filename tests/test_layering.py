@@ -35,7 +35,9 @@ determinant, for one, cannot become ``abgroup._det_unimodular``, the
 check it backs up.  Nor does ``suite.py`` name a seeded constructor
 that draws its own unitaries (``random_unitary``, ``random_frame``,
 ...): each takes a QR of its own, where a battery draws all its
-unitaries in one ``random_unitaries`` call, one QR per size."""
+unitaries in one ``random_unitaries`` call, one QR per size.  And a
+hom is applied in one place: ``homspace.ev`` is the only reader of
+``linalg.apply_frame``, so push-forward and composition go through it."""
 
 import ast
 import inspect
@@ -55,6 +57,7 @@ CLI_MODULE, SUITE_MODULE, JUDGE = "cli.py", "suite.py", "judge"
 LONE_DRAWS = {"random_unitary", "random_frame", "random_hom", "random_c_morphism",
               "random_source_frame", "random_d_morphism"}  # each takes a QR of its own
 FRAMES_MODULE, FRAME_GUARDS = "frames.py", {"dot_with_residual"}
+HOM_KERNEL, HOM_APPLIER = "apply_frame", ("homspace.py", "ev")  # the kernel's one caller
 BANNED = {"einsum", "kron"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
 WRITERS = {"orjson": {"dumps"}}  # module -> the writers only dump_json may call
@@ -603,3 +606,41 @@ def test_lone_draw_guard_ignores_the_batched_draw():
 
 def test_suite_draws_no_unitary_alone():
     assert lone_draws((SRC / SUITE_MODULE).read_text(encoding="utf-8")) == []
+
+
+def kernel_reads(source: str, kernel: str = HOM_KERNEL):
+    """(top-level definition, line) of every read of ``kernel``: a bare
+    name, an attribute (``linalg.apply_frame``) or a name it is imported
+    as; the definition is None for a read outside any."""
+    tree = ast.parse(source)
+    names = {kernel} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for a in node.names if a.name == kernel and a.asname}
+    found = []
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef)) else None
+        found += [(name, node.lineno) for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and node.attr == kernel]
+    return found
+
+
+def test_kernel_guard_sees_every_read_of_apply_frame():
+    source = ("from .linalg import apply_frame, apply_frame as contract\nfrom . import linalg\n"
+              "def ev(h, t):\n    return apply_frame(t, h)\n"
+              "def push_frame(h, a):\n    return contract(a, h) + linalg.apply_frame(a, h)\n"
+              "class Hom:\n    def apply(self, t):\n        return apply_frame(t, self.mats)\n"
+              "kernel = apply_frame\n")
+    assert kernel_reads(source) == [("ev", 4), ("push_frame", 6), ("push_frame", 6), ("Hom", 9),
+                                    (None, 10)]
+
+
+def test_kernel_guard_ignores_its_definition_and_other_names():
+    assert kernel_reads("def apply_frame(c, m):\n    return c @ m\n"
+                        "x = apply_frames(1) + obj.apply(2)\n") == []
+
+
+def test_ev_is_the_only_caller_of_apply_frame():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name, _ in kernel_reads(path.read_text(encoding="utf-8"))}
+    assert found == {HOM_APPLIER}

