@@ -120,13 +120,12 @@ def check_naturality(fd: CMorphism, gd: CMorphism, alpha_prime: Frame,
 
 
 def _gaussian_frame(frame: Frame):
-    """(re, im, s): frames of Python ints with frame.mats = (re + i im) / 2**s.
+    """(re, im, s): frames of Python ints with frame.mats = (re + i im) / 2**s,
+    for a frame of finite entries.
 
     Every finite float is a dyadic rational, so the 53-bit mantissas of
     np.frexp, shifted to a common exponent, give the entries exactly."""
     parts = np.stack([frame.mats.real, frame.mats.imag])
-    if not np.isfinite(parts).all():
-        raise ValueError("frame entries must be finite")
     mantissa, exponent = np.frexp(parts)
     digits = (mantissa * 2.0**53).astype(np.int64)
     exponent = exponent - 53
@@ -144,13 +143,9 @@ def _tensor_gaussian(x, y):
     return Frame(d, n, re), Frame(d, n, im), xs + ys
 
 
-def check_associativity(a: Frame, b: Frame, c: Frame) -> float:
-    """Tensor reassociation residual of tensor_frame, evaluated exactly.
-
-    Both association orders are formed by tensor_frame on the frames'
-    exact Gaussian-integer forms, so the result is exactly 0 whenever
-    the mixed-radix index bookkeeping of tensor_frame is correct, and
-    otherwise the worst entry of |left - right|."""
+def _exact_residual(a: Frame, b: Frame, c: Frame) -> float:
+    """Worst entry of |(a (x) b) (x) c - a (x) (b (x) c)|, both orders
+    formed by tensor_frame on the frames' exact Gaussian-integer forms."""
     ga, gb, gc = (_gaussian_frame(f) for f in (a, b, c))
     left_re, left_im, s = _tensor_gaussian(_tensor_gaussian(ga, gb), gc)
     right_re, right_im, _ = _tensor_gaussian(ga, _tensor_gaussian(gb, gc))
@@ -160,6 +155,35 @@ def check_associativity(a: Frame, b: Frame, c: Frame) -> float:
     scale = 1 << s
     worst = np.hypot((diff_re / scale).astype(float), (diff_im / scale).astype(float))
     return float(worst.max())
+
+
+def check_associativity(a: Frame, b: Frame, c: Frame) -> float:
+    """Tensor reassociation residual of tensor_frame, evaluated exactly:
+    exactly 0 whenever the mixed-radix index bookkeeping of tensor_frame
+    is correct, and otherwise the worst entry of |left - right|.
+
+    tensor_frame forms each entry as a product of one entry of each
+    factor, so the zero is certified on value classes first.  In each of
+    three passes one factor becomes its labels, 1 + the index of each
+    entry's value among the frame's distinct values, and the other two
+    become all-ones frames; every entry of both orders is then one label
+    times ones, which float64 forms exactly.  When all three passes
+    agree, both orders multiply equal values at every index and the
+    residual is 0.  Only otherwise are both orders formed on the frames'
+    exact Gaussian-integer forms (``_exact_residual``).  Non-finite
+    entries raise ValueError before any tensor is formed."""
+    frames = (a, b, c)
+    if not all(np.isfinite(f.mats).all() for f in frames):
+        raise ValueError("frame entries must be finite")
+    ones = [Frame(f.d, f.ambient, np.ones(f.mats.shape)) for f in frames]
+    for p, f in enumerate(frames):
+        labels = 1.0 + np.unique(f.mats, return_inverse=True)[1].reshape(f.mats.shape)
+        x, y, z = ones[:p] + [Frame(f.d, f.ambient, labels)] + ones[p + 1:]
+        left = tensor_frame(tensor_frame(x, y), z)
+        right = tensor_frame(x, tensor_frame(y, z))
+        if not np.array_equal(left.mats, right.mats):
+            return _exact_residual(a, b, c)
+    return 0.0
 
 
 def check_identity_embedding(phi_prime: Frame) -> float:

@@ -104,7 +104,7 @@ def _coherence_diagrams(seed, count):
     unitaries = random_unitaries(draw for s in (seed * 32_452_843 + 307 * i for i in range(count))
                                  for draw in ((2, s), (6, s + 1), (4, s + 2), (2, s + 3)))
     for us in _groups(unitaries, 4):
-        a, b, c, e = map(unitary_frame, us, (2, 2, 2, 1))
+        a, b, c, e = map(unitary_frame, us, (2, 2, 2, 2))
         yield {"associativity": check_associativity(a, c, e),
                "identity": check_identity_embedding(b),
                "tau": check_tau(a, b)}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frcalc import catverify, suite
+from frcalc import frames as frames_module
 from frcalc.catverify import (
     NerveChain,
     bundle_face,
@@ -31,7 +32,7 @@ from frcalc.frames import (
 )
 from frcalc.generators import MorphismConfig, random_c_morphism, random_source_frame
 from frcalc.homspace import compose_plain, ev, identity_hom, push_frame, random_hom
-from frcalc.linalg import DEFAULT_TOL, conjugate, max_abs, random_unitary
+from frcalc.linalg import DEFAULT_TOL, conjugate, kron_stack, max_abs, random_unitary
 
 
 def test_is_c_morphism_positive_and_negative():
@@ -98,26 +99,74 @@ def test_associativity_exact_zero():
     assert check_associativity(*units) == 0.0
 
 
+def _second_factor_transposed(original):
+    """tensor_frame that transposes its second factor's frame index."""
+    def transposed(alpha, phi):
+        return original(alpha, Frame(phi.d, phi.ambient, np.swapaxes(phi.mats, 0, 1)))
+    return transposed
+
+
 def test_associativity_runs_tensor_frame(monkeypatch):
     """A tensor_frame that transposes its second factor's frame index
     breaks associativity, and the exact check sees it."""
-    original = catverify.tensor_frame
-
-    def transposed(alpha, phi):
-        return original(alpha, Frame(phi.d, phi.ambient, np.swapaxes(phi.mats, 0, 1)))
-
     frames = (random_frame(2, 2, 13), random_frame(2, 4, 14), random_frame(2, 2, 15))
     assert check_associativity(*frames) == 0.0
-    monkeypatch.setattr(catverify, "tensor_frame", transposed)
+    monkeypatch.setattr(catverify, "tensor_frame", _second_factor_transposed(tensor_frame))
     assert check_associativity(*frames) > 0.0
 
 
-def test_associativity_rejects_non_finite_entries():
-    a = random_frame(2, 2, 13)
-    mats = a.mats.copy()
-    mats[0, 1, 1, 0] = np.nan
-    with pytest.raises(ValueError):
-        check_associativity(Frame(2, 2, mats), a, a)
+ASSOCIATIVITY_FRAMES = {
+    "degree-1 third factor": lambda: (random_frame(2, 2, 13), random_frame(2, 4, 14),
+                                      random_frame(1, 2, 15)),
+    "degree-2 third factor": lambda: (random_frame(2, 2, 13), random_frame(2, 4, 14),
+                                      random_frame(2, 2, 15)),
+    # Exact zeros beside their ones: many entries share a value class.
+    "basepoint frames": lambda: (matrix_unit_frame(2, 1), matrix_unit_frame(2, 2),
+                                 matrix_unit_frame(2, 1)),
+}
+TENSOR_VARIANTS = {
+    "tensor_frame": None,
+    "second-factor transposition": (catverify, "tensor_frame",
+                                    _second_factor_transposed(tensor_frame)),
+    "kron_stack with the factors swapped": (frames_module, "kron_stack",
+                                            lambda a, b: kron_stack(b, a)),
+}
+
+
+@pytest.mark.parametrize("variant", TENSOR_VARIANTS)
+@pytest.mark.parametrize("frames", ASSOCIATIVITY_FRAMES)
+def test_associativity_certificate_matches_the_exact_evaluation(monkeypatch, frames, variant):
+    """The value-class certificate returns what the exact Gaussian-integer
+    evaluation of both orders gives, right or wrong tensor_frame, also
+    where a wrong one comes out 0 by coincidence (the transposition on a
+    degree-1 third factor)."""
+    if TENSOR_VARIANTS[variant]:
+        monkeypatch.setattr(*TENSOR_VARIANTS[variant])
+    a, b, c = ASSOCIATIVITY_FRAMES[frames]()
+    exact = catverify._exact_residual(a, b, c)
+    assert check_associativity(a, b, c) == exact
+    if (frames, variant) == ("degree-1 third factor", "second-factor transposition"):
+        assert exact == 0.0
+
+
+def test_associativity_certifies_a_zero_without_the_gaussian_forms(monkeypatch):
+    def unreachable(frame):
+        raise AssertionError("the exact evaluation ran on a passing input")
+
+    monkeypatch.setattr(catverify, "_gaussian_frame", unreachable)
+    for make in ASSOCIATIVITY_FRAMES.values():
+        assert check_associativity(*make()) == 0.0
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_associativity_rejects_non_finite_entries(position, value):
+    frames = [random_frame(2, 2, 13 + i) for i in range(3)]
+    mats = frames[position].mats.copy()
+    mats[0, 1, 1, 0] = value
+    frames[position] = Frame(2, 2, mats)
+    with pytest.raises(ValueError, match="finite"):
+        check_associativity(*frames)
 
 
 def test_identity_embedding_zero():

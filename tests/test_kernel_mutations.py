@@ -274,6 +274,21 @@ def test_verify_frame_sees_pair_products_with_the_factors_swapped(monkeypatch):
                for shape in shapes)
 
 
+def test_coherence_associativity_sees_the_second_factor_transposition(monkeypatch):
+    """The diagrams battery's third factor has degree 2, so a tensor_frame
+    that transposes its second factor's frame index fails the
+    associativity residual itself, not only identity and tau."""
+    battery = BY_NAME["coherence_diagrams"]
+    assert run_battery(battery, seed=7, count=3)["residuals"]["associativity"] == 0.0
+    original = frames.tensor_frame
+
+    def transposed(alpha, phi):
+        return original(alpha, frames.Frame(phi.d, phi.ambient, np.swapaxes(phi.mats, 0, 1)))
+
+    _bind_everywhere(monkeypatch, frames, "tensor_frame", transposed)
+    assert run_battery(battery, seed=7, count=3)["residuals"]["associativity"] > 0.0
+
+
 def test_every_criterion_has_a_mutant():
     guarded = {BY_NAME[name].criterion for mutant in MUTANTS.values() for name in mutant.batteries}
     assert {battery.criterion for battery in BATTERIES} - {None} <= guarded
