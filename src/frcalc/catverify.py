@@ -76,28 +76,28 @@ def fr_map(data: CMorphism, alpha_prime: Frame, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def tensor_c_morphism(fd: CMorphism, gd: CMorphism, tol: Tolerance = DEFAULT_TOL) -> CMorphism:
-    """Tensor of morphism data.  The target frame is rebuilt in dot
-    order, dot(pi1 (x) pi1, pi2 (x) pi2), so the defining frame
-    condition holds for the tensor hom without reindexing."""
+    """Tensor of morphism data.  The target frame is the tensor of the
+    target frames relabelled into dot order, by reconstruction equal to
+    dot(pi1 (x) pi1, pi2 (x) pi2), so the frame condition, which
+    ``make_c_morphism`` checks, holds for the tensor hom as it is."""
     h = tensor_hom(fd.f, gd.f)
     src = tensor_frame(fd.src_frame, gd.src_frame)
-    b1, g1 = pi1(fd.dst_frame, fd.split), pi2(fd.dst_frame, fd.split)
-    b2, g2 = pi1(gd.dst_frame, gd.split), pi2(gd.dst_frame, gd.split)
-    dst = dot(tensor_frame(b1, b2), tensor_frame(g1, g2), tol)
+    dst = _tensor_to_dot_order(tensor_frame(fd.dst_frame, gd.dst_frame), fd, gd)
     return make_c_morphism(h, src, dst, tol)
 
 
-def _tensor_to_dot_order(frame: Frame, d_parts) -> Frame:
+def _tensor_to_dot_order(frame: Frame, fd: CMorphism, gd: CMorphism) -> Frame:
     """Relabel ((i1,u1),(i2,u2)) tensor-order digits into dot order
-    ((i1,i2),(u1,u2)).  d_parts = (d_i1, d_u1, d_i2, d_u2)."""
+    ((i1,i2),(u1,u2)), the digit sizes read off fd's and gd's splits."""
+    d_parts = (fd.split, fd.dst_frame.d // fd.split, gd.split, gd.dst_frame.d // gd.split)
     return reindex_frame(frame, d_parts, (0, 2, 1, 3))
 
 
 def check_naturality(fd: CMorphism, gd: CMorphism, alpha_prime: Frame,
                      phi_prime: Frame, tol: Tolerance = DEFAULT_TOL):
-    """Both paths around the tensor-compatibility square, plus the
-    witness frame solved from the target data against the predicted
-    tensor of second projections.
+    """Both paths around the tensor-compatibility square, each through
+    ``fr_map``, plus the witness: the second projection of the tensor
+    target against the tensor of the two second projections.
 
     Returns (square residual, witness residual).
     """
@@ -106,15 +106,12 @@ def check_naturality(fd: CMorphism, gd: CMorphism, alpha_prime: Frame,
     path1 = tensor_frame(fr_map(fd, alpha_prime, tol), fr_map(gd, phi_prime, tol))
     # Path 2: tensor, then map; result is in dot order.
     path2 = fr_map(tens, tensor_frame(alpha_prime, phi_prime), tol)
-    g1 = pi2(fd.dst_frame, fd.split)
-    g2 = pi2(gd.dst_frame, gd.split)
-    d_parts = (fd.split, g1.d, gd.split, g2.d)
-    square_residual = frames_close(_tensor_to_dot_order(path1, d_parts), path2)
+    square_residual = frames_close(_tensor_to_dot_order(path1, fd, gd), path2)
 
     # The witness: the unique frame completing the pushed source tensor
     # to the target tensor, read off as a second projection.
-    xi_solved = pi2(tens.dst_frame, fd.split * gd.split)
-    xi_predicted = tensor_frame(g1, g2)
+    xi_solved = pi2(tens.dst_frame, tens.split)
+    xi_predicted = tensor_frame(pi2(fd.dst_frame, fd.split), pi2(gd.dst_frame, gd.split))
     witness_residual = frames_close(xi_solved, xi_predicted)
     return square_residual, witness_residual
 
@@ -243,14 +240,11 @@ def nerve_face(i: int, chain: NerveChain) -> NerveChain:
 
 def nerve_degeneracy(i: int, chain: NerveChain) -> NerveChain:
     """Insert an identity morphism at vertex i."""
-    p = len(chain)
-    if i < 0 or i > p:
-        raise ValueError("degeneracy index out of range")
-    homs = list(chain.homs)
-    size = chain.levels[i] if chain.homs else None
-    if size is None:
+    if not chain.homs:
         raise ValueError("cannot take a degeneracy of an empty chain")
-    return NerveChain(tuple(homs[:i] + [identity_hom(size)] + homs[i:]))
+    if i < 0 or i > len(chain):
+        raise ValueError("degeneracy index out of range")
+    return NerveChain(chain.homs[:i] + (identity_hom(chain.levels[i]),) + chain.homs[i:])
 
 
 def bundle_face(i: int, chain: NerveChain, t: np.ndarray):

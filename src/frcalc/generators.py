@@ -103,7 +103,8 @@ class DMorphismData:
 
 
 def random_d_morphism(cfg: MorphismConfig, seed: int) -> DMorphismData:
-    """The subalgebra-level morphism of ``random_c_morphism(cfg, seed)``."""
+    """The subalgebra-level morphism of ``random_c_morphism(cfg, seed)``, kept
+    because the benchmark's ``subalgebra`` workload draws its inputs with it."""
     cm = random_c_morphism(cfg, seed)
     return DMorphismData(cm.f, lambda_map(cm.src_frame), lambda_map(cm.dst_frame))
 

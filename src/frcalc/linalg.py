@@ -5,10 +5,12 @@ conventions are row-major / first-factor-major: ``kron_stack(a, b)``
 puts the ``a`` index in the high digits, and every composite index
 elsewhere in the package inherits this choice.
 
-Every contraction over stacks of matrices and every Kronecker product
-in the package goes through the four kernels below (``pair_products``,
-``apply_frame``, ``conjugate``, ``kron_stack``); each is a reshape or
-broadcast plus ``@`` or an elementwise product.
+No other module calls numpy's ``einsum`` or ``kron``: frame products,
+hom application, conjugation and Kronecker products go through the four
+kernels below (``pair_products``, ``apply_frame``, ``conjugate``,
+``kron_stack``), each a reshape or broadcast plus ``@`` or an elementwise
+product.  A few stack products are written with ``@`` in place, in
+``closure_residual``, ``_joint_commutant``, ``_linked_clusters`` and ``intertwiner``.
 
 A family of n x n matrices has one layout, a complex (count, n, n)
 stack (``as_stack``), and ``vectorize``, one reshape, is the only step

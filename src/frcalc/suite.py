@@ -148,8 +148,7 @@ def _ev_composition(seed, count):
         blocks = suspended.image_frame.mats.reshape(k, l, k, l, k * l, l, k * l, l).copy()
         blocks[:, a, :, b, :, a, :, b] -= h2.image_frame.mats
         # ev at the matrix units gives the frame back exactly.
-        for p, q in np.ndindex(k, k):
-            yield {"max_entry_error": max_abs(ev(h1, units[p, q]) - h1.image_frame.mats[p, q])}
+        yield {"max_entry_error": max_abs(ev(h1, units) - h1.image_frame.mats)}
         yield {"max_entry_error": max_abs(ev(composed, t) - stepped)}
         yield {"max_entry_error": max_abs(blocks)}
 

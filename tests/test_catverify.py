@@ -25,6 +25,8 @@ from frcalc.frames import (
     dot,
     frames_close,
     matrix_unit_frame,
+    pi1,
+    pi2,
     random_frame,
     tensor_frame,
     trivial_frame,
@@ -76,6 +78,17 @@ def test_tensor_c_morphism_is_morphism():
     tens = tensor_c_morphism(fd, gd)
     ok, residual = is_c_morphism(tens.f, tens.src_frame, tens.dst_frame)
     assert ok and residual < 1e-12
+
+
+@pytest.mark.parametrize("pair", range(len(suite._NAT_CONFIGS)))
+def test_tensor_target_is_the_dot_of_the_tensors_of_the_projections(pair):
+    """The relabelled tensor of the target frames is, by reconstruction,
+    the frame dot(pi1 (x) pi1, pi2 (x) pi2) built from the projections."""
+    fd, gd = (random_c_morphism(cfg, seed) for cfg, seed in zip(suite._NAT_CONFIGS[pair], (61, 62)))
+    b1, b2 = fd.dst_frame, gd.dst_frame
+    reference = dot(tensor_frame(pi1(b1, fd.split), pi1(b2, gd.split)),
+                    tensor_frame(pi2(b1, fd.split), pi2(b2, gd.split)))
+    assert frames_close(tensor_c_morphism(fd, gd).dst_frame, reference) <= 1e-14
 
 
 def test_naturality_square():
@@ -214,6 +227,15 @@ def test_nerve_degeneracy_face_roundtrip():
         back = nerve_face(j, degen)
         for h1, h2 in zip(back.homs, chain.homs):
             assert max_abs(h1.image_frame.mats - h2.image_frame.mats) == 0.0
+
+
+@pytest.mark.parametrize("i, chain, error", [
+    (-1, NerveChain((random_hom(2, 3, 24),)), "out of range"),
+    (0, NerveChain(()), "empty chain"),
+])
+def test_nerve_degeneracy_refuses_a_bad_index_or_an_empty_chain(i, chain, error):
+    with pytest.raises(ValueError, match=error):
+        nerve_degeneracy(i, chain)
 
 
 def test_bundle_face_pushes_fiber():

@@ -181,6 +181,18 @@ def _cmorphism_files(source="SRC"):
 
 
 _MORPHISM_ARGV = "--hom H --src-frame SRC --dst-frame DST"
+_GRMAP_ARGV = "alg grmap --hom H --aprime AP --a A --b B"
+
+
+def _grmap_files(hom, aprime, a, b):
+    """The hom H and the algebras AP, A and B of ``alg grmap``."""
+    return {"H": ("hom", hom), "AP": ("alg", aprime), "A": ("alg", a), "B": ("alg", b)}
+
+
+def _full(n):
+    """The full matrix algebra M_n."""
+    return lambda_map(matrix_unit_frame(n, 1))
+
 
 # Well-formed inputs whose sizes do not fit together: (argv with a name
 # for each input file, a function giving each name's (kind, payload), the
@@ -210,6 +222,15 @@ _MISFITS = {
         f"cat check-morphism {_MORPHISM_ARGV}",
         lambda: _cmorphism_files(source="DST"),
         "incompatible sizes"),
+    "grmap of span(1) in M_2 with A = M_2": (
+        _GRMAP_ARGV,
+        lambda: _grmap_files(random_hom(2, 2, 5), lambda_map(matrix_unit_frame(1, 2)), _full(2),
+                             _full(4)),
+        "not a D-morphism"),
+    "grmap of A' = A = M_3 through an M_2 -> M_6 hom": (
+        _GRMAP_ARGV,
+        lambda: _grmap_files(random_hom(2, 3, 6), _full(3), _full(3), _full(6)),
+        "not a D-morphism"),
 }
 
 
@@ -614,6 +635,21 @@ def test_hom_intertwiner_verb(tmp_path, capsys):
     assert code == 0
     assert report["residuals"]["intertwiner"] < 1e-9
     assert report["artifacts"] == [str(u)]
+
+
+def test_intertwiner_of_an_oblique_hom_exits_1(tmp_path, capsys):
+    """S (E_ij (x) 1_3) S^-1 for an invertible, non-unitary S meets the
+    frame's product rules, and each h(e_ii) has rank 3, so the rank test
+    passes; the intertwiner it builds is not unitary, and the verb exits 1."""
+    s = np.eye(6) + 0.3 * np.random.default_rng(3).standard_normal((6, 6))
+    mats = s @ matrix_unit_frame(2, 3).mats @ np.linalg.inv(s)
+    assert np.sum(np.linalg.svd(mats[0, 0], compute_uv=False) > 0.5) == 3
+    h = _files(tmp_path, h=("hom", homspace.StarHom(2, 6, Frame(2, 6, mats.astype(complex)))))["h"]
+    assert run(["hom", "intertwiner", "--hom", h]) == 1
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    report = json.loads(out)
+    assert report["pass"] is False and report["error"] == "input not a unital *-homomorphism"
 
 
 def test_ab_colim_verb(tmp_path, capsys):

@@ -37,7 +37,10 @@ that draws its own unitaries (``random_unitary``, ``random_frame``,
 ...): each takes a QR of its own, where a battery draws all its
 unitaries in one ``random_unitaries`` call, one QR per size.  And a
 hom is applied in one place: ``homspace.ev`` is the only reader of
-``linalg.apply_frame``, so push-forward and composition go through it."""
+``linalg.apply_frame``, so push-forward and composition go through it.
+And ``catverify.tensor_c_morphism`` names none of ``dot``, ``pi1`` and
+``pi2``: its target frame is the tensor of the two target frames,
+relabelled into dot order, not rebuilt from their projections."""
 
 import ast
 import inspect
@@ -58,6 +61,7 @@ LONE_DRAWS = {"random_unitary", "random_frame", "random_hom", "random_c_morphism
               "random_source_frame", "random_d_morphism"}  # each takes a QR of its own
 FRAMES_MODULE, FRAME_GUARDS = "frames.py", {"dot_with_residual"}
 HOM_KERNEL, HOM_APPLIER = "apply_frame", ("homspace.py", "ev")  # the kernel's one caller
+TENSOR_DATA, PROJECTIONS = ("catverify.py", "tensor_c_morphism"), ("dot", "pi1", "pi2")
 BANNED = {"einsum", "kron"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
 WRITERS = {"orjson": {"dumps"}}  # module -> the writers only dump_json may call
@@ -644,3 +648,26 @@ def test_ev_is_the_only_caller_of_apply_frame():
     found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
              for name, _ in kernel_reads(path.read_text(encoding="utf-8"))}
     assert found == {HOM_APPLIER}
+
+
+def projection_readers(source: str):
+    """The top-level definitions that read ``dot``, ``pi1`` or ``pi2``,
+    as ``kernel_reads`` finds each."""
+    return {name for kernel in PROJECTIONS for name, _ in kernel_reads(source, kernel)}
+
+
+@pytest.mark.parametrize("body", [
+    "dot(a, b)",
+    "frames.pi1(a, 2)",
+    "second(a, 2)",
+])
+def test_projection_guard_sees_each_projection_and_dot(body):
+    source = ("from . import frames\nfrom .frames import dot, pi2 as second\n"
+              f"def tensor_c_morphism(a, b):\n    return {body}\n"
+              "def fr_map(data, a):\n    return data\n")
+    assert projection_readers(source) == {"tensor_c_morphism"}
+
+
+def test_tensor_c_morphism_reads_no_projection_and_no_dot():
+    module, function = TENSOR_DATA
+    assert function not in projection_readers((SRC / module).read_text(encoding="utf-8"))
