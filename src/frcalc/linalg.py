@@ -12,16 +12,13 @@ kernels below (``pair_products``, ``apply_frame``, ``conjugate``,
 product.  A few stack products are written with ``@`` in place, in
 ``closure_residual``, ``_joint_commutant``, ``_linked_clusters`` and ``intertwiner``.
 
-A family of n x n matrices has one layout, a complex (count, n, n)
-stack (``as_stack``), and ``vectorize``, one reshape, is the only step
-from a stack to (n*n, count) columns.  ``orthonormal_cols`` gives the
-orthonormal basis of a span on which ``orthonormal_span``,
-``subspace_distance`` and the grassmannian projections work, all of
-which take stacks.  A stack whose Gram matrix is the identity within
-the ``orthonormal`` bound of ``BOUNDS``, as the bases the package makes
-are (to about 1e-14), is its own basis; any other takes the SVD and
-the ``svd_rank`` cut.  So projecting onto the span of a subalgebra or a
-centralizer costs one Gram product, not an SVD.
+A family of n x n matrices has one layout, a complex (count, n, n) stack
+(``as_stack``); ``vectorize``, one reshape, is the only step to its
+(n*n, count) columns.  ``orthonormal_cols``, behind ``orthonormal_span``,
+``subspace_distance`` and the grassmannian projections, keeps an
+orthonormal stack, as the package's bases are (to 1e-14), as its basis:
+projecting onto the span of a subalgebra or a centralizer costs one Gram
+product, and the distance of two such spans one k x k ``eigvalsh``.
 
 Every seeded object of the package is built from Haar unitaries drawn
 by ``random_unitaries``: one generator per (size, seed) pair, then one
@@ -249,15 +246,18 @@ def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def subspace_distance(basis_a, basis_b, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Operator-norm distance between the orthogonal projections onto
-    the spans of two stacks of matrices (basis-independent)."""
+    """||P_A - P_B|| for the projections onto the spans of two stacks:
+    exactly 1 for spans of different dimensions (P_A - P_B fixes a unit
+    vector of the larger orthogonal to the smaller), else sin theta_max =
+    ||R|| for R = (1 - P_B) Q_A, the root of the top ``eigvalsh`` eigenvalue
+    of R* R.  R keeps a 1e-15 distance to full relative accuracy, which
+    1 - sigma_min(Q_B* Q_A)^2 would cancel to 0 or about 1e-8."""
     qa = orthonormal_cols(basis_a, tol)
     qb = orthonormal_cols(basis_b, tol)
-    if not qa.shape[1] or not qb.shape[1]:  # the zero subspace is at distance 1 from any other
-        return float(qa.shape[1] != qb.shape[1])
+    if qa.shape[1] != qb.shape[1]:
+        return 1.0
     ra = qa - qb @ (qb.conj().T @ qa)
-    rb = qb - qa @ (qa.conj().T @ qb)
-    return float(max(np.linalg.norm(ra, 2), np.linalg.norm(rb, 2)))
+    return math.sqrt(np.max(np.linalg.eigvalsh(ra.conj().T @ ra), initial=0.0))
 
 
 def orthonormal_cols(mats, tol: Tolerance) -> np.ndarray:

@@ -23,7 +23,7 @@ from .catverify import (NerveChain, bundle_face, check_associativity, check_iden
 from .frames import dot, frames_close, pi1, pi2, unitary_frame, verify_frame
 from .fredholm import amplify, conjugate, kernel_cokernel_dims, localize_index
 from .generators import MorphismConfig, c_morphism_of_unitaries, random_fredholm
-from .grassmannian import centralizer, centralizer_tensor_check, lambda_map
+from .grassmannian import Subalgebra, centralizer, centralizer_tensor_check, lambda_map
 from .homspace import (StarHom, block_scalar_deviation, compose_phi, compose_plain, ev,
                        intertwiner, intertwiner_residual, iota)
 from .linalg import DEFAULT_TOL, max_abs, random_unitaries, subspace_distance
@@ -64,13 +64,26 @@ def _intertwiner(seed, count):
                "coset_deviation": block_scalar_deviation(v.conj().T @ u, k, l)}
 
 
+def _weak_link(u):
+    """M_2 (x) 1_2 in M_4 whose eigenvalue clusters link into two
+    components under ``centralizer``'s generic element: its basis is the
+    frame of the Haar unitary u (seed 54) over sqrt(2) times the phases
+    (-1, i, 1, 1).  Every M_2 (x) 1_3 span the battery draws links into
+    one component, whose candidates already are the commutant; here they
+    span dimension 8 around a commutant of dimension 4, so only a Gram
+    kernel that drops the extra 4 passes."""
+    phases = np.array([-1, 1j, 1, 1])[:, None, None] / np.sqrt(2)
+    return Subalgebra(4, unitary_frame(u, 2).mats.reshape(4, 4, 4) * phases)
+
+
 def _centralizer(seed, count):
-    k, l = 2, 3
-    for u in random_unitaries((k * l, seed * 2_750_159 + 53 * i) for i in range(count)):
-        a = lambda_map(unitary_frame(u, k))
+    k = 2
+    *drawn, weak = random_unitaries([*((6, seed * 2_750_159 + 53 * i) for i in range(count)),
+                                     (4, 54)])
+    for a in [*(lambda_map(unitary_frame(u, k)) for u in drawn), _weak_link(weak)]:
         z = centralizer(a)
         zz = centralizer(z)
-        yield {"wrong_dimension_count": z.dim != l * l,
+        yield {"wrong_dimension_count": z.dim != (a.ambient // k) ** 2,
                "double_centralizer_distance": subspace_distance(zz.basis, a.basis)}
 
 

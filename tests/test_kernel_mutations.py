@@ -177,12 +177,9 @@ MUTANTS = {
     "commutant Gram without the conj(T[q, p]) term":
         Mutant([(grassmannian, "_full_commutant", _full_commutant_without_conj_t())],
                ["centralizer", "centralizer_tensor"]),
-    # Every span of the centralizer battery links into one component,
-    # whose candidates are the commutant, so only the relative
-    # centralizers of centralizer_tensor can see a kernel that keeps them.
     "Gram kernel that keeps every candidate":
         Mutant([(grassmannian, "_gram_kernel", lambda gram, tol: linalg.eye(len(gram)))],
-               ["centralizer_tensor"]),
+               ["centralizer", "centralizer_tensor"]),
     "cluster linking that turns by U instead of U*":
         Mutant([(grassmannian, "_linked_clusters", _linked_clusters_turning_by_u())],
                ["centralizer", "centralizer_tensor"]),

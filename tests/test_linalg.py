@@ -242,6 +242,64 @@ def test_subspace_distance_zero_and_one():
     assert subspace_distance([e11], [e22]) > 0.9
 
 
+_H4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+
+
+def _monomial(rng, size):
+    """A seeded unitary with one entry 1, i, -1 or -i in each row and column."""
+    return np.eye(size)[rng.permutation(size)] * np.array([1, 1j, -1, -1j])[rng.integers(4, size=size)]
+
+
+def _principal_angle_pair(theta_max, seed):
+    """Stacks A and B of three 4 x 4 matrices at the principal angles
+    theta_max, theta_max / 2 and theta_max / 3: the columns [W1 e_i; 0]
+    and [cos t_i W1 e_i; sin t_i W2 e_i] in C^16, rotated by a seeded
+    unitary.  W1, W2 (Hadamard between monomials) and the rotation are
+    exact in binary floating point, so both stacks are orthonormal to the
+    last bit and their angles are those of the construction; a rounded Haar
+    rotation would move an angle of 1e-12 by about 1e-16."""
+    rng = np.random.default_rng(seed)
+    w1, w2 = (_monomial(rng, 4) @ _H4 @ _monomial(rng, 4) for _ in range(2))
+    theta = theta_max / np.arange(1, 4)
+    a, b = np.zeros((2, 16, 3), dtype=complex)
+    a[:4] = w1[:, :3]
+    b[:4], b[4:8] = w1[:, :3] * np.cos(theta), w2[:, :3] * np.sin(theta)
+    u = _monomial(rng, 16)
+    return (u @ a).T.reshape(3, 4, 4), (u @ b).T.reshape(3, 4, 4)
+
+
+def _spectral_norms(monkeypatch):
+    """Each np.linalg.norm call of ord 2 or -2, which runs numpy's SVD from
+    inside the norm, as its ord; np.linalg.svd itself is removed."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord in (2, -2):
+            calls.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(np.linalg, "svd", None)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("theta_max", [1e-12, 1e-3, 0.3, 1.2])
+def test_subspace_distance_is_the_sine_of_the_largest_principal_angle(monkeypatch, theta_max,
+                                                                     seed):
+    """sin theta_max to full relative accuracy, the same both ways, from
+    neither an SVD nor a spectral norm on orthonormal stacks; a kernel
+    that read the smallest angle would give sin(theta_max / 3)."""
+    a, b = _principal_angle_pair(theta_max, seed)
+    norms = _spectral_norms(monkeypatch)
+    d_ab, d_ba = subspace_distance(a, b), subspace_distance(b, a)
+    assert norms == []
+    assert abs(d_ab - np.sin(theta_max)) <= 1e-14 * np.sin(theta_max)
+    assert abs(d_ab - d_ba) <= 1e-15
+    assert subspace_distance(a[:2], b) == subspace_distance(a, b[1:]) == 1.0
+
+
 # -- contraction kernels against the formulas they replace ----------------
 
 EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
