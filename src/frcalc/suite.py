@@ -77,8 +77,8 @@ def _weak_link(u):
 
 
 def _centralizer(seed, count):
-    k = 2
-    *drawn, weak = random_unitaries([*((6, seed * 2_750_159 + 53 * i) for i in range(count)),
+    k, l = 2, 3
+    *drawn, weak = random_unitaries([*((k * l, seed * 2_750_159 + 53 * i) for i in range(count)),
                                      (4, 54)])
     for a in [*(lambda_map(unitary_frame(u, k)) for u in drawn), _weak_link(weak)]:
         z = centralizer(a)
