@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, conjugate
+from .linalg import DEFAULT_TOL, Tolerance
 from .frames import (
     Frame,
     dot,
@@ -23,7 +23,6 @@ from .frames import (
     pi1,
     pi2,
     reindex_frame,
-    shuffle_permutation,
     tensor_frame,
     trivial_frame,
 )
@@ -192,13 +191,14 @@ def check_identity_embedding(phi_prime: Frame) -> float:
 
 
 def check_tau(alpha: Frame, phi: Frame) -> float:
-    """Factor swap equals perfect-shuffle conjugation plus the index
-    transposition (i,p) -> (p,i)."""
+    """Factor swap equals the perfect shuffle (i,p) -> (p,i) of the ambient
+    digits, a relabelling, plus that transposition of the frame index."""
     swapped = tensor_frame(phi, alpha)
     straight = tensor_frame(alpha, phi)
-    s = shuffle_permutation(alpha.ambient, phi.ambient)
-    transposed = reindex_frame(
-        Frame(straight.d, straight.ambient, conjugate(s, straight.mats)), (alpha.d, phi.d), (1, 0))
+    d, a, b = straight.d, alpha.ambient, phi.ambient
+    shuffled = straight.mats.reshape(d, d, a, b, a, b).transpose(0, 1, 3, 2, 5, 4)
+    transposed = reindex_frame(Frame(d, a * b, shuffled.reshape(d, d, a * b, a * b)),
+                               (alpha.d, phi.d), (1, 0))
     return frames_close(transposed, swapped)
 
 

@@ -209,8 +209,3 @@ def reindex_frame(beta: Frame, radices, perm) -> Frame:
     mats = np.transpose(m, axes).reshape(beta.d, beta.d, beta.ambient, beta.ambient)
     return Frame(beta.d, beta.ambient, mats)
 
-
-def shuffle_permutation(a: int, b: int) -> np.ndarray:
-    """Perfect-shuffle unitary S with S kron(X, Y) S* = kron(Y, X)
-    for X in M_a, Y in M_b: row p a + i is row i b + p of the identity."""
-    return eye(a * b)[np.arange(a * b).reshape(a, b).T.ravel()]

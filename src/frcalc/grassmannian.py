@@ -19,9 +19,9 @@ singular value, and the loop stops without an SVD: span(Q) is closed
 under right multiplication by M and contains 1, so it is the algebra.
 Otherwise the round ranks a checked sketch of R, the randomized range
 finder of Halko, Martinsson & Tropp ("Finding structure with
-randomness", SIAM Review 53, 2011): U is the QR basis of R Omega for a
-fixed seeded complex Gaussian P x k matrix Omega, k starts at 2m + 8
-for the m directions the round multiplies, and it doubles until
+randomness", SIAM Review 53, 2011): U is the QR basis of R Omega for
+the fixed P x k Omega of ``linalg.generic_coefficients``, k starts at
+2m + 8 for the m directions the round multiplies, and it doubles until
 ||R - U(U* R)||_F is at most 1e-3 rank_cutoff.  The residual's rank is
 the number of directions the round adds, usually far below its P
 columns, so the first width or the second passes.  At k = P the sketch
@@ -123,7 +123,6 @@ one cluster, all of C^n, and the frame {1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -134,6 +133,7 @@ from .linalg import (
     as_stack,
     conjugate,
     eye,
+    generic_coefficients,
     kron_stack,
     max_abs,
     orthonormal_cols,
@@ -209,7 +209,7 @@ def _range_sketch(r: np.ndarray, width: int, tol: Tolerance):
     full = min(p, rows)
     k = min(width, full)
     while True:
-        u, _ = np.linalg.qr(r @ _generic_coefficients(p * k, _GENERIC_SEED).reshape(p, k))
+        u, _ = np.linalg.qr(r @ generic_coefficients(p * k, _GENERIC_SEED).reshape(p, k))
         coords = u.conj().T @ r
         if k == full or np.linalg.norm(r - u @ coords) <= _SKETCH_FRACTION * tol.rank_cutoff:
             return u, coords
@@ -239,19 +239,9 @@ def closure_residual(a: Subalgebra, tol: Tolerance = DEFAULT_TOL) -> float:
                      a.basis, tol)
 
 
-@lru_cache(maxsize=256)
-def _generic_coefficients(count: int, seed: int) -> np.ndarray:
-    """``count`` complex Gaussian coefficients drawn from ``seed``, read-only:
-    seeding a generator costs more than a small commutant's products."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    c.flags.writeable = False
-    return c
-
-
 def _generic_element(basis, n: int, seed: int) -> np.ndarray:
     """sum_b c_b basis[b] for the coefficients c of ``seed``."""
-    return (vectorize(basis) @ _generic_coefficients(len(basis), seed)).reshape(n, n)
+    return (vectorize(basis) @ generic_coefficients(len(basis), seed)).reshape(n, n)
 
 
 def _eig_clusters(w: np.ndarray):
@@ -434,7 +424,7 @@ def _is_full_algebra(b: Subalgebra, tol: Tolerance) -> bool:
     # No entry of an orthonormal basis exceeds 1, and then Q Q* x cannot overflow.
     if b.dim != n * n or not max_abs(q) <= 1.0 + tol.bound("in_span"):
         return False
-    x = _generic_coefficients(n * n, _GENERIC_SEED).real
+    x = generic_coefficients(n * n, _GENERIC_SEED).real
     return max_abs(x - q @ (q.conj().T @ x)) <= tol.bound("in_span") * max_abs(x)
 
 

@@ -16,13 +16,15 @@ from .linalg import (
     Tolerance,
     apply_frame,
     eye,
+    generic_coefficients,
     is_unitary,
     kron_stack,
     max_abs,
+    positive_qr,
 )
 from .frames import Frame, matrix_unit_frame, random_frame, tensor_frame, unitary_frame
 
-_PHASE_PIVOT = 1e-6  # the first entry this large of a basis vector fixes its phase
+_REFERENCE_SEED = 0x1D7E  # seed of the reference whose image picks a basis of range h(e_11)
 
 
 @dataclass(frozen=True)
@@ -108,20 +110,15 @@ def push_frame(h: StarHom, alpha: Frame) -> Frame:
 def intertwiner(h: StarHom, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unitary U with h(X) = U (X (x) E_l) U* for all X.
 
-    Construction: the h(e_{ii}) are rank-l projections; pick an
-    orthonormal basis {v_s} of range h(e_{11}) and take columns
-    u_{(i,s)} = h(e_{i,1}) v_s in first-index-major order.  Each v_s is
-    phase-normalized (first significant entry of h(e_{11}) v_s real
-    positive) so the output is deterministic.
+    Construction: the h(e_{ii}) are rank-l projections; take the basis
+    {v_s} of range h(e_{11}) that ``positive_qr`` gives of h(e_{11}) R, for
+    a fixed cached n x l reference R, and columns u_{(i,s)} = h(e_{i,1}) v_s
+    in first-index-major order.  U is continuous in h, so rounding moves
+    it by rounding only.  A non-hom fails the residual or unitarity check.
     """
     n, l = h.dst, h.mult
     mats = h.image_frame.mats
-    w, s, _ = np.linalg.svd(mats[0, 0])
-    if int(np.sum(s > 0.5)) != l:
-        raise ValueError("input not a unital *-homomorphism")
-    v = w[:, :l]
-    pivot = v[np.argmax(np.abs(v) > _PHASE_PIVOT, axis=0), np.arange(l)]
-    v = v / (pivot / np.abs(pivot))
+    v = positive_qr(mats[0, 0] @ generic_coefficients(n * l, _REFERENCE_SEED).reshape(n, l))
     u = (mats[:, 0] @ v).transpose(1, 0, 2).reshape(n, n)
     if not intertwiner_residual(h, u) <= tol.bound("intertwiner_guard") or not is_unitary(u, tol):
         raise ValueError("input not a unital *-homomorphism")

@@ -20,13 +20,13 @@ orthonormal stack, as the package's bases are (to 1e-14), as its basis:
 projecting onto the span of a subalgebra or a centralizer costs one Gram
 product, and the distance of two such spans one k x k ``eigvalsh``.
 
-Every seeded object of the package is built from Haar unitaries drawn
-by ``random_unitaries``: one generator per (size, seed) pair, then one
-QR of the whole (count, n, n) stack of each size.  LAPACK factors a
-stack one matrix at a time and the phase fix is elementwise, so each
-unitary is the same bit for bit whatever else is drawn with it, while
-the per-call cost of the QR is paid once per size; ``random_unitary``
-is the one-pair case.
+One rule picks every orthonormal basis the package outputs (a Haar
+unitary, a written subalgebra's canonical basis, an intertwiner's basis
+of range h(e_11)): ``positive_qr`` of the range's image of a fixed
+reference, a slice of the cached ``generic_coefficients`` like every
+generic element.  An SVD basis of a degenerate range would move by O(1)
+under rounding.  ``random_unitaries`` takes one ``positive_qr`` per size
+of stacked Ginibre draws, each the same bit for bit as drawn alone.
 
 Importing this module fixes glibc's heap policy, once per process
 (``_keep_freed_heap_resident``): allocations below 32 MB come from the
@@ -46,6 +46,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,16 +182,32 @@ def svd_rank(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int:
     return int(np.sum(s > tol.rank_cutoff * (s[0] if scale is None else scale)))
 
 
+def positive_qr(x: np.ndarray) -> np.ndarray:
+    """The Q of x = QR, of a matrix or of each matrix of a stack, with R's
+    diagonal made real positive (Mezzadri, Notices AMS 54, 2007): for x of
+    full column rank a continuous function of x alone; a zero of R's
+    diagonal (x of deficient rank) keeps its column.  LAPACK factors a
+    stack one matrix at a time, so each Q is bit for bit its matrix's."""
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)[..., None, :]
+
+
+@lru_cache(maxsize=256)
+def generic_coefficients(count: int, seed: int) -> np.ndarray:
+    """``count`` complex Gaussian coefficients drawn from ``seed``, read-only
+    and cached: seeding costs more than a small commutant's products."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    c.flags.writeable = False
+    return c
+
+
 def random_unitaries(draws) -> list:
     """The Haar-distributed unitaries of (n, seed) pairs of any sizes, in
-    order, each deterministic for fixed ``(n, seed)``.
-
-    Each seed starts its own generator, whose first 2 n^2 normals give the
-    real and imaginary parts of a complex Ginibre matrix; one QR of the
-    stack of each size follows, with the R diagonal phases pushed into Q
-    (Mezzadri, Notices AMS 54, 2007).  LAPACK factors a stack one matrix
-    at a time and every other step is elementwise, so each unitary is bit
-    for bit the one drawn alone."""
+    order: each seed's first 2 n^2 normals are the real and imaginary
+    parts of a complex Ginibre matrix, and one ``positive_qr`` of the
+    stack of each size turns them into unitaries."""
     draws = list(draws)
     if any(n < 1 for n, _ in draws):
         raise ValueError("n must be >= 1")
@@ -200,9 +217,7 @@ def random_unitaries(draws) -> list:
         g = np.empty((len(slots), 2, n, n))
         for row, k in zip(g, slots):
             np.random.default_rng(draws[k][1]).standard_normal(out=row)
-        q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        for k, u in zip(slots, q * (d / np.abs(d))[:, None, :]):
+        for k, u in zip(slots, positive_qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))):
             out[k] = u
     return out
 

@@ -2,7 +2,8 @@
 
 Matrices: {"rows": N, "cols": M, "entries": [[re, im], ...]} row-major.
 Composite types carry their fields verbatim; see each codec, except
-that a subalgebra is written in a canonical basis of its span.
+that a subalgebra is written in a canonical basis of its span,
+``_canonical_basis``, picked by ``linalg``'s one rule, ``positive_qr``.
 
 ``CODECS`` maps each kind to its (decode, encode) pair.  The codecs hold
 no error handling: ``decode(kind, obj)`` is the only place that turns an
@@ -51,7 +52,7 @@ from .grassmannian import Subalgebra
 from .fredholm import DeskFredholm
 from .abgroup import AbGroupPresentation, GroupHom
 from .catverify import NerveChain
-from .linalg import DEFAULT_TOL, orthonormal_cols
+from .linalg import DEFAULT_TOL, generic_coefficients, orthonormal_cols, positive_qr
 
 # Seed of the fixed reference matrix that picks the canonical basis.
 _CANONICAL_SEED = 0xBA515
@@ -156,18 +157,15 @@ def hom_from_json(obj) -> StarHom:
 
 
 def _canonical_basis(a: Subalgebra) -> np.ndarray:
-    """The Q factor, with R's diagonal made positive, of P R_ref, as a
-    (dim, n, n) stack: P projects onto the span and R_ref is a fixed
-    seeded n^2 x dim matrix, so the basis is a function of the span
-    alone (an SVD or eigh basis of a degenerate subspace moves by O(1)
-    under rounding).  The stack is a view of Q's transpose, not
-    C-contiguous."""
+    """``positive_qr`` of P R_ref, as a (dim, n, n) stack: P projects onto
+    the span and R_ref is the real part of the cached n^2 dim
+    ``generic_coefficients`` of ``_CANONICAL_SEED``, so the basis is a
+    function of the span alone.  The stack is a view of Q's transpose."""
     n = a.ambient
     q0 = orthonormal_cols(a.basis, DEFAULT_TOL)
-    ref = np.random.default_rng(_CANONICAL_SEED).standard_normal((n * n, q0.shape[1]))
-    q, r = np.linalg.qr(q0 @ (q0.conj().T @ ref))
-    d = np.diagonal(r)
-    return (q * (d / np.abs(d))).T.reshape(-1, n, n)
+    dim = q0.shape[1]
+    ref = generic_coefficients(n * n * dim, _CANONICAL_SEED).real.reshape(n * n, dim)
+    return positive_qr(q0 @ (q0.conj().T @ ref)).T.reshape(-1, n, n)
 
 
 def subalgebra_to_json(a: Subalgebra) -> dict:

@@ -250,7 +250,12 @@ def _fr_functoriality(seed, count):
         gd, _ = c_morphism_of_unitaries(r, w2, m2, 4, 2)
         composed = make_c_morphism(compose_plain(gd.f, fd.f), fd.src_frame, gd.dst_frame)
         ap = unitary_frame(a, 2)
-        yield {"max_entry_error": frames_close(fr_map(composed, ap), fr_map(gd, fr_map(fd, ap)))}
+        whole, first = fr_map(composed, ap), fr_map(fd, ap)
+        stepped = fr_map(gd, first)
+        yield {"max_entry_error": frames_close(whole, stepped)}
+        # An fr_map wrong alike on both paths still gives no frames.
+        for out in (whole, first, stepped):
+            yield {"max_entry_error": verify_frame(out).max_error}
 
 
 def _int_det(m):

@@ -20,7 +20,8 @@ def test_each_battery_takes_one_qr_per_size_it_draws(monkeypatch):
     qr, sizes = np.linalg.qr, []
 
     def counted(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
+        if a.ndim == 3:  # a draw's stack; intertwiner and the spans factor single matrices
+            sizes.append(a.shape[-1])
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counted)

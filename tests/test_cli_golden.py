@@ -7,7 +7,8 @@ Every call runs in one directory holding the inputs that
 each other.  Reports are compared without ``elapsed_ms``; ints, strings
 and keys must match exactly and floats within 1e-12.  A subalgebra is
 written in a canonical basis of its span, so the output of every verb
-that writes one moves by less than 1e-12 when its inputs move by 1e-16.
+that writes one moves by less than 1e-12 when its inputs move by 1e-16,
+and so does the output file of every other verb.
 """
 
 import contextlib
@@ -238,14 +239,44 @@ def _basis_entries(result):
     return np.array([m["entries"] for m in payload["basis"]])
 
 
-@pytest.mark.parametrize("case", ALG_OUT_CASES)
-def test_alg_output_is_stable_under_rounding(case, inputs_dir, tmp_path, monkeypatch):
+def _perturbed_inputs(inputs_dir, tmp_path):
     rng = np.random.default_rng(1)
     for path in inputs_dir.glob("*.json"):
         (tmp_path / path.name).write_text(json.dumps(_perturb(json.loads(path.read_text()), rng)))
+
+
+@pytest.mark.parametrize("case", ALG_OUT_CASES)
+def test_alg_output_is_stable_under_rounding(case, inputs_dir, tmp_path, monkeypatch):
+    _perturbed_inputs(inputs_dir, tmp_path)
     monkeypatch.chdir(inputs_dir)
     want = _basis_entries(call(case))
     monkeypatch.chdir(tmp_path)
     got = _basis_entries(call(case))
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want))) < 1e-12
+
+
+FILE_OUT_CASES = [case for case in CASES if "--out" in case.split() and case not in ALG_OUT_CASES]
+
+
+def _floats(obj):
+    """Every float of a parsed JSON payload, keys in sorted order."""
+    if isinstance(obj, float):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = [obj[key] for key in sorted(obj)]
+    return [x for item in obj for x in _floats(item)] if isinstance(obj, list) else []
+
+
+@pytest.mark.parametrize("case", FILE_OUT_CASES)
+def test_every_other_output_is_stable_under_rounding(case, inputs_dir, tmp_path, monkeypatch):
+    """Every other verb that writes a file picks no basis that rounding
+    can move: its output moves by less than 1e-12 when its inputs move by
+    1e-16."""
+    _perturbed_inputs(inputs_dir, tmp_path)
+    monkeypatch.chdir(inputs_dir)
+    want = np.array(_floats(call(case)["files"]))
+    monkeypatch.chdir(tmp_path)
+    got = np.array(_floats(call(case)["files"]))
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want), initial=0.0)) < 1e-12

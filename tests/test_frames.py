@@ -18,7 +18,6 @@ from frcalc.frames import (
     pi2,
     random_frame,
     reindex_frame,
-    shuffle_permutation,
     tensor_frame,
     trivial_frame,
     unitary_frame,
@@ -288,15 +287,6 @@ def test_reindex_frame_swaps_digits():
                     lhs = swapped.mats[p * 2 + i, q * 2 + j]
                     rhs = beta.mats[i * 3 + p, j * 3 + q]
                     assert max_abs(lhs - rhs) == 0.0
-
-
-def test_shuffle_permutation_swaps_kron_factors():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    s = shuffle_permutation(2, 3)
-    assert max_abs(s @ s.conj().T - np.eye(6)) == 0.0
-    assert max_abs(s @ np.kron(x, y) @ s.conj().T - np.kron(y, x)) < 1e-13
 
 
 def test_frames_compare_and_hash_by_identity():

@@ -23,7 +23,6 @@ from frcalc.grassmannian import (
     span_subalgebra,
     star_closed,
     tensor_subalgebra,
-    _generic_coefficients,
     _generic_eigenbasis,
     _linked_clusters,
     _unit_scaled,
@@ -32,6 +31,7 @@ from frcalc.generators import MorphismConfig, random_d_morphism, random_source_f
 from frcalc.homspace import basepoint_hom, ev
 from frcalc.linalg import (
     conjugate,
+    generic_coefficients,
     max_abs,
     orthonormal_span,
     pair_products,
@@ -291,9 +291,9 @@ def test_span_is_bitwise_deterministic_and_reuses_its_draws():
     generators draws nothing new and returns the same bits."""
     gens, _ = _block_diagonal_generators(0)
     first = span_subalgebra(gens, 8)
-    misses = _generic_coefficients.cache_info().misses
+    misses = generic_coefficients.cache_info().misses
     second = span_subalgebra(gens, 8)
-    assert _generic_coefficients.cache_info().misses == misses
+    assert generic_coefficients.cache_info().misses == misses
     assert first.basis.tobytes() == second.basis.tobytes()
 
 

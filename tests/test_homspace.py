@@ -140,6 +140,22 @@ def test_intertwiner_on_basepoint_is_identity_up_to_phase():
     assert intertwiner_residual(h, u) < 1e-12
 
 
+@pytest.mark.parametrize("k, l", [(2, 2), (2, 3), (3, 2)])
+def test_intertwiner_is_continuous_in_the_hom(k, l, monkeypatch):
+    """A 1e-16 change of the image frame moves U by rounding, not by a new
+    choice of basis inside the degenerate range of h(e_11); no SVD runs."""
+    svd, svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a) or svd(*a, **kw))
+    rng = np.random.default_rng(0)
+    for seed in range(10):
+        h = random_hom(k, l, seed)
+        m = h.image_frame.mats
+        noise = 1e-16 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        moved = StarHom(k, k * l, Frame(k, k * l, m + noise))
+        assert max_abs(intertwiner(moved) - intertwiner(h)) < 1e-12
+    assert svds == []
+
+
 def test_intertwiner_rejects_non_hom():
     bad = StarHom.__new__(StarHom)
     object.__setattr__(bad, "src", 2)

@@ -136,6 +136,13 @@ def _pi2_transposed(beta, d1):
     return frames.Frame(gamma.d, gamma.ambient, np.swapaxes(gamma.mats, 0, 1))
 
 
+def _fr_map_with_pi2_transposed(data, alpha_prime, tol=linalg.DEFAULT_TOL):
+    """``catverify.fr_map`` that completes the pushed frame by pi2 with its
+    index pair transposed."""
+    return frames.dot(homspace.push_frame(data.f, alpha_prime),
+                      _pi2_transposed(data.dst_frame, data.split), tol)
+
+
 def _zero_block(n, win_dom, win_cod):
     return fredholm.DeskFredholm(n, win_dom, win_cod,
                                  np.zeros((n * win_cod, n * win_dom), dtype=complex))
@@ -251,6 +258,10 @@ MUTANTS = {
     # target is not built from it; only reconstruction sees it, by a residual.
     "pi2 with its index pair transposed":
         Mutant([(frames, "pi2", _pi2_transposed)], ["reconstruction"]),
+    # Every fr_map of the functoriality battery is transposed alike, so
+    # both paths still agree; only the frame axioms of its outputs see it.
+    "fr_map with pi2's index pair transposed":
+        Mutant([(catverify, "fr_map", _fr_map_with_pi2_transposed)], ["fr_functoriality"]),
 }
 
 

@@ -40,7 +40,10 @@ hom is applied in one place: ``homspace.ev`` is the only reader of
 ``linalg.apply_frame``, so push-forward and composition go through it.
 And ``catverify.tensor_c_morphism`` names none of ``dot``, ``pi1`` and
 ``pi2``: its target frame is the tensor of the two target frames,
-relabelled into dot order, not rebuilt from their projections."""
+relabelled into dot order, not rebuilt from their projections.  And
+only ``linalg`` and the data draws of ``suite`` and ``generators`` call
+numpy's ``default_rng``: every fixed reference or generic element is a
+slice of the one cached ``linalg.generic_coefficients``."""
 
 import ast
 import inspect
@@ -63,14 +66,16 @@ FRAMES_MODULE, FRAME_GUARDS = "frames.py", {"dot_with_residual"}
 HOM_KERNEL, HOM_APPLIER = "apply_frame", ("homspace.py", "ev")  # the kernel's one caller
 TENSOR_DATA, PROJECTIONS = ("catverify.py", "tensor_c_morphism"), ("dot", "pi1", "pi2")
 BANNED = {"einsum", "kron"}
+SEEDING, SEEDING_MODULES = {"default_rng"}, {"linalg.py", "suite.py", "generators.py"}
 READERS = {"json": {"load", "loads"}, "orjson": {"loads"}}  # module -> its JSON readers
 WRITERS = {"orjson": {"dumps"}}  # module -> the writers only dump_json may call
 
 
-def numpy_contractions(source: str):
-    """(line, name) of every use of numpy's einsum or kron in a module:
-    an attribute of a numpy alias (``np.einsum``, ``numpy.kron``) or a
-    name imported from numpy."""
+def numpy_uses(source: str, names=BANNED):
+    """(line, name) of every use of one of ``names`` of numpy, by default
+    its einsum or kron, in a module: an attribute of a numpy alias
+    (``np.einsum``, ``numpy.kron``, ``np.random.default_rng``) or a name
+    imported from numpy or one of its submodules."""
     tree = ast.parse(source)
     aliases, found = set(), []
     for node in ast.walk(tree):
@@ -78,9 +83,9 @@ def numpy_contractions(source: str):
             aliases |= {a.asname or a.name.split(".")[0] for a in node.names
                         if a.name.split(".")[0] == "numpy"}
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
-            found += [(node.lineno, a.name) for a in node.names if a.name in BANNED]
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in BANNED:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             base = node.value
             while isinstance(base, ast.Attribute):
                 base = base.value
@@ -96,19 +101,46 @@ def numpy_contractions(source: str):
     "import numpy.linalg as la, numpy as xp\nf = xp.einsum\n",
 ])
 def test_guard_sees_numpy_contractions(snippet):
-    assert numpy_contractions(snippet)
+    assert numpy_uses(snippet)
 
 
 def test_guard_ignores_other_names():
-    assert not numpy_contractions("import numpy as np\ndef kron(a, b): return a\nx = kron(1, 2)\n"
+    assert not numpy_uses("import numpy as np\ndef kron(a, b): return a\nx = kron(1, 2)\n"
                                   "y = np.linalg.svd(a)\nz = obj.einsum\n")
 
 
 def test_only_linalg_uses_numpy_einsum_or_kron():
     modules = sorted(SRC.glob("*.py"))
     assert KERNEL_MODULE in {p.name for p in modules}
-    offenders = {p.name: numpy_contractions(p.read_text(encoding="utf-8"))
+    offenders = {p.name: numpy_uses(p.read_text(encoding="utf-8"))
                  for p in modules if p.name != KERNEL_MODULE}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+@pytest.mark.parametrize("snippet", [
+    "import numpy as np\nrng = np.random.default_rng(1)\n",
+    "import numpy\nx = numpy.random.default_rng(2).standard_normal(3)\n",
+    "from numpy.random import default_rng as fresh\nrng = fresh(3)\n",
+])
+def test_seed_guard_sees_generators(snippet):
+    assert numpy_uses(snippet, SEEDING)
+
+
+def test_seed_guard_ignores_cached_draws_and_other_names():
+    assert not numpy_uses("import numpy as np\nfrom .linalg import generic_coefficients\n"
+                                  "c = generic_coefficients(4, 1)\nrng = obj.random.default_rng(2)\n"
+                                  "g = np.random.Generator\n", SEEDING)
+
+
+def test_only_the_draws_start_a_generator():
+    """A fixed reference or generic element is a slice of the cached
+    ``linalg.generic_coefficients``; only the Haar and reference draws of
+    ``linalg`` and the data draws of ``suite`` and ``generators`` seed a
+    generator of their own."""
+    modules = sorted(SRC.glob("*.py"))
+    assert SEEDING_MODULES <= {p.name for p in modules}
+    offenders = {p.name: numpy_uses(p.read_text(encoding="utf-8"), SEEDING)
+                 for p in modules if p.name not in SEEDING_MODULES}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 

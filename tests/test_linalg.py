@@ -29,6 +29,7 @@ from frcalc.linalg import (
     orthonormal_cols,
     orthonormal_span,
     pair_products,
+    positive_qr,
     random_unitaries,
     random_unitary,
     subspace_distance,
@@ -86,6 +87,24 @@ RANDOM_UNITARY_SHA256 = {
 def test_random_unitary_keeps_its_recorded_bytes(n, seed):
     digest = hashlib.sha256(random_unitary(n, seed).tobytes()).hexdigest()
     assert digest == RANDOM_UNITARY_SHA256[n, seed]
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 3), (3, 5, 5)])
+def test_positive_qr_has_a_positive_r_and_factors_a_stack_matrix_by_matrix(shape):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q = positive_qr(x)
+    r = q.conj().swapaxes(-1, -2) @ x
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.all(d.real > 0) and max_abs(d.imag) < 1e-14
+    assert max_abs(np.tril(r, -1)) < 1e-14 and max_abs(q @ r - x) < 1e-14
+    assert q.tobytes() == np.stack([positive_qr(m) for m in x]).tobytes()
+
+
+def test_positive_qr_keeps_the_column_of_a_zero_diagonal_entry():
+    with np.errstate(all="raise"):
+        q = positive_qr(np.zeros((4, 2), dtype=complex))
+    assert max_abs(q.conj().T @ q - np.eye(2)) < 1e-15
 
 
 def test_nullspace_and_rank():

@@ -31,8 +31,8 @@ def test_all_batteries_follow_the_table():
 
 # SHA-256 of json.dumps(run_suite(seed, scale=0.12), sort_keys=True).
 SCALED_SUITE_SHA256 = {
-    3: "4582e725453933c5ae15c7f6837fd506b41240e46681f8584c0692f8ebe482f1",
-    11: "523529972524bef0322aa47c08867ac140e0a9d017e6627f56b607da013102f3",
+    3: "efb342bae6f452f93d32d0bbfb78fefdf4da6642b434d8d2b9af85d1e548181d",
+    11: "78bbcecc5af7cf6bc58726c767707e66d44437df3ed6e6ff256780ee13356dc4",
 }
 
 
