@@ -255,9 +255,10 @@ MUTANTS = {
         Mutant([(catverify, "check_naturality", _naturality_square_without_the_relabelling())],
                ["naturality"]),
     # Transposed consistently, pi2 still closes the naturality square, whose
-    # target is not built from it; only reconstruction sees it, by a residual.
+    # target is not built from it; reconstruction sees it by a residual, and
+    # fr_functoriality by the frame axioms of fr_map's outputs.
     "pi2 with its index pair transposed":
-        Mutant([(frames, "pi2", _pi2_transposed)], ["reconstruction"]),
+        Mutant([(frames, "pi2", _pi2_transposed)], ["reconstruction", "fr_functoriality"]),
     # Every fr_map of the functoriality battery is transposed alike, so
     # both paths still agree; only the frame axioms of its outputs see it.
     "fr_map with pi2's index pair transposed":
